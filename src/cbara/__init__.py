@@ -7,16 +7,7 @@ estimator, parameter-update mechanisms, a trial engine, a replication
 harness, and a population oracle for the asymptotic theory.
 """
 from .adapt import MechanismKind, UpdateMechanism, clip_bound, next_theta, perfect_squares
-from .datagen import (
-    CovariateVector,
-    Scenario,
-    ScenarioId,
-    UnitRecord,
-    draw_unit_arrays,
-    gen_unit,
-    gen_units,
-    true_ate,
-)
+from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays, true_ate
 from .engine import (
     Allocation,
     ImbalanceState,
@@ -55,7 +46,6 @@ from .oracle import (
     mest_covariance,
     oracle_theta_star,
     sigma_z_sq,
-    vectorized_z,
     z_additional,
 )
 from .policy import (

@@ -538,7 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"cbara-error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"cbara-error: {exc}", file=sys.stderr)
         return 1
 

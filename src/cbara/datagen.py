@@ -71,18 +71,10 @@ class CovariateVector:
             raise ValueError("x2 and x3 must lie in [-1, 1]")
 
 
-@dataclass(frozen=True, slots=True)
-class UnitRecord:
-    x: CovariateVector
-    y1: float
-    y0: float
-    zstar: float
-
-
 def draw_unit_arrays(
     scenario: Scenario, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized fast path: n units as (x1, x2, x3, y1, y0, zstar) arrays.
+    """n units as (x1, x2, x3, y1, y0, zstar) arrays.
 
     Draw order per call: n*3 correlated normals, n z*-noise normals,
     then (only when the scenario has outcome noise) n shared-noise
@@ -107,31 +99,6 @@ def draw_unit_arrays(
         y1 = y1 + eps
         y0 = y0 + eps
     return x1, x2, x3, y1, y0, zstar
-
-
-def gen_unit(scenario: Scenario, rng: np.random.Generator) -> UnitRecord:
-    """One unit from a seeded stream."""
-    x1, x2, x3, y1, y0, zstar = draw_unit_arrays(scenario, 1, rng)
-    return UnitRecord(
-        x=CovariateVector(float(x1[0]), float(x2[0]), float(x3[0])),
-        y1=float(y1[0]),
-        y0=float(y0[0]),
-        zstar=float(zstar[0]),
-    )
-
-
-def gen_units(scenario: Scenario, n: int, rng: np.random.Generator) -> list[UnitRecord]:
-    """n units drawn in one block (same stream as one draw_unit_arrays call)."""
-    x1, x2, x3, y1, y0, zstar = draw_unit_arrays(scenario, n, rng)
-    return [
-        UnitRecord(
-            x=CovariateVector(float(x1[i]), float(x2[i]), float(x3[i])),
-            y1=float(y1[i]),
-            y0=float(y0[i]),
-            zstar=float(zstar[i]),
-        )
-        for i in range(n)
-    ]
 
 
 def true_ate(scenario: Scenario) -> float:

@@ -21,21 +21,20 @@ from typing import Optional
 import numpy as np
 
 from .adapt import MechanismKind, UpdateMechanism, clip_bound, next_theta
-from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays
-from .estimator import FitAccumulator, Weighting
+from .datagen import CovariateVector, Scenario, draw_unit_arrays
+from .estimator import FitAccumulator, Weighting, active_columns
 from .policy import (
     ModelCoefficients,
     TargetPolicy,
     ZERO_COEFFS,
     _allocation_prob_raw,
+    clamp_allocation,
     derive_constants,
+    increment_scale,
     target_ratio_from_x1,
 )
 
 _BLOCK = 256
-
-_DISCRETE_ACTIVE = (0, 1, 2, 3)
-_FULL_ACTIVE = (0, 1, 2, 3, 4, 5)
 
 
 class Allocation(str, Enum):
@@ -175,14 +174,12 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     delay = cfg.response_delay
     n_units = cfg.n_units
     g_floor = pol.g_floor
-    g_ceil = 1.0 - g_floor
     c_lambda = pol.c_lambda
 
     theta = cfg.frozen_theta if frozen else ZERO_COEFFS
     p_theta, c_theta, _ = derive_constants(pol, theta)
 
-    active = _DISCRETE_ACTIVE if scenario.id is ScenarioId.DISCRETE else _FULL_ACTIVE
-    acc = FitAccumulator(weighting=cfg.weighting, active=active)
+    acc = FitAccumulator(weighting=cfg.weighting, active=active_columns(scenario))
     pending: list[tuple[float, float, float, int, float, float]] = []
     released = 0
 
@@ -258,7 +255,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
                         (1.0, x1, x2, x3),
                         (l0, l1, l2, l3),
                     )
-                    g = min(max(raw, g_floor), g_ceil)
+                    g = clamp_allocation(raw, g_floor)
                 else:
                     g = rho_used
 
@@ -266,7 +263,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             y = ly1[k] if t else ly0[k]
             z = lz[k]
 
-            scale = (t - rho_used) / (rho_used * (1.0 - rho_used))
+            scale = increment_scale(rho_used, t)
             l0 += scale
             l1 += scale * x1
             l2 += scale * x2

@@ -19,12 +19,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datagen import CovariateVector
+from .datagen import CovariateVector, Scenario, ScenarioId
 from .policy import ModelCoefficients, ZERO_COEFFS
 
 _RANK_RTOL = 1e-8
 
 _ALL_COLS = (0, 1, 2, 3, 4, 5)
+_ARM_COLS = (0, 1, 2, 3)
+
+
+def active_columns(scenario: Scenario) -> tuple[int, ...]:
+    """Design columns the working model is fitted on: the DiscreteTest
+    scenario has x2 = x3 = 0, so its shared x2/x3 columns are dropped."""
+    return _ARM_COLS if scenario.id is ScenarioId.DISCRETE else _ALL_COLS
 
 
 class Weighting(str, Enum):

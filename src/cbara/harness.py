@@ -207,14 +207,16 @@ def run_replications(plan: ReplicationPlan) -> MetricsSummary:
 _FAMILY_LABELS = {"crd": "CRD", "logistic": "Logistic", "probit": "Probit"}
 
 
-def label_for(plan: ReplicationPlan) -> tuple[int, str, str, str, str]:
+def labeled_summary(plan: ReplicationPlan, summary: MetricsSummary) -> LabeledSummary:
+    """Tag a plan's summary with the grid cell the plan belongs to."""
     cfg = plan.base_config
-    return (
-        cfg.n_units,
-        cfg.scenario.id.value,
-        _FAMILY_LABELS[cfg.policy.family.value],
-        cfg.weighting.value.capitalize(),
-        cfg.allocation.value.capitalize(),
+    return LabeledSummary(
+        size=cfg.n_units,
+        model=cfg.scenario.id.value,
+        procedure=_FAMILY_LABELS[cfg.policy.family.value],
+        estimation=cfg.weighting.value.capitalize(),
+        mechanism=cfg.allocation.value.capitalize(),
+        summary=summary,
     )
 
 
@@ -223,17 +225,4 @@ def aggregate_grid(plans: Sequence[ReplicationPlan]) -> list[LabeledSummary]:
     cell, preserving input order."""
     if not plans:
         raise ValueError("plans must be nonempty")
-    out: list[LabeledSummary] = []
-    for plan in plans:
-        size, model, procedure, estimation, mechanism = label_for(plan)
-        out.append(
-            LabeledSummary(
-                size=size,
-                model=model,
-                procedure=procedure,
-                estimation=estimation,
-                mechanism=mechanism,
-                summary=run_replications(plan),
-            )
-        )
-    return out
+    return [labeled_summary(plan, run_replications(plan)) for plan in plans]

@@ -22,40 +22,29 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .adapt import UpdateMechanism
-from .datagen import (
-    CovariateVector,
-    Scenario,
-    ScenarioId,
-    UnitRecord,
-    draw_unit_arrays,
-)
+from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays
 from .engine import Allocation, TrialConfig, run_trial
-from .estimator import Weighting
+from .estimator import Weighting, active_columns
 from .policy import (
-    Family,
     ModelCoefficients,
     TargetPolicy,
     _allocation_prob_raw,
+    clamp_allocation,
     derive_constants,
     target_ratio,
+    target_ratio_from_x1,
 )
 
 _CHUNK = 200_000
 _PINV_COND = 1e12
 
-_DISCRETE_ACTIVE = (0, 1, 2, 3)
-_FULL_ACTIVE = (0, 1, 2, 3, 4, 5)
+_X1_ATOMS = (-1.0, 0.0, 1.0)
 
 
 class PopulationSample:
-    """One frozen i.i.d. draw of units, stored as flat arrays.
-
-    The units property exposes the same data as UnitRecord objects for
-    callers that want the per-unit view; the arrays are the fast path.
-    """
+    """One frozen i.i.d. draw of units, stored as flat arrays."""
 
     __slots__ = ("scenario", "seed", "x1", "x2", "x3", "y1", "y0", "zstar")
 
@@ -72,54 +61,21 @@ class PopulationSample:
     def __len__(self) -> int:
         return self.x1.shape[0]
 
-    @property
-    def units(self) -> "_UnitView":
-        return _UnitView(self)
 
-
-class _UnitView(Sequence):
-    """Read-only sequence adapter building UnitRecord objects on demand."""
-
-    __slots__ = ("_pop",)
-
-    def __init__(self, pop: PopulationSample) -> None:
-        self._pop = pop
-
-    def __len__(self) -> int:
-        return len(self._pop)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        p = self._pop
-        return UnitRecord(
-            x=CovariateVector(float(p.x1[i]), float(p.x2[i]), float(p.x3[i])),
-            y1=float(p.y1[i]),
-            y0=float(p.y0[i]),
-            zstar=float(p.zstar[i]),
-        )
-
-
-def vectorized_z(fn: Callable) -> Callable:
-    """Mark a z-definition as array-aware: it receives the whole
-    PopulationSample and must return a length-M array."""
-    fn.vectorized = True
-    return fn
-
-
-@vectorized_z
 def z_additional(pop: PopulationSample) -> np.ndarray:
-    """The trial's scalar additional covariate."""
+    """The trial's scalar additional covariate.
+
+    A z definition is any callable that takes the PopulationSample and
+    returns one value per unit as an array.
+    """
     return pop.zstar
 
 
 def _eval_z(pop: PopulationSample, z_def: Callable) -> np.ndarray:
-    if getattr(z_def, "vectorized", False):
-        z = np.asarray(z_def(pop), dtype=float)
-        if z.shape != (len(pop),):
-            raise ValueError("vectorized z_def must return one value per unit")
-        return z
-    return np.fromiter((float(z_def(u)) for u in pop.units), dtype=float, count=len(pop))
+    z = np.asarray(z_def(pop), dtype=float)
+    if z.shape != (len(pop),):
+        raise ValueError("z_def must return one value per unit")
+    return z
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,17 +110,10 @@ def _solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _rho_star(policy: TargetPolicy, theta: ModelCoefficients, x1: np.ndarray) -> np.ndarray:
-    """Vectorized targeted ratio; mirrors the scalar link exactly."""
-    if policy.family is Family.CRD:
-        return np.full(x1.shape, 0.5)
-    delta = (theta.alpha1 - theta.alpha0) + x1 * (theta.gamma1 - theta.gamma0)
-    if policy.family is Family.LOGISTIC:
-        u = np.clip(-delta / 2.0, -40.0, 40.0)
-        raw = 1.0 / (1.0 + np.exp(u))
-    else:
-        u = np.clip(delta / 3.0, -40.0, 40.0)
-        raw = ndtr(u)
-    return np.clip(raw, policy.clamp_lo, policy.clamp_hi)
+    """Per-unit targeted ratio: the engine's link at the three x1 atoms,
+    looked up by each unit's x1 (draw_unit_arrays only yields -1, 0, 1)."""
+    atoms = np.array([target_ratio_from_x1(policy, theta, a) for a in _X1_ATOMS])
+    return atoms[x1.astype(np.intp) + 1]
 
 
 def _balance_weights(
@@ -197,18 +146,15 @@ def _design_blocks(pop: PopulationSample, lo: int, hi: int) -> tuple[np.ndarray,
     return d1, d0
 
 
-def oracle_theta_star(
-    pop: PopulationSample, weighting: Weighting = Weighting.WEIGHTED
-) -> ModelCoefficients:
+def oracle_theta_star(pop: PopulationSample) -> ModelCoefficients:
     """Limit of the working-model fit: population least squares over
     both potential outcomes with reference weights 1/2 per arm.
 
     The reference weights make the limit free of the allocation rule,
     and they multiply both sides of the normal equations by the same
     constant, so the weighted and unweighted flavors share one
-    solution; the argument is kept for signature symmetry.
+    solution.
     """
-    del weighting
     m = len(pop)
     gram = np.zeros((6, 6))
     rhs = np.zeros(6)
@@ -220,9 +166,7 @@ def oracle_theta_star(
     gram /= m
     rhs /= m
 
-    active = (
-        _DISCRETE_ACTIVE if pop.scenario.id is ScenarioId.DISCRETE else _FULL_ACTIVE
-    )
+    active = active_columns(pop.scenario)
     sub = _check_gram(gram[np.ix_(active, active)])
     eigs = np.linalg.eigvalsh(sub)
     if eigs[0] < 1e-8 * eigs[-1]:
@@ -453,12 +397,10 @@ def invariant_pi_g_check(
     for x in probe_xs:
         rho = target_ratio(policy, theta, x)
         phi = (1.0, x.x1, x.x2, x.x3)
-        lo = policy.g_floor
-        hi = 1.0 - policy.g_floor
         total = 0.0
         for lam in states:
             raw = _allocation_prob_raw(rho, p_theta, c_theta, policy.c_lambda, phi, lam)
-            total += min(max(raw, lo), hi)
+            total += clamp_allocation(raw, policy.g_floor)
         devs.append(abs(total / len(states) - rho))
     return devs
 

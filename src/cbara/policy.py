@@ -154,6 +154,11 @@ def _allocation_prob_raw(
     return rho - p_theta * dot / denom
 
 
+def clamp_allocation(raw: float, g_floor: float) -> float:
+    """Clamp a pre-clamp allocation probability to [g_floor, 1 - g_floor]."""
+    return min(max(raw, g_floor), 1.0 - g_floor)
+
+
 def allocation_prob(
     policy: TargetPolicy,
     theta: ModelCoefficients,
@@ -171,7 +176,12 @@ def allocation_prob(
     raw = _allocation_prob_raw(
         rho, p_theta, c_theta, policy.c_lambda, feature_vector(x), (l0, l1, l2, l3)
     )
-    return min(max(raw, policy.g_floor), 1.0 - policy.g_floor)
+    return clamp_allocation(raw, policy.g_floor)
+
+
+def increment_scale(rho: float, t: int) -> float:
+    """(t - rho) / (rho * (1 - rho)), the weight of one unit's imbalance step."""
+    return (t - rho) / (rho * (1.0 - rho))
 
 
 def imbalance_increment(rho: float, phi, t: int):
@@ -184,7 +194,7 @@ def imbalance_increment(rho: float, phi, t: int):
         raise ValueError("rho must lie strictly inside (0, 1)")
     if t not in (0, 1):
         raise ValueError("t must be 0 or 1")
-    scale = (t - rho) / (rho * (1.0 - rho))
+    scale = increment_scale(rho, t)
     if np.isscalar(phi):
         return scale * float(phi)
     return scale * np.asarray(phi, dtype=float)

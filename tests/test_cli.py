@@ -284,3 +284,15 @@ def test_main_returns_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cbara-error:")
+
+
+def test_run_failure_is_one_error_line(monkeypatch, capsys):
+    def failing_trial(cfg):
+        raise ArithmeticError("injected trial failure")
+
+    monkeypatch.setattr("cbara.harness.run_trial", failing_trial)
+    assert main(["run", "--reps", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cbara-error:")
+    assert "injected trial failure" in err
+    assert "Traceback" not in err

@@ -6,8 +6,6 @@ from cbara.datagen import (
     Scenario,
     ScenarioId,
     draw_unit_arrays,
-    gen_unit,
-    gen_units,
     true_ate,
 )
 
@@ -56,21 +54,6 @@ def test_outcome_noise_shared_across_arms():
     rng = np.random.default_rng(16)
     x1, _, _, y1, y0, _ = draw_unit_arrays(Scenario(ScenarioId.A, 2.0), 300, rng)
     np.testing.assert_allclose(y1 - y0, -3.0 + 3.0 * x1, atol=1e-12)
-
-
-def test_gen_units_matches_array_stream():
-    units = gen_units(Scenario(ScenarioId.A), 50, np.random.default_rng(17))
-    x1, x2, x3, y1, y0, zstar = draw_unit_arrays(
-        Scenario(ScenarioId.A), 50, np.random.default_rng(17)
-    )
-    for i, u in enumerate(units):
-        assert u.x == CovariateVector(x1[i], x2[i], x3[i])
-        assert u.y1 == y1[i] and u.y0 == y0[i] and u.zstar == zstar[i]
-
-
-def test_gen_unit_draws_one():
-    u = gen_unit(Scenario(ScenarioId.B), np.random.default_rng(18))
-    assert u.x.x1 in (-1.0, 0.0, 1.0)
 
 
 def test_same_seed_same_stream():

@@ -41,20 +41,28 @@ def test_reruns_are_identical():
     assert [r.g for r in a.log] == [r.g for r in b.log]
 
 
+def _every_family_and_scenario():
+    for family in Family:
+        for scenario in ScenarioId:
+            yield _cfg(policy=TargetPolicy(family=family), scenario=Scenario(scenario))
+
+
 def test_log_replays_the_imbalance_recursion():
-    result = run_trial(_cfg())
-    lam = (0.0, 0.0, 0.0, 0.0)
-    psi = 0.0
-    for rec in result.log:
-        phi = (1.0, rec.x.x1, rec.x.x2, rec.x.x3)
-        step = imbalance_increment(rec.rho, phi, rec.t)
-        lam = tuple(a + b for a, b in zip(lam, step))
-        psi += imbalance_increment(rec.rho, rec.zstar, rec.t)
-        assert rec.lambda_after == pytest.approx(lam, abs=1e-9)
-        assert rec.psi_after == pytest.approx(psi, abs=1e-9)
-    assert result.final_imbalance.lam == pytest.approx(lam, abs=1e-9)
-    assert result.final_lambda_norm == pytest.approx(math.hypot(*lam))
-    assert result.final_psi_abs == pytest.approx(abs(psi))
+    # the engine and imbalance_increment share increment_scale: exact
+    for cfg in _every_family_and_scenario():
+        result = run_trial(cfg)
+        lam = (0.0, 0.0, 0.0, 0.0)
+        psi = 0.0
+        for rec in result.log:
+            phi = (1.0, rec.x.x1, rec.x.x2, rec.x.x3)
+            step = imbalance_increment(rec.rho, phi, rec.t)
+            lam = tuple(a + b for a, b in zip(lam, step))
+            psi += imbalance_increment(rec.rho, rec.zstar, rec.t)
+            assert rec.lambda_after == lam
+            assert rec.psi_after == psi
+        assert result.final_imbalance.lam == lam
+        assert result.final_lambda_norm == pytest.approx(math.hypot(*lam))
+        assert result.final_psi_abs == abs(psi)
 
 
 def test_burn_in_uses_even_coin():
@@ -66,18 +74,16 @@ def test_burn_in_uses_even_coin():
 
 
 def test_logged_g_matches_allocation_rule():
-    cfg = _cfg()
-    result = run_trial(cfg)
-    lam = (0.0, 0.0, 0.0, 0.0)
-    for rec in result.log:
-        if rec.n > cfg.burn_in:  # log steps are 1-based
-            assert rec.rho == pytest.approx(
-                target_ratio(cfg.policy, rec.theta_before, rec.x), abs=1e-12
-            )
-            assert rec.g == pytest.approx(
-                allocation_prob(cfg.policy, rec.theta_before, lam, rec.x), abs=1e-12
-            )
-        lam = rec.lambda_after
+    # the engine and allocation_prob share the link, the raw rule and
+    # the clamp: exact
+    for cfg in _every_family_and_scenario():
+        result = run_trial(cfg)
+        lam = (0.0, 0.0, 0.0, 0.0)
+        for rec in result.log:
+            if rec.n > cfg.burn_in:  # log steps are 1-based
+                assert rec.rho == target_ratio(cfg.policy, rec.theta_before, rec.x)
+                assert rec.g == allocation_prob(cfg.policy, rec.theta_before, lam, rec.x)
+            lam = rec.lambda_after
 
 
 def test_direct_allocation_ignores_imbalance():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbara.datagen import CovariateVector, Scenario, ScenarioId, gen_units
+from cbara.datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays
 from cbara.estimator import (
     FitAccumulator,
     TrialRow,
@@ -15,13 +15,22 @@ from cbara.policy import ModelCoefficients
 TRUTH = ModelCoefficients(4.5, 4.7, 7.5, 1.7, 2.9, 1.4)
 
 
+def _units(scenario, n, rng):
+    """(x, y1, y0) per unit, drawn as one draw_unit_arrays block."""
+    x1, x2, x3, y1, y0, _ = draw_unit_arrays(scenario, n, rng)
+    return [
+        (CovariateVector(a, b, c), p, q)
+        for a, b, c, p, q in zip(x1.tolist(), x2.tolist(), x3.tolist(), y1.tolist(), y0.tolist())
+    ]
+
+
 def _rows(n=300, seed=5, noise=0.0, rho=0.5):
     rng = np.random.default_rng(seed)
-    units = gen_units(Scenario(ScenarioId.A, noise), n, rng)
+    units = _units(Scenario(ScenarioId.A, noise), n, rng)
     rows = []
-    for u in units:
+    for x, y1, y0 in units:
         t = int(rng.random() < rho)
-        rows.append(TrialRow(x=u.x, t=t, y=u.y1 if t else u.y0, rho_used=rho))
+        rows.append(TrialRow(x=x, t=t, y=y1 if t else y0, rho_used=rho))
     return rows
 
 
@@ -42,15 +51,15 @@ def test_noiseless_recovery_both_weightings():
 
 def test_weighted_solve_matches_dense_wls():
     rng = np.random.default_rng(6)
-    units = gen_units(Scenario(ScenarioId.B, 1.0), 400, rng)
+    units = _units(Scenario(ScenarioId.B, 1.0), 400, rng)
     rho = 0.2 + 0.6 * rng.random(400)
     rows = [
-        TrialRow(x=u.x, t=int(rng.random() < r), y=0.0, rho_used=float(r))
-        for u, r in zip(units, rho)
+        TrialRow(x=x, t=int(rng.random() < r), y=0.0, rho_used=float(r))
+        for (x, _, _), r in zip(units, rho)
     ]
     rows = [
-        TrialRow(x=u.x, t=row.t, y=u.y1 if row.t else u.y0, rho_used=row.rho_used)
-        for u, row in zip(units, rows)
+        TrialRow(x=x, t=row.t, y=y1 if row.t else y0, rho_used=row.rho_used)
+        for (x, y1, y0), row in zip(units, rows)
     ]
     fit = fit_working_model(rows, Weighting.WEIGHTED)
     d = np.array([design_row(r.x, r.t) for r in rows])
@@ -62,12 +71,12 @@ def test_weighted_solve_matches_dense_wls():
 
 def test_weights_matter_under_misspecification():
     rng = np.random.default_rng(7)
-    units = gen_units(Scenario(ScenarioId.B), 600, rng)
+    units = _units(Scenario(ScenarioId.B), 600, rng)
     rho = np.where(rng.random(600) < 0.5, 0.25, 0.75)
     rows = []
-    for u, r in zip(units, rho):
+    for (x, y1, y0), r in zip(units, rho):
         t = int(rng.random() < r)
-        rows.append(TrialRow(x=u.x, t=t, y=u.y1 if t else u.y0, rho_used=float(r)))
+        rows.append(TrialRow(x=x, t=t, y=y1 if t else y0, rho_used=float(r)))
     fw = fit_working_model(rows, Weighting.WEIGHTED).eta.as_array()
     fu = fit_working_model(rows, Weighting.UNWEIGHTED).eta.as_array()
     assert max(abs(a - b) for a, b in zip(fw, fu)) > 1e-4
@@ -100,13 +109,13 @@ def test_accumulator_matches_batch_fit():
 
 def test_active_columns_zero_fill():
     rng = np.random.default_rng(9)
-    units = gen_units(Scenario(ScenarioId.DISCRETE), 200, rng)
+    units = _units(Scenario(ScenarioId.DISCRETE), 200, rng)
     rows = [
-        TrialRow(x=u.x, t=int(rng.random() < 0.5), y=0.0, rho_used=0.5) for u in units
+        TrialRow(x=x, t=int(rng.random() < 0.5), y=0.0, rho_used=0.5) for x, _, _ in units
     ]
     rows = [
-        TrialRow(x=u.x, t=r.t, y=u.y1 if r.t else u.y0, rho_used=0.5)
-        for u, r in zip(units, rows)
+        TrialRow(x=x, t=r.t, y=y1 if r.t else y0, rho_used=0.5)
+        for (x, y1, y0), r in zip(units, rows)
     ]
     fit = fit_working_model(rows, Weighting.WEIGHTED, active=(0, 1, 2, 3))
     assert fit.rank_ok

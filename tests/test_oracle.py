@@ -11,6 +11,7 @@ import pytest
 from cbara.datagen import CovariateVector, Scenario, ScenarioId
 from cbara.oracle import (
     PopulationSample,
+    _rho_star,
     asymptotic_report,
     balance_coeff_a,
     invariant_pi_g_check,
@@ -18,9 +19,14 @@ from cbara.oracle import (
     mest_covariance,
     oracle_theta_star,
     sigma_z_sq,
-    vectorized_z,
 )
-from cbara.policy import Family, ModelCoefficients, TargetPolicy, target_ratio
+from cbara.policy import (
+    Family,
+    ModelCoefficients,
+    TargetPolicy,
+    target_ratio,
+    target_ratio_from_x1,
+)
 
 FIXTURES = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "derived.json").read_text()
@@ -112,7 +118,6 @@ def test_ipw_variance_is_effect_variance_plus_balanced_z(request, scenario, fami
     rho_of_x1 = {x1: target_ratio(policy, theta, CovariateVector(x1, 0.0, 0.0))
                  for x1 in (-1.0, 0.0, 1.0)}
 
-    @vectorized_z
     def z_ipw(pop):
         rho = np.vectorize(rho_of_x1.__getitem__)(pop.x1)
         return (1.0 - rho) * pop.y1 + rho * pop.y0
@@ -158,14 +163,29 @@ def test_discrete_target_ratios():
             assert got == pytest.approx(want, abs=1e-6)
 
 
-def test_custom_z_definition_matches_vectorized_path():
-    # the per-unit fallback walks python records, so keep the sample small
-    pop = PopulationSample(Scenario(ScenarioId.A), seed=308, m=2 * 10**4)
+def test_z_definition_must_return_one_value_per_unit():
+    pop = PopulationSample(Scenario(ScenarioId.A), seed=308, m=10**4)
     theta = oracle_theta_star(pop)
-    a = balance_coeff_a(pop, theta, POLICY)
-    fast = sigma_z_sq(pop, theta, POLICY, a)
-    slow = sigma_z_sq(pop, theta, POLICY, a, z_def=lambda unit: unit.zstar)
-    assert slow == pytest.approx(fast, abs=1e-12)
+    with pytest.raises(ValueError):
+        balance_coeff_a(pop, theta, POLICY, lambda p: p.zstar[:-1])
+    with pytest.raises(ValueError):
+        sigma_z_sq(pop, theta, POLICY, np.zeros(4), lambda p: float(p.zstar[0]))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_oracle_ratio_is_the_engine_link(pop_b, theta_b, family):
+    # the oracle's per-unit rho is the engine's scalar link at each x1
+    # atom, bit for bit, at the limit parameter and at random ones
+    policy = TargetPolicy(family=family)
+    x1 = pop_b.x1[:10**4]
+    rng = np.random.default_rng(309)
+    thetas = [theta_b] + [
+        ModelCoefficients(*rng.uniform(-3.0, 3.0, size=6)) for _ in range(200)
+    ]
+    for theta in thetas:
+        atoms = {a: target_ratio_from_x1(policy, theta, a) for a in (-1.0, 0.0, 1.0)}
+        want = np.array([atoms[v] for v in x1.tolist()])
+        assert np.array_equal(_rho_star(policy, theta, x1), want)
 
 
 def test_report_bundles_consistent_pieces(pop_a, theta_a):

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .policy import ModelCoefficients
+from .policy import ModelCoefficients, sum_columns
 
 
 class MechanismKind(str, Enum):
@@ -106,3 +106,33 @@ def next_theta(
     if dist <= bound:
         return eta_n
     return ModelCoefficients.from_array(prev + delta * (bound / dist))
+
+
+def next_theta_rows(
+    mech: UpdateMechanism, n: int, prev: np.ndarray, eta: np.ndarray
+) -> np.ndarray:
+    """next_theta for each row of prev and eta (R, 6), all at step count n.
+
+    A clipped row whose squared distance, summed in any order, is below
+    the squared budget by a margin far wider than rounding lands on eta.
+    Every other row takes its distance as sqrt(v @ v), the value
+    np.linalg.norm gives next_theta, where a batched norm can differ in
+    the last bit.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    kind = mech.kind
+    if kind is MechanismKind.DIRECT:
+        return eta
+    if kind is MechanismKind.IRU:
+        return eta if mech.iru_schedule(n) else prev
+    delta = eta - prev
+    bound = clip_bound(mech, n)
+    near = np.flatnonzero(sum_columns(delta * delta) > bound * bound * (1.0 - 1e-9))
+    dist = np.array([math.sqrt(delta[r] @ delta[r]) for r in near])
+    far = near[~(dist <= bound)]
+    if not len(far):
+        return eta
+    out = eta.copy()
+    out[far] = prev[far] + delta[far] * (bound / dist[~(dist <= bound)])[:, None]
+    return out

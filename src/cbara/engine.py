@@ -7,31 +7,42 @@ allocation parameter through the configured update mechanism, allocates
 by the targeted ratio (optionally imbalance-corrected), and pushes the
 feature and scalar imbalance increments.
 
-The per-step bookkeeping is deliberately scalar: block-drawing units
-and unpacking numpy arrays into plain floats keeps the inner loop fast
-enough for replication counts in the thousands on one core.
+There are two paths. run_trial plays one trial with scalar per-step
+bookkeeping and can keep the step log; it runs every logged or frozen
+single trial and is the reference. run_lockstep plays the R
+replications of one plan together, one step at a time, with the state
+held as (R,), (R, 4), (R, 6) and (R, 6, 6) arrays; it keeps no log.
+Every formula is evaluated elementwise in run_trial's order, so its
+summary fields equal run_trial's bit for bit. It costs more than
+run_trial for one replication and less per replication for several,
+so the harness sends shards of two or more replications to it and a
+single replication to run_trial.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .adapt import MechanismKind, UpdateMechanism, clip_bound, next_theta
+from .adapt import MechanismKind, UpdateMechanism, clip_bound, next_theta, next_theta_rows
 from .datagen import CovariateVector, Scenario, draw_unit_arrays
-from .estimator import FitAccumulator, Weighting, active_columns
+from .estimator import FitAccumulator, FitStack, Weighting, active_columns
 from .policy import (
     ModelCoefficients,
     TargetPolicy,
     ZERO_COEFFS,
     _allocation_prob_raw,
+    allocation_prob_rows,
     clamp_allocation,
     derive_constants,
+    derive_constants_rows,
     increment_scale,
+    sum_columns,
     target_ratio_from_x1,
+    target_ratio_rows,
 )
 
 _BLOCK = 256
@@ -321,3 +332,155 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
         clip_step_excess=clip_step_excess,
         n_fit_steps=n_fit_steps,
     )
+
+
+def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
+    """Play out the replications of one plan together, one step at a time.
+
+    The configs must differ only in seed. Replication r keeps its own
+    generator, consumed as in run_trial (a block of units, then one
+    uniform per unit), and every formula is evaluated elementwise in
+    run_trial's order, so result r has the summary fields of
+    run_trial(configs[r]) bit for bit. Its log is empty whatever
+    keep_log says.
+    """
+    if not configs:
+        raise ValueError("configs must be nonempty")
+    cfg = configs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in configs):
+        raise ValueError("lockstep configs must differ only in seed")
+    reps = len(configs)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    pol = cfg.policy
+    mech = cfg.mechanism
+    scenario = cfg.scenario
+    balance = cfg.allocation is Allocation.BALANCE
+    clipped = mech.kind is MechanismKind.CLIPPED
+    frozen = cfg.frozen_theta is not None
+    burn = cfg.burn_in
+    n_units = cfg.n_units
+    # row j's response is in hand from step j + lag on (run_trial's
+    # release rule); rows in hand by step burn are added at once, later
+    # ones wait in a ring of lag slots
+    lag = max(cfg.response_delay, 1)
+
+    theta0 = cfg.frozen_theta if frozen else ZERO_COEFFS
+    theta = np.tile(theta0.as_array(), (reps, 1))
+    p_theta, c_theta = derive_constants_rows(pol, theta)
+    acc = FitStack(reps, cfg.weighting, active_columns(scenario))
+    pending: list[tuple[np.ndarray, ...]] = [()] * min(lag, n_units)
+
+    lam = np.zeros((reps, 4))
+    psi = np.zeros(reps)
+    sum_y = np.zeros(reps)
+    sum_rho = np.zeros(reps)
+    sum_rho_sq = np.zeros(reps)
+    ipw_sum = np.zeros(reps)
+    theta_max_norm = np.full(reps, _coef_norm(theta0))
+    theta_move_sum = np.zeros(reps)
+    clip_bound_sum = np.zeros(reps)
+    clip_step_excess = np.zeros(reps)
+    n_fit_steps = np.zeros(reps, dtype=np.int64)
+    half = np.full(reps, 0.5)
+
+    i = 0
+    while i < n_units:
+        bn = min(_BLOCK, n_units - i)
+        # (bn, reps) per quantity, so that step k reads row k; a fresh
+        # buffer per block, since pending rows keep views into it
+        draws = np.empty((7, bn, reps))
+        for r, rng in enumerate(rngs):
+            draws[:6, :, r] = draw_unit_arrays(scenario, bn, rng)
+            draws[6, :, r] = rng.random(bn)
+        ax1, ax2, ax3, ay1, ay0, az, au = draws
+        aphi = np.stack((np.ones_like(ax1), ax1, ax2, ax3), axis=2)
+
+        for k in range(bn):
+            x1 = ax1[k]
+
+            if not frozen and i >= burn:
+                if i > burn and i >= lag:
+                    acc.add(*pending[(i - lag) % lag])
+                both = acc.has_both_arms
+                if both.any():
+                    n_fit_steps += both
+                    # a trial without a fit keeps eta = theta, so it does not move
+                    ok, eta = acc.fit(both, theta)
+                    new = next_theta_rows(mech, acc.n, theta, eta)
+                    step = new - theta
+                    move = np.sqrt(sum_columns(step * step))
+                    theta_move_sum += move
+                    went = move > 0.0
+                    if went.any():
+                        theta = np.where(went[:, None], new, theta)
+                        if balance:
+                            p_theta, c_theta = derive_constants_rows(pol, theta)
+                        norm = np.sqrt(sum_columns(theta * theta))
+                        theta_max_norm = np.maximum(theta_max_norm, norm)
+                    if clipped:
+                        budget = clip_bound(mech, acc.n)
+                        clip_bound_sum += np.where(ok, budget, 0.0)
+                        clip_step_excess = np.where(
+                            ok, np.maximum(clip_step_excess, move - budget), clip_step_excess
+                        )
+
+            if not frozen and i < burn:
+                rho = g = half
+            else:
+                rho = target_ratio_rows(pol, theta, x1)
+                if balance:
+                    g = allocation_prob_rows(pol, rho, p_theta, c_theta, aphi[k], lam)
+                else:
+                    g = rho
+
+            treated = au[k] < g
+            t = treated.astype(np.float64)
+            y = np.where(treated, ay1[k], ay0[k])
+
+            scale = increment_scale(rho, t)
+            lam += scale[:, None] * aphi[k]
+            psi += scale * az[k]
+
+            sum_y += y
+            sum_rho += rho
+            sum_rho_sq += rho * rho
+            ipw_sum += np.where(treated, y / rho, -y / (1.0 - rho))
+
+            if not frozen:
+                if i + lag <= burn:
+                    acc.add(x1, ax2[k], ax3[k], t, y, rho)
+                elif i + lag < n_units:
+                    pending[i % lag] = (x1, ax2[k], ax3[k], t, y, rho)
+            i += 1
+
+    n = float(n_units)
+    results = []
+    for r in range(reps):
+        move_sum = float(theta_move_sum[r])
+        bound_sum = float(clip_bound_sum[r])
+        if clipped and move_sum > bound_sum + 1e-9:
+            raise RuntimeError(
+                "clipped updates exceeded their cumulative budget: "
+                f"{move_sum} > {bound_sum}"
+            )
+        mean_rho = float(sum_rho[r]) / n
+        rho_var = float(sum_rho_sq[r]) / n - mean_rho**2
+        final = ImbalanceState(lam=tuple(lam[r].tolist()), psi=float(psi[r]))
+        results.append(
+            TrialResult(
+                log=(),
+                final_imbalance=final,
+                final_lambda_norm=final.lam_norm,
+                final_psi_abs=abs(final.psi),
+                mean_response=float(sum_y[r]) / n,
+                target_ratio_sd=math.sqrt(rho_var) if rho_var > 0.0 else 0.0,
+                ipw_estimate=float(ipw_sum[r]) / n,
+                theta_final=theta0 if frozen else ModelCoefficients.from_array(theta[r]),
+                theta_max_norm=float(theta_max_norm[r]),
+                theta_move_sum=move_sum,
+                clip_bound_sum=bound_sum,
+                clip_step_excess=float(clip_step_excess[r]),
+                n_fit_steps=int(n_fit_steps[r]),
+            )
+        )
+    return results

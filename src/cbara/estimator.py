@@ -150,6 +150,85 @@ class FitAccumulator:
         return FitResult(eta=ModelCoefficients.from_array(eta), rank_ok=True, n_used=self.n)
 
 
+class FitStack:
+    """FitAccumulator for R trials fed in step: one row per trial per add.
+
+    Each add multiplies the weighted design row with the design row for
+    the 21 upper-triangle cells of every trial's Gram. A row's other-arm
+    cells get exact zeros, so each cell sums the same terms in the same
+    order as in FitAccumulator.add, and fit solves the symmetric
+    matrices FitAccumulator.fit solves.
+    """
+
+    __slots__ = ("weighted", "active", "_cells", "_u", "_b", "n", "n_treated")
+
+    _UPPER = np.triu_indices(6)
+
+    def __init__(self, reps: int, weighting: Weighting, active: Sequence[int]) -> None:
+        self.weighted = Weighting(weighting) is Weighting.WEIGHTED
+        self.active = np.array(active)
+        # cell (p, q) of the full Gram is upper-triangle cell (min, max)
+        cell = np.zeros((6, 6), dtype=np.intp)
+        cell[self._UPPER] = cell.T[self._UPPER] = np.arange(21)
+        self._cells = cell[np.ix_(self.active, self.active)]
+        self._u = np.zeros((reps, 21))
+        self._b = np.zeros((reps, 6))
+        self.n = 0
+        self.n_treated = np.zeros(reps, dtype=np.int64)
+
+    @property
+    def has_both_arms(self) -> np.ndarray:
+        return (0 < self.n_treated) & (self.n_treated < self.n)
+
+    def add(
+        self,
+        x1: np.ndarray,
+        x2: np.ndarray,
+        x3: np.ndarray,
+        t: np.ndarray,
+        y: np.ndarray,
+        rho_used: np.ndarray,
+    ) -> None:
+        """Add one row per trial; t is 1.0 (treated) or 0.0 per trial."""
+        d = np.empty((len(t), 6))
+        d[:, 0] = t
+        d[:, 1] = t * x1
+        d[:, 2] = 1.0 - t
+        d[:, 3] = d[:, 2] * x1
+        d[:, 4] = x2
+        d[:, 5] = x3
+        if self.weighted:
+            wd = d * (0.5 / np.where(t == 1.0, rho_used, 1.0 - rho_used))[:, None]
+        else:
+            wd = d
+        p, q = self._UPPER
+        self._u += wd[:, p] * d[:, q]
+        self._b += wd * y[:, None]
+        self.n += 1
+        self.n_treated += t == 1.0
+
+    def fit(self, rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve the normal equations of the trials marked in rows.
+
+        Returns (ok, eta): ok marks the trials in rows that pass
+        FitAccumulator.fit's rank test. Row r of eta holds trial r's
+        coefficients (0 outside the active columns) where ok[r], and
+        fallback[r] elsewhere.
+        """
+        act = self.active
+        sym = self._u[:, self._cells]
+        eigs = np.linalg.eigvalsh(sym)
+        ok = rows & ~((eigs[:, -1] <= 0.0) | (eigs[:, 0] < _RANK_RTOL * eigs[:, -1]))
+        eta = fallback.copy()
+        if ok.any():
+            sol = np.zeros((int(ok.sum()), 6))
+            sol[:, act] = np.linalg.solve(sym[ok], self._b[ok][:, act, None])[:, :, 0]
+            eta[ok] = sol
+        if not np.isfinite(eta).all():
+            raise ValueError("fitted coefficients must be finite")
+        return ok, eta
+
+
 def fit_working_model(
     rows: Sequence[TrialRow],
     weighting: Weighting = Weighting.WEIGHTED,

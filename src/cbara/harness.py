@@ -6,6 +6,11 @@ finalizer applied to base_seed + (k + 1) * 0x9E3779B97F4A7C15 (all
 arithmetic mod 2**64). The function is pure and documented here so
 other tools can regenerate any replication's stream exactly.
 
+A plan's replications run in at most `parallelism` contiguous shards.
+A shard of several replications runs through engine.run_lockstep and a
+shard of one through engine.run_trial; both give the same statistics
+bit for bit, so the split does not change any result.
+
 Aggregation sums per-replication statistics with math.fsum, which is
 exactly rounded and therefore independent of completion order; together
 with index-ordered result collection this makes summaries bit-identical
@@ -19,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 from .datagen import true_ate
-from .engine import TrialConfig, TrialResult, run_trial
+from .engine import TrialConfig, TrialResult, run_lockstep, run_trial
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -125,6 +130,35 @@ def _replicate(cfg: TrialConfig) -> tuple[TrialStats, Lambda]:
     return _stats_of(result), result.final_imbalance.lam
 
 
+def _run_shard(configs: list[TrialConfig]) -> list[tuple[TrialStats, Lambda]]:
+    """Run a contiguous shard of a plan's replications, in order.
+
+    A failed lockstep run does not say which replication failed, so the
+    shard is then rerun trial by trial, and the error names the seed of
+    the first replication that fails on its own.
+    """
+    if len(configs) == 1:
+        return [_replicate(configs[0])]
+    try:
+        results = run_lockstep(configs)
+    except Exception as exc:
+        for cfg in configs:
+            _replicate(cfg)
+        raise RuntimeError(
+            f"replications at seeds {configs[0].seed}..{configs[-1].seed} "
+            f"failed together but each runs alone: {exc}"
+        ) from exc
+    return [(_stats_of(r), r.final_imbalance.lam) for r in results]
+
+
+def _shards(configs: list[TrialConfig], parallelism: int) -> list[list[TrialConfig]]:
+    """At most `parallelism` contiguous shards whose sizes differ by at most one."""
+    count = min(parallelism, len(configs))
+    size, extra = divmod(len(configs), count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return [configs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def replication_configs(plan: ReplicationPlan) -> list[TrialConfig]:
     """The exact per-replication configs a plan executes (logs off)."""
     return [
@@ -141,17 +175,17 @@ def collect(plan: ReplicationPlan) -> list[TrialStats]:
 
 def collect_with_lambda(plan: ReplicationPlan) -> tuple[list[TrialStats], list[Lambda]]:
     """Run every replication and return its statistics and its final
-    feature imbalance vector Lambda_N, both in replication order. The
-    parallel path distributes trials over a process pool; results are
-    joined by index, so the output is identical at any parallelism
-    level."""
-    configs = replication_configs(plan)
-    if plan.parallelism == 1 or plan.n_reps == 1:
-        pairs = [_replicate(cfg) for cfg in configs]
+    feature imbalance vector Lambda_N, both in replication order. With
+    more than one shard the shards run on a process pool; results are
+    joined in replication order, so the output is identical at any
+    parallelism level."""
+    shards = _shards(replication_configs(plan), plan.parallelism)
+    if len(shards) == 1:
+        parts = [_run_shard(shards[0])]
     else:
-        chunk = max(1, plan.n_reps // (plan.parallelism * 4))
-        with multiprocessing.Pool(processes=plan.parallelism) as pool:
-            pairs = pool.map(_replicate, configs, chunksize=chunk)
+        with multiprocessing.Pool(processes=len(shards)) as pool:
+            parts = pool.map(_run_shard, shards, chunksize=1)
+    pairs = [pair for part in parts for pair in part]
     return [s for s, _ in pairs], [lam for _, lam in pairs]
 
 

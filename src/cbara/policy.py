@@ -109,6 +109,28 @@ def target_ratio_from_x1(policy: TargetPolicy, theta: ModelCoefficients, x1: flo
     return _link(policy, delta)
 
 
+def sum_columns(a: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array, adding its columns left to right as a
+    scalar loop does; numpy's own reduction may group the terms
+    differently."""
+    total = a[:, 0] + a[:, 1]
+    for j in range(2, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _link_rows(policy: TargetPolicy, delta: np.ndarray) -> np.ndarray:
+    """_link at each entry of delta, one libm call per entry, so every
+    value has the scalar link's bits."""
+    return np.array([_link(policy, d) for d in delta.tolist()])
+
+
+def target_ratio_rows(policy: TargetPolicy, theta: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """target_ratio_from_x1 for row r of theta (R, 6) at x1[r]."""
+    delta = (theta[:, 0] - theta[:, 2]) + x1 * (theta[:, 1] - theta[:, 3])
+    return _link_rows(policy, delta)
+
+
 def target_ratio(policy: TargetPolicy, theta: ModelCoefficients, x: CovariateVector) -> float:
     """Targeted treatment probability for covariate x under parameter theta.
 
@@ -136,6 +158,15 @@ def derive_constants(
     return p_theta, c_theta, rho_max
 
 
+def derive_constants_rows(
+    policy: TargetPolicy, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_theta, c_theta) of derive_constants for each row of theta (R, 6)."""
+    delta_max = np.abs(theta[:, 0] - theta[:, 2]) + np.abs(theta[:, 1] - theta[:, 3])
+    rho_max = _link_rows(policy, delta_max)
+    return 1.0 / rho_max, 2.0 / (rho_max * (1.0 - rho_max))
+
+
 def _allocation_prob_raw(
     rho: float,
     p_theta: float,
@@ -157,6 +188,28 @@ def _allocation_prob_raw(
 def clamp_allocation(raw: float, g_floor: float) -> float:
     """Clamp a pre-clamp allocation probability to [g_floor, 1 - g_floor]."""
     return min(max(raw, g_floor), 1.0 - g_floor)
+
+
+def allocation_prob_rows(
+    policy: TargetPolicy,
+    rho: np.ndarray,
+    p_theta: np.ndarray,
+    c_theta: np.ndarray,
+    phi: np.ndarray,
+    lam: np.ndarray,
+) -> np.ndarray:
+    """Clamped allocation probability for R rows at once: row r is
+    clamp_allocation(_allocation_prob_raw(...)) of rho[r], p_theta[r],
+    c_theta[r], phi[r] and lam[r] (phi and lam are (R, 4)), with every
+    sum taken left to right as there."""
+    dot = sum_columns(phi * lam)
+    phi_norm = np.sqrt(sum_columns(phi * phi))
+    lam_norm = np.sqrt(sum_columns(lam * lam))
+    denom = np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta) * np.maximum(
+        lam_norm, policy.c_lambda
+    )
+    raw = rho - p_theta * dot / denom
+    return np.minimum(np.maximum(raw, policy.g_floor), 1.0 - policy.g_floor)
 
 
 def allocation_prob(

@@ -287,10 +287,13 @@ def test_main_returns_exit_code(tmp_path, capsys):
 
 
 def test_run_failure_is_one_error_line(monkeypatch, capsys):
-    def failing_trial(cfg):
+    def failing(_):
         raise ArithmeticError("injected trial failure")
 
-    monkeypatch.setattr("cbara.harness.run_trial", failing_trial)
+    # the two replications run as one lockstep shard, which is rerun
+    # trial by trial to name the failing seed
+    monkeypatch.setattr("cbara.harness.run_lockstep", failing)
+    monkeypatch.setattr("cbara.harness.run_trial", failing)
     assert main(["run", "--reps", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("cbara-error:")

@@ -1,12 +1,17 @@
+import itertools
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbara.adapt import UpdateMechanism, perfect_squares
 from cbara.datagen import Scenario, ScenarioId, true_ate
-from cbara.engine import Allocation, TrialConfig, run_trial
+from cbara.engine import Allocation, TrialConfig, run_lockstep, run_trial
 from cbara.estimator import TrialRow, Weighting, ipw_ate
+from cbara.harness import split_seed
 from cbara.policy import (
     Family,
     ModelCoefficients,
@@ -186,3 +191,128 @@ def test_config_validation():
         _cfg(seed=-1)
     with pytest.raises(ValueError):
         _cfg(response_delay=-1)
+
+
+_MECHANISMS = {
+    "direct": UpdateMechanism.direct(),
+    "iru": UpdateMechanism.iru(),
+    "clipped": UpdateMechanism.clipped(1.0, 0.5),
+}
+_TRUTH_A = ModelCoefficients(4.5, 4.7, 7.5, 1.7, 2.9, 1.4)
+
+
+def _assert_lockstep_is_run_trial(cfg, reps=3):
+    # repr tells every float apart bit for bit, -0.0 from 0.0 included
+    cfgs = [replace(cfg, seed=split_seed(cfg.seed, k), keep_log=False) for k in range(reps)]
+    assert repr(run_lockstep(cfgs)) == repr([run_trial(c) for c in cfgs])
+
+
+@pytest.mark.parametrize("mechanism", list(_MECHANISMS))
+@pytest.mark.parametrize("family", list(Family))
+def test_lockstep_equals_run_trial(family, mechanism):
+    for allocation, scenario, weighting in itertools.product(Allocation, ScenarioId, Weighting):
+        _assert_lockstep_is_run_trial(
+            _cfg(
+                n_units=70,
+                policy=TargetPolicy(family=family),
+                mechanism=_MECHANISMS[mechanism],
+                allocation=allocation,
+                scenario=Scenario(scenario),
+                weighting=weighting,
+            )
+        )
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(response_delay=3),
+        dict(response_delay=30, burn_in=5),
+        dict(response_delay=500),
+        dict(scenario=Scenario(ScenarioId.B, outcome_noise_sd=1.0)),
+        dict(frozen_theta=_TRUTH_A, mechanism=UpdateMechanism.direct()),
+        dict(n_units=600),  # crosses two unit-block boundaries
+    ],
+    ids=["delay-3", "delay-30-burn-5", "delay-past-end", "noise", "frozen", "three-blocks"],
+)
+def test_lockstep_equals_run_trial_in_special_cases(kw):
+    for allocation in Allocation:
+        _assert_lockstep_is_run_trial(_cfg(**{"n_units": 120, **kw}, allocation=allocation))
+
+
+def test_lockstep_rejects_configs_of_different_plans():
+    with pytest.raises(ValueError, match="differ only in seed"):
+        run_lockstep([_cfg(), _cfg(n_units=170, seed=5)])
+
+
+@st.composite
+def trial_configs(draw):
+    clamp_lo = draw(st.sampled_from([0.5, 0.2]) | st.floats(0.05, 0.5))
+    g_floor = draw(st.just(math.nextafter(clamp_lo, 0.0)) | st.floats(1e-3, 0.99 * clamp_lo))
+    n_units = draw(st.integers(3, 60))
+    frozen = draw(st.none() | st.builds(ModelCoefficients, *[st.floats(-5, 5)] * 6))
+    mechanism = draw(
+        st.sampled_from(list(_MECHANISMS.values()))
+        | st.builds(UpdateMechanism.clipped, st.floats(0.1, 5), st.floats(0.1, 1))
+    )
+    return TrialConfig(
+        n_units=n_units,
+        scenario=Scenario(
+            draw(st.sampled_from(list(ScenarioId))), draw(st.just(0.0) | st.floats(0, 2))
+        ),
+        policy=TargetPolicy(
+            family=draw(st.sampled_from(list(Family))),
+            clamp_lo=clamp_lo,
+            clamp_hi=1.0 - clamp_lo,
+            c_lambda=draw(st.floats(0.1, 10)),
+            g_floor=g_floor,
+        ),
+        weighting=draw(st.sampled_from(list(Weighting))),
+        mechanism=mechanism,
+        allocation=draw(st.sampled_from(list(Allocation))),
+        burn_in=draw(st.just(2) | st.integers(2, n_units - 1)),
+        response_delay=draw(st.integers(0, n_units + 5)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        frozen_theta=frozen,
+    )
+
+
+def _edge(family, clamp_lo, scenario, **kw):
+    return TrialConfig(
+        scenario=scenario,
+        policy=TargetPolicy(
+            family=family,
+            clamp_lo=clamp_lo,
+            clamp_hi=1.0 - clamp_lo,
+            g_floor=math.nextafter(clamp_lo, 0.0),
+        ),
+        allocation=Allocation.BALANCE,
+        burn_in=2,
+        seed=11,
+        **kw,
+    )
+
+
+@settings(max_examples=40)
+@given(trial_configs())
+@example(_edge(Family.LOGISTIC, 0.5, Scenario(ScenarioId.DISCRETE), n_units=40,
+               response_delay=40, weighting=Weighting.UNWEIGHTED,
+               mechanism=UpdateMechanism.iru()))
+@example(_edge(Family.PROBIT, 0.3, Scenario(ScenarioId.B, outcome_noise_sd=1.5), n_units=50,
+               weighting=Weighting.WEIGHTED, mechanism=UpdateMechanism.clipped(0.3, 1.0),
+               frozen_theta=_TRUTH_A))
+@example(_edge(Family.LOGISTIC, 0.2, Scenario(ScenarioId.A, outcome_noise_sd=0.5), n_units=60,
+               response_delay=3, weighting=Weighting.WEIGHTED,
+               mechanism=UpdateMechanism.clipped(1.0, 0.5)))
+def test_trial_properties_over_valid_configs(cfg):
+    cfgs = [replace(cfg, seed=split_seed(cfg.seed, k)) for k in range(3)]
+    logged = [run_trial(c) for c in cfgs]
+    lockstep = run_lockstep(cfgs)
+    assert repr(lockstep) == repr([replace(r, log=()) for r in logged])
+    assert repr(run_lockstep(cfgs)) == repr(lockstep)
+    floor = cfg.policy.g_floor
+    for result in logged:
+        assert all(floor <= rec.g <= 1.0 - floor for rec in result.log)
+        assert all(math.isfinite(v) for rec in result.log for v in rec.lambda_after)
+        assert math.isfinite(result.final_imbalance.psi)
+        assert result.clip_step_excess <= 1e-12

@@ -1,8 +1,10 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 
+import cbara.engine as engine
 import cbara.harness as harness
 from cbara.adapt import UpdateMechanism
 from cbara.datagen import Scenario, ScenarioId
@@ -78,9 +80,12 @@ def test_replication_configs_thread_seeds_and_drop_logs():
     assert all(c.n_units == 60 for c in cfgs)
 
 
-def test_collect_parallel_equals_serial():
-    serial = collect(_plan(reps=8, parallelism=1))
-    pooled = collect(_plan(reps=8, parallelism=4))
+@pytest.mark.parametrize("reps, parallelism", [(8, 4), (7, 3), (5, 4), (3, 8)])
+def test_collect_parallel_equals_serial(reps, parallelism):
+    # uneven shards; (5, 4) mixes lockstep shards with single-trial ones
+    kw = dict(reps=reps, allocation=Allocation.BALANCE)
+    serial = collect_with_lambda(_plan(parallelism=1, **kw))
+    pooled = collect_with_lambda(_plan(parallelism=parallelism, **kw))
     assert serial == pooled
 
 
@@ -136,18 +141,46 @@ def test_run_replications_deterministic():
 
 
 def test_failed_replication_names_its_seed(monkeypatch):
-    plan = _plan(reps=3, seed=5)
-    bad_seed = split_seed(5, 1)
+    # a failure of the whole lockstep batch names no replication; the
+    # shard is rerun trial by trial and the first one to fail is named
+    plan = _plan(reps=4, seed=5)
+    bad_seeds = (split_seed(5, 1), split_seed(5, 2))
     real = harness.run_trial
 
+    def batch_failure(configs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
     def exploding(cfg):
-        if cfg.seed == bad_seed:
+        if cfg.seed in bad_seeds:
             raise ArithmeticError("numerical blowup")
         return real(cfg)
 
+    monkeypatch.setattr(harness, "run_lockstep", batch_failure)
     monkeypatch.setattr(harness, "run_trial", exploding)
-    with pytest.raises(RuntimeError, match=str(bad_seed)):
+    with pytest.raises(RuntimeError, match=f"replication failed at seed {bad_seeds[0]}: "):
         collect(plan)
+
+
+def test_clip_budget_failure_names_the_first_seed(monkeypatch):
+    # a real failure inside a lockstep shard: with no budget recorded,
+    # every clipped trial breaks the cumulative budget check
+    monkeypatch.setattr(engine, "clip_bound", lambda mech, n: 0.0)
+    plan = _plan(reps=3, seed=5, allocation=Allocation.BALANCE,
+                 mechanism=UpdateMechanism.clipped())
+    with pytest.raises(
+        RuntimeError,
+        match=f"replication failed at seed {split_seed(5, 0)}: clipped updates exceeded",
+    ):
+        collect(plan)
+
+
+def test_lockstep_only_failure_is_reported(monkeypatch):
+    def batch_failure(configs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(harness, "run_lockstep", batch_failure)
+    with pytest.raises(RuntimeError, match="failed together but each runs alone: Singular"):
+        collect(_plan(reps=3))
 
 
 def test_aggregate_grid_labels():

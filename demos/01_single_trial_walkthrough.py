@@ -2,6 +2,8 @@
 # One adaptive trial, step by step: how the allocation probability reacts
 # to the running imbalance and to the evolving working-model fit.
 
+import numpy as np
+
 from cbara import (
     Allocation,
     Family,
@@ -28,12 +30,14 @@ result = run_trial(cfg)
 
 print(f"{'step':>4} {'x1':>4} {'ratio':>6} {'alloc':>6} {'arm':>3} "
       f"{'|lambda|':>9} {'psi':>8}")
-for rec in result.log:
-    if rec.n % 10 != 0 and rec.n > 5:
+log = result.log  # one array per column, row i is step i + 1
+lam_norm = np.sqrt((log.lam**2).sum(axis=1))
+for i in range(len(log)):
+    step = i + 1
+    if step % 10 != 0 and step > 5:
         continue
-    lam_norm = sum(v * v for v in rec.lambda_after) ** 0.5
-    print(f"{rec.n:>4} {rec.x.x1:>4.0f} {rec.rho:>6.3f} {rec.g:>6.3f} "
-          f"{rec.t:>3} {lam_norm:>9.3f} {rec.psi_after:>8.3f}")
+    print(f"{step:>4} {log.x1[i]:>4.0f} {log.rho[i]:>6.3f} {log.g[i]:>6.3f} "
+          f"{log.t[i]:>3} {lam_norm[i]:>9.3f} {log.psi[i]:>8.3f}")
 
 print()
 print("burn-in steps allocate at 0.5; afterwards the ratio column tracks")

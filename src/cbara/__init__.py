@@ -11,7 +11,7 @@ from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays, tr
 from .engine import (
     Allocation,
     ImbalanceState,
-    StepRecord,
+    StepLog,
     TrialConfig,
     TrialResult,
     run_trial,
@@ -19,9 +19,7 @@ from .engine import (
 from .estimator import (
     FitAccumulator,
     FitResult,
-    TrialRow,
     Weighting,
-    design_row,
     fit_working_model,
     ipw_ate,
 )

@@ -23,8 +23,8 @@ import numpy as np
 
 from .adapt import MechanismKind, UpdateMechanism, perfect_squares
 from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays, true_ate
-from .engine import Allocation, TrialConfig, run_trial
-from .estimator import TrialRow, Weighting, design_row, fit_working_model, ipw_ate
+from .engine import Allocation, TrialConfig, run_lockstep
+from .estimator import Weighting, fit_working_model, ipw_ate
 from .harness import (
     Lambda,
     LabeledSummary,
@@ -396,14 +396,16 @@ def _criterion_8(sh: _Shared) -> CriterionResult:
         allocation=Allocation.BALANCE,
         keep_log=True,
     )
-    for i in range(200):
-        result = run_trial(replace(cfg0, seed=split_seed(base, i)))
-        sh.clip_trials += 1
-        sh.max_clip_excess = max(sh.max_clip_excess, result.clip_step_excess)
-        for rec in result.log:
-            atom = int(round(rec.x.x1))
-            counts[atom] += 1
-            treated[atom] += rec.t
+    # 200 logged trials in lockstep shards of 50, so the logs stay small
+    for lo in range(0, 200, 50):
+        shard = [replace(cfg0, seed=split_seed(base, i)) for i in range(lo, lo + 50)]
+        for result in run_lockstep(shard):
+            sh.clip_trials += 1
+            sh.max_clip_excess = max(sh.max_clip_excess, result.clip_step_excess)
+            for atom in targets:
+                at = result.log.x1 == atom
+                counts[atom] += int(at.sum())
+                treated[atom] += int(result.log.t[at].sum())
     parts, ok = [], True
     for atom in (-1, 0, 1):
         frac = treated[atom] / counts[atom]
@@ -437,31 +439,15 @@ def _criterion_9(sh: _Shared) -> CriterionResult:
     return CriterionResult(CRITERION_NAMES[8], ok, "; ".join(parts) + " (tol 0.01)")
 
 
-def _rows_from_arrays(arrays, t, rho) -> list[TrialRow]:
-    x1, x2, x3, y1, y0, _ = arrays
-    rows = []
-    for i in range(len(t)):
-        y = y1[i] if t[i] else y0[i]
-        rows.append(
-            TrialRow(
-                x=CovariateVector(float(x1[i]), float(x2[i]), float(x3[i])),
-                t=int(t[i]),
-                y=float(y),
-                rho_used=float(rho[i]),
-            )
-        )
-    return rows
-
-
 def _criterion_10(sh: _Shared) -> CriterionResult:
     parts, ok = [], True
     rng = np.random.default_rng(split_seed(_SEED, 14))
 
-    arrays = draw_unit_arrays(Scenario(ScenarioId.A), 400, rng)
+    x1, x2, x3, y1, y0, _ = draw_unit_arrays(Scenario(ScenarioId.A), 400, rng)
     t = (rng.random(400) < 0.5).astype(int)
-    rows = _rows_from_arrays(arrays, t, np.full(400, 0.5))
-    fit_w = fit_working_model(rows, Weighting.WEIGHTED)
-    fit_u = fit_working_model(rows, Weighting.UNWEIGHTED)
+    cols = (x1, x2, x3, t, np.where(t == 1, y1, y0), np.full(400, 0.5))
+    fit_w = fit_working_model(*cols, Weighting.WEIGHTED)
+    fit_u = fit_working_model(*cols, Weighting.UNWEIGHTED)
     err = max(
         abs(a - b)
         for a, b in zip(fit_w.eta.as_array(), _TRUTH_A.as_array())
@@ -474,18 +460,14 @@ def _criterion_10(sh: _Shared) -> CriterionResult:
     ok = ok and eq_ok
     parts.append(f"weighted==unweighted at half ratio: {eq_ok}")
 
-    arrays_n = draw_unit_arrays(Scenario(ScenarioId.A, 1.0), 400, rng)
+    x1, x2, x3, y1, y0, _ = draw_unit_arrays(Scenario(ScenarioId.A, 1.0), 400, rng)
     rho = 0.2 + 0.6 * rng.random(400)
     t_n = (rng.random(400) < rho).astype(int)
-    rows_n = _rows_from_arrays(arrays_n, t_n, rho)
-    fit_n = fit_working_model(rows_n, Weighting.WEIGHTED)
-    d_mat = np.empty((400, 6))
-    w_vec = np.empty(400)
-    y_vec = np.empty(400)
-    for i, row in enumerate(rows_n):
-        d_mat[i] = design_row(row.x, row.t)
-        w_vec[i] = 0.5 / row.rho_used if row.t else 0.5 / (1.0 - row.rho_used)
-        y_vec[i] = row.y
+    y_vec = np.where(t_n == 1, y1, y0)
+    fit_n = fit_working_model(x1, x2, x3, t_n, y_vec, rho, Weighting.WEIGHTED)
+    tf = t_n.astype(float)
+    d_mat = np.column_stack((tf, tf * x1, 1.0 - tf, (1.0 - tf) * x1, x2, x3))
+    w_vec = np.where(t_n == 1, 0.5 / rho, 0.5 / (1.0 - rho))
     eta_hat = np.asarray(fit_n.eta.as_array())
     resid = y_vec - d_mat @ eta_hat
     gram = d_mat.T @ (w_vec[:, None] * d_mat)
@@ -502,9 +484,9 @@ def _criterion_10(sh: _Shared) -> CriterionResult:
     reps, n = 3000, 60
     errs = []
     for _ in range(reps):
-        arr = draw_unit_arrays(Scenario(ScenarioId.A), n, rng)
+        _, _, _, y1, y0, _ = draw_unit_arrays(Scenario(ScenarioId.A), n, rng)
         tt = (rng.random(n) < 0.5).astype(int)
-        est = ipw_ate(_rows_from_arrays(arr, tt, np.full(n, 0.5)))
+        est = ipw_ate(tt, np.where(tt == 1, y1, y0), np.full(n, 0.5))
         errs.append(est - true_ate(Scenario(ScenarioId.A)))
     bias = sum(errs) / reps
     se = statistics.stdev(errs) / math.sqrt(reps)

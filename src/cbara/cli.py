@@ -29,6 +29,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .adapt import UpdateMechanism
 from .datagen import Scenario, ScenarioId
 from .engine import Allocation, TrialConfig, run_trial
@@ -347,48 +349,29 @@ def emit_tables(rows: Sequence[LabeledSummary], fmt: str = "csv", raw: bool = Fa
 def _emit_run(summary: MetricsSummary, fmt: str, raw: bool) -> str:
     sep = "," if fmt == "csv" else "\t"
     lines = [sep.join(("Metric", "Value", "SE"))]
-    rows = [
-        ("Response", summary.mean_response, summary.mean_response_se),
-        ("Lambda", summary.mean_lambda_norm, summary.mean_lambda_norm_se),
-        ("Psi", summary.mean_psi_abs, summary.mean_psi_abs_se),
-        ("TargetSD", summary.mean_target_sd, summary.mean_target_sd_se),
-        ("MSE_W", summary.ipw_mse, summary.ipw_mse_se),
-        ("Bias", summary.ipw_bias, summary.ipw_bias_se),
-    ]
-    for name, value, se in rows:
-        lines.append(sep.join((name, _fmt_value(value, raw), _fmt_value(se, raw))))
+    for name, attr in _TABLE_METRICS + (("Bias", "ipw_bias"),):
+        value = _fmt_value(getattr(summary, attr), raw)
+        se = _fmt_value(getattr(summary, attr + "_se"), raw)
+        lines.append(sep.join((name, value, se)))
     return "\n".join(lines) + "\n"
 
 
 def _emit_trace(cfg: TrialConfig, fmt: str, raw: bool) -> str:
     sep = "," if fmt == "csv" else "\t"
-    result = run_trial(cfg)
+    log = run_trial(cfg).log
     header = (
         "Step,X1,X2,X3,Rho,G,T,Y,ZStar,Lam1,Lam2,Lam3,Lam4,Psi,"
         "Alpha1,Gamma1,Alpha0,Gamma0,Beta2,Beta3"
     ).split(",")
     lines = [sep.join(header)]
-    for rec in result.log:
-        th = rec.theta_before
-        cells = [str(rec.n)]
-        cells += [
-            _fmt_value(v, raw)
-            for v in (
-                rec.x.x1,
-                rec.x.x2,
-                rec.x.x3,
-                rec.rho,
-                rec.g,
-            )
-        ]
-        cells.append(str(rec.t))
-        cells += [_fmt_value(v, raw) for v in (rec.y_observed, rec.zstar)]
-        cells += [_fmt_value(v, raw) for v in rec.lambda_after]
-        cells.append(_fmt_value(rec.psi_after, raw))
-        cells += [
-            _fmt_value(v, raw)
-            for v in (th.alpha1, th.gamma1, th.alpha0, th.gamma0, th.beta2, th.beta3)
-        ]
+    # the trace columns after Step, in order; T is printed as an integer
+    table = np.column_stack(
+        (log.x1, log.x2, log.x3, log.rho, log.g, log.t, log.y, log.zstar, log.lam, log.psi,
+         log.theta)
+    )
+    for step, (row, t) in enumerate(zip(table.tolist(), log.t.tolist()), start=1):
+        cells = [str(step)] + [_fmt_value(v, raw) for v in row]
+        cells[6] = str(t)
         lines.append(sep.join(cells))
     return "\n".join(lines) + "\n"
 

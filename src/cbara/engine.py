@@ -8,19 +8,22 @@ by the targeted ratio (optionally imbalance-corrected), and pushes the
 feature and scalar imbalance increments.
 
 There are two paths. run_trial plays one trial with scalar per-step
-bookkeeping and can keep the step log; it runs every logged or frozen
-single trial and is the reference. run_lockstep plays the R
-replications of one plan together, one step at a time, with the state
-held as (R,), (R, 4), (R, 6) and (R, 6, 6) arrays; it keeps no log.
-Every formula is evaluated elementwise in run_trial's order, so its
-summary fields equal run_trial's bit for bit. It costs more than
-run_trial for one replication and less per replication for several,
-so the harness sends shards of two or more replications to it and a
-single replication to run_trial.
+bookkeeping; it is the reference. run_lockstep plays the R replications
+of one plan together, one step at a time, with the state held as (R,),
+(R, 4), (R, 6) and (R, 6, 6) arrays. Every formula is evaluated
+elementwise in run_trial's order, so its results, step log included,
+equal run_trial's bit for bit. It costs more than run_trial for one
+replication and less per replication for several, so the harness sends
+shards of two or more replications to it and a single replication to
+run_trial.
+
+Both paths write the step log as one StepLog of columns, built once
+when the trial ends.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -28,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adapt import MechanismKind, UpdateMechanism, clip_bound, next_theta, next_theta_rows
-from .datagen import CovariateVector, Scenario, draw_unit_arrays
+from .datagen import Scenario, draw_unit_arrays
 from .estimator import FitAccumulator, FitStack, Weighting, active_columns
 from .policy import (
     ModelCoefficients,
@@ -62,8 +65,8 @@ class TrialConfig:
     trial, no fitting or burn-in takes place, and allocation follows
     the pinned targeted ratio from step one.
 
-    keep_log trades the per-step record list for speed and memory;
-    summary fields are unaffected.
+    keep_log trades the step log for speed and memory; summary fields
+    are unaffected.
     """
 
     n_units: int
@@ -105,23 +108,53 @@ class ImbalanceState:
         return math.sqrt(sum(v * v for v in self.lam))
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
-    n: int
-    x: CovariateVector
-    rho: float
-    g: float
-    t: int
-    y_observed: float
-    zstar: float
-    lambda_after: tuple[float, float, float, float]
-    psi_after: float
-    theta_before: ModelCoefficients
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class StepLog:
+    """Per-step columns of one trial; row i is step i + 1.
+
+    x1..zstar, psi and t (0 or 1) have shape (N,), lam (N, 4) and theta
+    (N, 6). lam and psi are the imbalance after the step; theta is the
+    allocation parameter the step was allocated under. An unlogged
+    trial has N = 0.
+    """
+
+    x1: np.ndarray
+    x2: np.ndarray
+    x3: np.ndarray
+    rho: np.ndarray
+    g: np.ndarray
+    t: np.ndarray
+    y: np.ndarray
+    zstar: np.ndarray
+    lam: np.ndarray
+    psi: np.ndarray
+    theta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __repr__(self) -> str:
+        return f"StepLog({len(self)} steps)"
+
+
+# a logged step as one row, in StepLog's field order: x1, x2, x3, rho,
+# g, t, y, zstar, lam (4), psi, theta (6)
+_LOG_WIDTH = 19
+
+
+def _step_log(rows: np.ndarray) -> StepLog:
+    """Columns of an (N, _LOG_WIDTH) array of logged steps."""
+    c = rows.T.copy()
+    lam, theta = rows[:, 8:12].copy(), rows[:, 13:].copy()
+    return StepLog(*c[:5], c[5].astype(np.int64), c[6], c[7], lam, c[12], theta)
+
+
+_NO_LOG = _step_log(np.empty((0, _LOG_WIDTH)))
 
 
 @dataclass(frozen=True, slots=True)
 class TrialResult:
-    """Per-trial summaries plus (optionally) the full step log.
+    """Per-trial summaries plus (optionally) the step log.
 
     All summary fields are recomputable from the log when it is kept;
     the theta_* and clip_* fields are diagnostics for the adaptation
@@ -130,7 +163,7 @@ class TrialResult:
     must be 0 up to rounding).
     """
 
-    log: tuple[StepRecord, ...]
+    log: StepLog
     final_imbalance: ImbalanceState
     final_lambda_norm: float
     final_psi_abs: float
@@ -189,6 +222,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
 
     theta = cfg.frozen_theta if frozen else ZERO_COEFFS
     p_theta, c_theta, _ = derive_constants(pol, theta)
+    theta_row = tuple(theta.as_array().tolist())
 
     acc = FitAccumulator(weighting=cfg.weighting, active=active_columns(scenario))
     pending: list[tuple[float, float, float, int, float, float]] = []
@@ -205,7 +239,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     clip_bound_sum = 0.0
     clip_step_excess = 0.0
     n_fit_steps = 0
-    log: list[StepRecord] = []
+    log = array("d")
 
     i = 0
     while i < n_units:
@@ -243,6 +277,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
                             theta_move_sum += move
                             theta = new_theta
                             p_theta, c_theta, _ = derive_constants(pol, theta)
+                            theta_row = tuple(theta.as_array().tolist())
                             norm = _coef_norm(theta)
                             if norm > theta_max_norm:
                                 theta_max_norm = norm
@@ -292,20 +327,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             if not frozen:
                 pending.append((x1, x2, x3, t, y, rho_used))
             if keep_log:
-                log.append(
-                    StepRecord(
-                        n=i + 1,
-                        x=CovariateVector(x1, x2, x3),
-                        rho=rho_used,
-                        g=g,
-                        t=t,
-                        y_observed=y,
-                        zstar=z,
-                        lambda_after=(l0, l1, l2, l3),
-                        psi_after=psi,
-                        theta_before=theta,
-                    )
-                )
+                log.extend((x1, x2, x3, rho_used, g, t, y, z, l0, l1, l2, l3, psi, *theta_row))
             i += 1
 
     if clipped and theta_move_sum > clip_bound_sum + 1e-9:
@@ -318,7 +340,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     rho_var = sum_rho_sq / n - (sum_rho / n) ** 2
     final = ImbalanceState(lam=(l0, l1, l2, l3), psi=psi)
     return TrialResult(
-        log=tuple(log),
+        log=_step_log(np.frombuffer(log).reshape(-1, _LOG_WIDTH)) if keep_log else _NO_LOG,
         final_imbalance=final,
         final_lambda_norm=final.lam_norm,
         final_psi_abs=abs(psi),
@@ -341,8 +363,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     generator, consumed as in run_trial (a block of units, then one
     uniform per unit), and every formula is evaluated elementwise in
     run_trial's order, so result r has the summary fields of
-    run_trial(configs[r]) bit for bit. Its log is empty whatever
-    keep_log says.
+    run_trial(configs[r]) bit for bit, step log included.
     """
     if not configs:
         raise ValueError("configs must be nonempty")
@@ -357,6 +378,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     balance = cfg.allocation is Allocation.BALANCE
     clipped = mech.kind is MechanismKind.CLIPPED
     frozen = cfg.frozen_theta is not None
+    keep_log = cfg.keep_log
     burn = cfg.burn_in
     n_units = cfg.n_units
     # row j's response is in hand from step j + lag on (run_trial's
@@ -382,6 +404,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     clip_step_excess = np.zeros(reps)
     n_fit_steps = np.zeros(reps, dtype=np.int64)
     half = np.full(reps, 0.5)
+    log = np.empty((n_units if keep_log else 0, _LOG_WIDTH, reps))
 
     i = 0
     while i < n_units:
@@ -446,6 +469,11 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
             sum_rho_sq += rho * rho
             ipw_sum += np.where(treated, y / rho, -y / (1.0 - rho))
 
+            if keep_log:
+                log[i, :8] = (x1, ax2[k], ax3[k], rho, g, t, y, az[k])
+                log[i, 8:12] = lam.T
+                log[i, 12] = psi
+                log[i, 13:] = theta.T
             if not frozen:
                 if i + lag <= burn:
                     acc.add(x1, ax2[k], ax3[k], t, y, rho)
@@ -468,7 +496,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
         final = ImbalanceState(lam=tuple(lam[r].tolist()), psi=float(psi[r]))
         results.append(
             TrialResult(
-                log=(),
+                log=_step_log(log[:, :, r]) if keep_log else _NO_LOG,
                 final_imbalance=final,
                 final_lambda_norm=final.lam_norm,
                 final_psi_abs=abs(final.psi),

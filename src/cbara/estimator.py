@@ -12,14 +12,13 @@ reweighted.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .datagen import CovariateVector, Scenario, ScenarioId
+from .datagen import Scenario, ScenarioId
 from .policy import ModelCoefficients, ZERO_COEFFS
 
 _RANK_RTOL = 1e-8
@@ -40,33 +39,10 @@ class Weighting(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class TrialRow:
-    """One observed unit: covariates, arm, response, and the targeted
-    ratio in force when the unit was allocated."""
-
-    x: CovariateVector
-    t: int
-    y: float
-    rho_used: float
-
-    def __post_init__(self) -> None:
-        if self.t not in (0, 1):
-            raise ValueError("t must be 0 or 1")
-        if not 0.0 < self.rho_used < 1.0:
-            raise ValueError("rho_used must lie strictly inside (0, 1)")
-
-
-@dataclass(frozen=True, slots=True)
 class FitResult:
     eta: ModelCoefficients
     rank_ok: bool
     n_used: int
-
-
-def design_row(x: CovariateVector, t: int) -> tuple[float, ...]:
-    """d(x, t) = (t, t*x1, 1-t, (1-t)*x1, x2, x3)."""
-    tf = float(t)
-    return (tf, tf * x.x1, 1.0 - tf, (1.0 - tf) * x.x1, x.x2, x.x3)
 
 
 class FitAccumulator:
@@ -122,9 +98,6 @@ class FitAccumulator:
             for c in range(a, 4):
                 row[idx[c]] += va * vals[c]
         self.n += 1
-
-    def add_row(self, row: TrialRow) -> None:
-        self.add(row.x.x1, row.x.x2, row.x.x3, row.t, row.y, row.rho_used)
 
     def fit(self, fallback: ModelCoefficients = ZERO_COEFFS) -> FitResult:
         """Solve the accumulated normal equations.
@@ -229,34 +202,42 @@ class FitStack:
         return ok, eta
 
 
+def _check_columns(t, rho_used) -> tuple[np.ndarray, np.ndarray]:
+    t = np.asarray(t)
+    rho_used = np.asarray(rho_used, dtype=float)
+    if len(t) == 0:
+        raise ValueError("rows must be nonempty")
+    if not np.isin(t, (0, 1)).all():
+        raise ValueError("t must be 0 or 1")
+    if not ((0.0 < rho_used) & (rho_used < 1.0)).all():
+        raise ValueError("rho_used must lie strictly inside (0, 1)")
+    return t, rho_used
+
+
 def fit_working_model(
-    rows: Sequence[TrialRow],
+    x1: np.ndarray,
+    x2: np.ndarray,
+    x3: np.ndarray,
+    t: np.ndarray,
+    y: np.ndarray,
+    rho_used: np.ndarray,
     weighting: Weighting = Weighting.WEIGHTED,
     fallback: ModelCoefficients = ZERO_COEFFS,
     active: Sequence[int] = _ALL_COLS,
 ) -> FitResult:
-    """Weighted least-squares fit of the working model over rows."""
-    if len(rows) == 0:
-        raise ValueError("rows must be nonempty")
+    """Weighted least-squares fit of the working model over the rows
+    given as columns: covariates, arm (0 or 1), response, and the
+    targeted ratio in force when each unit was allocated."""
+    t, rho_used = _check_columns(t, rho_used)
     acc = FitAccumulator(weighting=weighting, active=active)
-    for row in rows:
-        acc.add_row(row)
+    for row in zip(*(np.asarray(c).tolist() for c in (x1, x2, x3, t, y, rho_used))):
+        acc.add(*row)
     return acc.fit(fallback=fallback)
 
 
-def ipw_ate(rows: Iterable[TrialRow]) -> float:
-    """(1/N) Sum of t*y/rho - (1-t)*y/(1-rho) over the trial log."""
-    total = 0.0
-    n = 0
-    for row in rows:
-        rho = row.rho_used
-        if not 0.0 < rho < 1.0 or not math.isfinite(rho):
-            raise ValueError("rho_used must lie strictly inside (0, 1)")
-        if row.t == 1:
-            total += row.y / rho
-        else:
-            total -= row.y / (1.0 - rho)
-        n += 1
-    if n == 0:
-        raise ValueError("rows must be nonempty")
-    return total / n
+def ipw_ate(t: np.ndarray, y: np.ndarray, rho_used: np.ndarray) -> float:
+    """(1/N) Sum of t*y/rho - (1-t)*y/(1-rho), summed left to right."""
+    t, rho_used = _check_columns(t, rho_used)
+    y = np.asarray(y, dtype=float)
+    terms = np.where(t == 1, y / rho_used, -y / (1.0 - rho_used))
+    return float(np.cumsum(terms)[-1]) / len(t)

@@ -30,9 +30,9 @@ from .estimator import Weighting, active_columns
 from .policy import (
     ModelCoefficients,
     TargetPolicy,
-    _allocation_prob_raw,
-    clamp_allocation,
+    allocation_prob_rows,
     derive_constants,
+    feature_vector,
     target_ratio,
     target_ratio_from_x1,
 )
@@ -146,6 +146,33 @@ def _design_blocks(pop: PopulationSample, lo: int, hi: int) -> tuple[np.ndarray,
     return d1, d0
 
 
+def _criterion_gram(pop: PopulationSample) -> tuple[np.ndarray, np.ndarray]:
+    """Mp = E[(d1 d1' + d0 d0') / 2] and E[(d1 Y(1) + d0 Y(0)) / 2]: the
+    population normal equations of the working model."""
+    m = len(pop)
+    gram = np.zeros((6, 6))
+    rhs = np.zeros(6)
+    for lo in range(0, m, _CHUNK):
+        hi = min(lo + _CHUNK, m)
+        d1, d0 = _design_blocks(pop, lo, hi)
+        gram += 0.5 * (d1.T @ d1 + d0.T @ d0)
+        rhs += 0.5 * (d1.T @ pop.y1[lo:hi] + d0.T @ pop.y0[lo:hi])
+    return gram / m, rhs / m
+
+
+def _solve_active(pop: PopulationSample, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve gram x = rhs on the scenario's active design columns; the
+    rows of dropped coefficients are 0."""
+    active = list(active_columns(pop.scenario))
+    sub = _check_gram(gram[np.ix_(active, active)])
+    eigs = np.linalg.eigvalsh(sub)
+    if eigs[0] < 1e-8 * eigs[-1]:
+        raise ValueError("population design is singular")
+    out = np.zeros(rhs.shape)
+    out[active] = np.linalg.solve(sub, rhs[active])
+    return out
+
+
 def oracle_theta_star(pop: PopulationSample) -> ModelCoefficients:
     """Limit of the working-model fit: population least squares over
     both potential outcomes with reference weights 1/2 per arm.
@@ -155,27 +182,7 @@ def oracle_theta_star(pop: PopulationSample) -> ModelCoefficients:
     constant, so the weighted and unweighted flavors share one
     solution.
     """
-    m = len(pop)
-    gram = np.zeros((6, 6))
-    rhs = np.zeros(6)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        d1, d0 = _design_blocks(pop, lo, hi)
-        gram += 0.5 * (d1.T @ d1 + d0.T @ d0)
-        rhs += 0.5 * (d1.T @ pop.y1[lo:hi] + d0.T @ pop.y0[lo:hi])
-    gram /= m
-    rhs /= m
-
-    active = active_columns(pop.scenario)
-    sub = _check_gram(gram[np.ix_(active, active)])
-    eigs = np.linalg.eigvalsh(sub)
-    if eigs[0] < 1e-8 * eigs[-1]:
-        raise ValueError("population design is singular")
-    sol = np.linalg.solve(sub, np.asarray(rhs)[list(active)])
-    out = [0.0] * 6
-    for pos, col in enumerate(active):
-        out[col] = float(sol[pos])
-    return ModelCoefficients.from_array(out)
+    return ModelCoefficients.from_array(_solve_active(pop, *_criterion_gram(pop)))
 
 
 def _balance_gram(
@@ -287,23 +294,14 @@ def mest_covariance(
     parameter: the unconditional part contributes its covariance, the
     conditional part enters through the balance-corrected quadratic
     form, with the correction matrix A solved row-wise from the shared
-    balance Gram.
+    balance Gram. Dropped design columns get zero rows and columns.
     """
     rho = _rho_star(policy, theta_star, pop.x1)
     w = _balance_weights(policy, theta_star, pop, rho)
     ts = theta_star.as_array()
     m = len(pop)
 
-    mp = np.zeros((6, 6))
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        d1, d0 = _design_blocks(pop, lo, hi)
-        mp += 0.5 * (d1.T @ d1 + d0.T @ d0)
-    mp = _check_gram(mp / m)
-    eigs = np.linalg.eigvalsh(mp)
-    if eigs[0] < 1e-10 * eigs[-1]:
-        raise ValueError("criterion curvature matrix is singular")
-    minv = np.linalg.inv(mp)
+    minv = _solve_active(pop, _criterion_gram(pop)[0], np.eye(6))
 
     # One pass accumulating every moment the covariance needs:
     #   zc_quad = E[rho (1-rho) Zc Zc'],  zc_phi = E[Zc phi'],
@@ -342,11 +340,7 @@ def mest_covariance(
         arr /= m
     zu_mean /= m
 
-    g = _check_gram(g)
-    if np.linalg.cond(g) > _PINV_COND:
-        a_mat = h_mat @ np.linalg.pinv(g)
-    else:
-        a_mat = np.linalg.solve(g, h_mat.T).T
+    a_mat = _solve_gram(g, h_mat.T).T
 
     cov_u = zu_mom - np.outer(zu_mean, zu_mean)
     cond_part = (
@@ -388,20 +382,16 @@ def invariant_pi_g_check(
         keep_log=True,
         seed=seed,
     )
-    result = run_trial(cfg)
-    skip = horizon // 10
-    states = [rec.lambda_after for rec in result.log[skip:]]
+    lam = run_trial(cfg).log.lam[horizon // 10 :]
 
     p_theta, c_theta, _ = derive_constants(policy, theta)
     devs: list[float] = []
     for x in probe_xs:
         rho = target_ratio(policy, theta, x)
-        phi = (1.0, x.x1, x.x2, x.x3)
-        total = 0.0
-        for lam in states:
-            raw = _allocation_prob_raw(rho, p_theta, c_theta, policy.c_lambda, phi, lam)
-            total += clamp_allocation(raw, policy.g_floor)
-        devs.append(abs(total / len(states) - rho))
+        phi = np.broadcast_to(feature_vector(x), lam.shape)
+        g = allocation_prob_rows(policy, rho, p_theta, c_theta, phi, lam)
+        # summed left to right, as a scalar loop does
+        devs.append(abs(float(np.cumsum(g)[-1]) / len(lam) - rho))
     return devs
 
 

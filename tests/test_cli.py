@@ -3,6 +3,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cbara.cli import (
@@ -267,6 +268,23 @@ def test_cli_oracle_rows(tmp_path):
     assert "ipw_var" in quantities
     for ln in lines[1:]:
         float(ln.split(",")[4])  # every value parses
+
+
+def test_cli_oracle_discrete_scenario(tmp_path):
+    # the criterion Gram's x2/x3 rows are zero there; they are dropped
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text("scenario = DiscreteTest\nnoise_sd = 1\noracle_m = 20000\nfamily = logistic\n")
+    proc = _run_cli(["oracle", "--config", str(cfg), "--raw"])
+    assert proc.returncode == 0, proc.stderr
+    cov = {}
+    for ln in proc.stdout.splitlines()[1:]:
+        quantity, value = ln.split(",")[3:]
+        if quantity.startswith("mest_cov."):
+            i, j = (int(v) - 1 for v in quantity.split(".")[1:])
+            cov[i, j] = cov[j, i] = float(value)
+    sig = np.array([[cov[i, j] for j in range(6)] for i in range(6)])
+    assert (sig[4:] == 0.0).all()
+    assert np.linalg.eigvalsh(sig)[0] >= -1e-12 * np.abs(sig).max()
 
 
 def test_cli_rejects_bad_config(tmp_path):

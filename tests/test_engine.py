@@ -3,14 +3,15 @@ import math
 import statistics
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbara.adapt import UpdateMechanism, perfect_squares
-from cbara.datagen import Scenario, ScenarioId, true_ate
-from cbara.engine import Allocation, TrialConfig, run_lockstep, run_trial
-from cbara.estimator import TrialRow, Weighting, ipw_ate
+from cbara.datagen import CovariateVector, Scenario, ScenarioId, true_ate
+from cbara.engine import Allocation, StepLog, TrialConfig, run_lockstep, run_trial
+from cbara.estimator import Weighting, ipw_ate
 from cbara.harness import split_seed
 from cbara.policy import (
     Family,
@@ -42,8 +43,8 @@ def test_reruns_are_identical():
     assert a.final_imbalance == b.final_imbalance
     assert a.ipw_estimate == b.ipw_estimate
     assert a.theta_final == b.theta_final
-    assert [r.t for r in a.log] == [r.t for r in b.log]
-    assert [r.g for r in a.log] == [r.g for r in b.log]
+    assert a.log.t.tobytes() == b.log.t.tobytes()
+    assert a.log.g.tobytes() == b.log.g.tobytes()
 
 
 def _every_family_and_scenario():
@@ -52,19 +53,29 @@ def _every_family_and_scenario():
             yield _cfg(policy=TargetPolicy(family=family), scenario=Scenario(scenario))
 
 
+def _steps(log: StepLog):
+    """One (x, rho, g, t, y, zstar, lam, psi, theta) tuple per logged
+    step, as plain Python values."""
+    xs = [CovariateVector(*v) for v in zip(log.x1.tolist(), log.x2.tolist(), log.x3.tolist())]
+    thetas = [ModelCoefficients(*v) for v in log.theta.tolist()]
+    lams = [tuple(v) for v in log.lam.tolist()]
+    cols = (log.rho, log.g, log.t, log.y, log.zstar)
+    return list(zip(xs, *(c.tolist() for c in cols), lams, log.psi.tolist(), thetas))
+
+
 def test_log_replays_the_imbalance_recursion():
     # the engine and imbalance_increment share increment_scale: exact
     for cfg in _every_family_and_scenario():
         result = run_trial(cfg)
         lam = (0.0, 0.0, 0.0, 0.0)
         psi = 0.0
-        for rec in result.log:
-            phi = (1.0, rec.x.x1, rec.x.x2, rec.x.x3)
-            step = imbalance_increment(rec.rho, phi, rec.t)
+        for x, rho, _, t, _, zstar, lam_after, psi_after, _ in _steps(result.log):
+            phi = (1.0, x.x1, x.x2, x.x3)
+            step = imbalance_increment(rho, phi, t)
             lam = tuple(a + b for a, b in zip(lam, step))
-            psi += imbalance_increment(rec.rho, rec.zstar, rec.t)
-            assert rec.lambda_after == lam
-            assert rec.psi_after == psi
+            psi += imbalance_increment(rho, zstar, t)
+            assert lam_after == lam
+            assert psi_after == psi
         assert result.final_imbalance.lam == lam
         assert result.final_lambda_norm == pytest.approx(math.hypot(*lam))
         assert result.final_psi_abs == abs(psi)
@@ -73,9 +84,8 @@ def test_log_replays_the_imbalance_recursion():
 def test_burn_in_uses_even_coin():
     cfg = _cfg(burn_in=25)
     result = run_trial(cfg)
-    for rec in result.log[:25]:
-        assert rec.rho == 0.5
-        assert rec.g == 0.5
+    assert (result.log.rho[:25] == 0.5).all()
+    assert (result.log.g[:25] == 0.5).all()
 
 
 def test_logged_g_matches_allocation_rule():
@@ -84,17 +94,16 @@ def test_logged_g_matches_allocation_rule():
     for cfg in _every_family_and_scenario():
         result = run_trial(cfg)
         lam = (0.0, 0.0, 0.0, 0.0)
-        for rec in result.log:
-            if rec.n > cfg.burn_in:  # log steps are 1-based
-                assert rec.rho == target_ratio(cfg.policy, rec.theta_before, rec.x)
-                assert rec.g == allocation_prob(cfg.policy, rec.theta_before, lam, rec.x)
-            lam = rec.lambda_after
+        for n, (x, rho, g, _, _, _, lam_after, _, theta) in enumerate(_steps(result.log), 1):
+            if n > cfg.burn_in:  # steps are 1-based
+                assert rho == target_ratio(cfg.policy, theta, x)
+                assert g == allocation_prob(cfg.policy, theta, lam, x)
+            lam = lam_after
 
 
 def test_direct_allocation_ignores_imbalance():
     result = run_trial(_cfg(allocation=Allocation.DIRECT))
-    for rec in result.log:
-        assert rec.g == rec.rho
+    assert result.log.g.tobytes() == result.log.rho.tobytes()
 
 
 def test_frozen_parameter_never_moves():
@@ -102,41 +111,36 @@ def test_frozen_parameter_never_moves():
     result = run_trial(_cfg(frozen_theta=theta, mechanism=UpdateMechanism.direct()))
     assert result.theta_final == theta
     assert result.n_fit_steps == 0
-    for rec in result.log:
-        assert rec.theta_before == theta
+    assert (result.log.theta == theta.as_array()).all()
     # no burn-in under a frozen parameter: step 0 already targets
-    first = result.log[0]
-    assert first.rho == pytest.approx(
-        target_ratio(_cfg().policy, theta, first.x), abs=1e-12
-    )
+    x, rho = _steps(result.log)[0][:2]
+    assert rho == pytest.approx(target_ratio(_cfg().policy, theta, x), abs=1e-12)
 
 
 def test_full_delay_disables_fitting():
     result = run_trial(_cfg(response_delay=500))
     assert result.n_fit_steps == 0
-    for rec in result.log:
-        assert rec.rho == 0.5  # parameter never leaves zero
+    assert (result.log.rho == 0.5).all()  # parameter never leaves zero
 
 
 def test_delay_shifts_first_update():
     # with delay d the earliest possible fit sees rows 0..i-d, so the
     # parameter cannot move before step burn_in even with a tiny burn-in
     early = run_trial(_cfg(response_delay=40, n_units=120))
-    moved_at = [rec.n for rec in early.log if rec.theta_before != early.log[0].theta_before]
-    assert not moved_at or min(moved_at) >= 41
+    theta = early.log.theta
+    moved_at = 1 + np.flatnonzero((theta != theta[0]).any(axis=1))
+    assert not moved_at.size or moved_at.min() >= 41
 
 
 def test_summary_fields_recompute_from_log():
     result = run_trial(_cfg(n_units=140))
-    ys = [rec.y_observed for rec in result.log]
+    ys = result.log.y.tolist()
     assert result.mean_response == pytest.approx(sum(ys) / len(ys))
-    rhos = [rec.rho for rec in result.log]
+    rhos = result.log.rho.tolist()
     assert result.target_ratio_sd == pytest.approx(statistics.pstdev(rhos), abs=1e-12)
-    rows = [
-        TrialRow(x=rec.x, t=rec.t, y=rec.y_observed, rho_used=rec.rho)
-        for rec in result.log
-    ]
-    assert result.ipw_estimate == pytest.approx(ipw_ate(rows), abs=1e-12)
+    log = result.log
+    # both sum left to right: exact
+    assert result.ipw_estimate == ipw_ate(log.t, log.y, log.rho)
 
 
 def test_ipw_error_splits_into_effect_and_imbalance_terms():
@@ -148,7 +152,7 @@ def test_ipw_error_splits_into_effect_and_imbalance_terms():
     tau = true_ate(Scenario(ScenarioId.A))
     a = (6.0, 3.2, 2.9, 1.4)
     n = len(result.log)
-    effect = math.fsum(-3.0 + 3.0 * rec.x.x1 - tau for rec in result.log)
+    effect = math.fsum(-3.0 + 3.0 * x1 - tau for x1 in result.log.x1.tolist())
     imbalance = math.fsum(ai * li for ai, li in zip(a, result.final_imbalance.lam))
     assert n * (result.ipw_estimate - tau) == pytest.approx(effect + imbalance, rel=1e-9)
 
@@ -161,23 +165,22 @@ def test_clipped_run_respects_per_step_budget():
 
 def test_rare_updates_only_at_schedule_points():
     result = run_trial(_cfg(mechanism=UpdateMechanism.iru(), n_units=300))
-    changes = [
-        rec.n
-        for prev, rec in zip(result.log, result.log[1:])
-        if rec.theta_before != prev.theta_before
-    ]
-    assert changes
+    theta = result.log.theta
+    # 1-based steps whose theta differs from the step before
+    changes = np.flatnonzero((theta[1:] != theta[:-1]).any(axis=1)) + 2
+    assert changes.size
     # a change visible at 1-based step n came from an update fed with
     # n - 1 responses, which must sit on the schedule
-    assert all(perfect_squares(n - 1) for n in changes)
-    distinct = {rec.theta_before for rec in result.log}
+    assert all(perfect_squares(int(n) - 1) for n in changes)
+    distinct = {tuple(row) for row in theta.tolist()}
     assert len(distinct) <= math.isqrt(300) + 1
 
 
 def test_keep_log_off_drops_the_log():
     result = run_trial(_cfg(keep_log=False))
-    assert result.log == ()
+    assert len(result.log) == 0
     with_log = run_trial(_cfg(keep_log=True))
+    assert len(with_log.log) == 160
     assert result.final_imbalance == with_log.final_imbalance
     assert result.ipw_estimate == with_log.ipw_estimate
 
@@ -201,10 +204,19 @@ _MECHANISMS = {
 _TRUTH_A = ModelCoefficients(4.5, 4.7, 7.5, 1.7, 2.9, 1.4)
 
 
+def _assert_same_results(got, want):
+    # repr tells every summary float apart bit for bit, -0.0 from 0.0
+    # included; an array's repr rounds, so log columns compare as bytes
+    assert repr(got) == repr(want)
+    for a, b in zip(got, want):
+        for name in StepLog.__slots__:
+            x, y = getattr(a.log, name), getattr(b.log, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
 def _assert_lockstep_is_run_trial(cfg, reps=3):
-    # repr tells every float apart bit for bit, -0.0 from 0.0 included
-    cfgs = [replace(cfg, seed=split_seed(cfg.seed, k), keep_log=False) for k in range(reps)]
-    assert repr(run_lockstep(cfgs)) == repr([run_trial(c) for c in cfgs])
+    cfgs = [replace(cfg, seed=split_seed(cfg.seed, k), keep_log=True) for k in range(reps)]
+    _assert_same_results(run_lockstep(cfgs), [run_trial(c) for c in cfgs])
 
 
 @pytest.mark.parametrize("mechanism", list(_MECHANISMS))
@@ -308,11 +320,11 @@ def test_trial_properties_over_valid_configs(cfg):
     cfgs = [replace(cfg, seed=split_seed(cfg.seed, k)) for k in range(3)]
     logged = [run_trial(c) for c in cfgs]
     lockstep = run_lockstep(cfgs)
-    assert repr(lockstep) == repr([replace(r, log=()) for r in logged])
-    assert repr(run_lockstep(cfgs)) == repr(lockstep)
+    _assert_same_results(lockstep, logged)
+    _assert_same_results(run_lockstep(cfgs), lockstep)
     floor = cfg.policy.g_floor
     for result in logged:
-        assert all(floor <= rec.g <= 1.0 - floor for rec in result.log)
-        assert all(math.isfinite(v) for rec in result.log for v in rec.lambda_after)
+        assert ((floor <= result.log.g) & (result.log.g <= 1.0 - floor)).all()
+        assert np.isfinite(result.log.lam).all()
         assert math.isfinite(result.final_imbalance.psi)
         assert result.clip_step_excess <= 1e-12

@@ -1,107 +1,78 @@
 import numpy as np
 import pytest
 
-from cbara.datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays
-from cbara.estimator import (
-    FitAccumulator,
-    TrialRow,
-    Weighting,
-    design_row,
-    fit_working_model,
-    ipw_ate,
-)
+from cbara.datagen import Scenario, ScenarioId, draw_unit_arrays
+from cbara.estimator import FitAccumulator, Weighting, fit_working_model, ipw_ate
 from cbara.policy import ModelCoefficients
 
 TRUTH = ModelCoefficients(4.5, 4.7, 7.5, 1.7, 2.9, 1.4)
 
 
-def _units(scenario, n, rng):
-    """(x, y1, y0) per unit, drawn as one draw_unit_arrays block."""
-    x1, x2, x3, y1, y0, _ = draw_unit_arrays(scenario, n, rng)
-    return [
-        (CovariateVector(a, b, c), p, q)
-        for a, b, c, p, q in zip(x1.tolist(), x2.tolist(), x3.tolist(), y1.tolist(), y0.tolist())
-    ]
+def _assign(units, rng, rho):
+    """(x1, x2, x3, t, y, rho) columns: one rng.random() per unit for its arm."""
+    x1, x2, x3, y1, y0, _ = units
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), x1.shape)
+    t = np.array([int(rng.random() < r) for r in rho.tolist()])
+    return x1, x2, x3, t, np.where(t == 1, y1, y0), rho
 
 
 def _rows(n=300, seed=5, noise=0.0, rho=0.5):
     rng = np.random.default_rng(seed)
-    units = _units(Scenario(ScenarioId.A, noise), n, rng)
-    rows = []
-    for x, y1, y0 in units:
-        t = int(rng.random() < rho)
-        rows.append(TrialRow(x=x, t=t, y=y1 if t else y0, rho_used=rho))
-    return rows
-
-
-def test_design_row_arm_blocks():
-    x = CovariateVector(-1.0, 0.25, -0.5)
-    assert design_row(x, 1) == (1.0, -1.0, 0.0, 0.0, 0.25, -0.5)
-    assert design_row(x, 0) == (0.0, 0.0, 1.0, -1.0, 0.25, -0.5)
+    return _assign(draw_unit_arrays(Scenario(ScenarioId.A, noise), n, rng), rng, rho)
 
 
 def test_noiseless_recovery_both_weightings():
-    rows = _rows()
+    cols = _rows()
     for weighting in Weighting:
-        fit = fit_working_model(rows, weighting)
+        fit = fit_working_model(*cols, weighting)
         assert fit.rank_ok
-        assert fit.n_used == len(rows)
+        assert fit.n_used == len(cols[0])
         np.testing.assert_allclose(fit.eta.as_array(), TRUTH.as_array(), atol=1e-10)
 
 
 def test_weighted_solve_matches_dense_wls():
     rng = np.random.default_rng(6)
-    units = _units(Scenario(ScenarioId.B, 1.0), 400, rng)
-    rho = 0.2 + 0.6 * rng.random(400)
-    rows = [
-        TrialRow(x=x, t=int(rng.random() < r), y=0.0, rho_used=float(r))
-        for (x, _, _), r in zip(units, rho)
-    ]
-    rows = [
-        TrialRow(x=x, t=row.t, y=y1 if row.t else y0, rho_used=row.rho_used)
-        for (x, y1, y0), row in zip(units, rows)
-    ]
-    fit = fit_working_model(rows, Weighting.WEIGHTED)
-    d = np.array([design_row(r.x, r.t) for r in rows])
-    w = np.array([0.5 / r.rho_used if r.t else 0.5 / (1 - r.rho_used) for r in rows])
-    y = np.array([r.y for r in rows])
+    units = draw_unit_arrays(Scenario(ScenarioId.B, 1.0), 400, rng)
+    x1, x2, x3, t, y, rho = _assign(units, rng, 0.2 + 0.6 * rng.random(400))
+    fit = fit_working_model(x1, x2, x3, t, y, rho, Weighting.WEIGHTED)
+    # design row d(x, t) = (t, t*x1, 1-t, (1-t)*x1, x2, x3)
+    d = np.column_stack((t, t * x1, 1 - t, (1 - t) * x1, x2, x3))
+    w = np.where(t == 1, 0.5 / rho, 0.5 / (1 - rho))
     ref = np.linalg.solve(d.T @ (w[:, None] * d), d.T @ (w * y))
     np.testing.assert_allclose(fit.eta.as_array(), ref, atol=1e-9)
 
 
 def test_weights_matter_under_misspecification():
     rng = np.random.default_rng(7)
-    units = _units(Scenario(ScenarioId.B), 600, rng)
-    rho = np.where(rng.random(600) < 0.5, 0.25, 0.75)
-    rows = []
-    for (x, y1, y0), r in zip(units, rho):
-        t = int(rng.random() < r)
-        rows.append(TrialRow(x=x, t=t, y=y1 if t else y0, rho_used=float(r)))
-    fw = fit_working_model(rows, Weighting.WEIGHTED).eta.as_array()
-    fu = fit_working_model(rows, Weighting.UNWEIGHTED).eta.as_array()
+    units = draw_unit_arrays(Scenario(ScenarioId.B), 600, rng)
+    cols = _assign(units, rng, np.where(rng.random(600) < 0.5, 0.25, 0.75))
+    fw = fit_working_model(*cols, Weighting.WEIGHTED).eta.as_array()
+    fu = fit_working_model(*cols, Weighting.UNWEIGHTED).eta.as_array()
     assert max(abs(a - b) for a, b in zip(fw, fu)) > 1e-4
 
 
 def test_single_arm_returns_fallback():
-    rows = [r for r in _rows() if r.t == 1][:50]
+    cols = _rows()
+    treated = np.flatnonzero(cols[3] == 1)[:50]
     fallback = ModelCoefficients(9.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    fit = fit_working_model(rows, Weighting.WEIGHTED, fallback=fallback)
+    fit = fit_working_model(*(c[treated] for c in cols), Weighting.WEIGHTED, fallback=fallback)
     assert not fit.rank_ok
     assert fit.eta == fallback
 
 
 def test_empty_fit_rejected():
+    empty = np.empty(0)
     with pytest.raises(ValueError):
-        fit_working_model([], Weighting.UNWEIGHTED)
+        fit_working_model(*[empty] * 6, Weighting.UNWEIGHTED)
 
 
 def test_accumulator_matches_batch_fit():
-    rows = _rows(n=120, seed=8, noise=0.5, rho=0.3)
+    cols = _rows(n=120, seed=8, noise=0.5, rho=0.3)
     acc = FitAccumulator(weighting=Weighting.WEIGHTED)
-    for r in rows:
-        acc.add_row(r)
+    for row in zip(*(c.tolist() for c in cols)):
+        acc.add(*row)
     inc = acc.fit()
-    batch = fit_working_model(rows, Weighting.WEIGHTED)
+    batch = fit_working_model(*cols, Weighting.WEIGHTED)
     np.testing.assert_allclose(inc.eta.as_array(), batch.eta.as_array(), atol=1e-12)
     assert acc.n == 120
     assert acc.has_both_arms
@@ -109,15 +80,8 @@ def test_accumulator_matches_batch_fit():
 
 def test_active_columns_zero_fill():
     rng = np.random.default_rng(9)
-    units = _units(Scenario(ScenarioId.DISCRETE), 200, rng)
-    rows = [
-        TrialRow(x=x, t=int(rng.random() < 0.5), y=0.0, rho_used=0.5) for x, _, _ in units
-    ]
-    rows = [
-        TrialRow(x=x, t=r.t, y=y1 if r.t else y0, rho_used=0.5)
-        for (x, y1, y0), r in zip(units, rows)
-    ]
-    fit = fit_working_model(rows, Weighting.WEIGHTED, active=(0, 1, 2, 3))
+    cols = _assign(draw_unit_arrays(Scenario(ScenarioId.DISCRETE), 200, rng), rng, 0.5)
+    fit = fit_working_model(*cols, Weighting.WEIGHTED, active=(0, 1, 2, 3))
     assert fit.rank_ok
     assert fit.eta.beta2 == 0.0 and fit.eta.beta3 == 0.0
     np.testing.assert_allclose(
@@ -128,33 +92,22 @@ def test_active_columns_zero_fill():
 
 
 def test_ipw_hand_example():
-    x = CovariateVector(0.0, 0.0, 0.0)
-    rows = [
-        TrialRow(x=x, t=1, y=2.0, rho_used=0.5),
-        TrialRow(x=x, t=0, y=1.0, rho_used=0.5),
-    ]
-    assert ipw_ate(rows) == pytest.approx((2.0 / 0.5 - 1.0 / 0.5) / 2.0)
+    assert ipw_ate([1, 0], [2.0, 1.0], [0.5, 0.5]) == pytest.approx((2.0 / 0.5 - 1.0 / 0.5) / 2.0)
 
 
 def test_ipw_uses_per_row_ratio():
-    x = CovariateVector(0.0, 0.0, 0.0)
-    rows = [
-        TrialRow(x=x, t=1, y=1.0, rho_used=0.25),
-        TrialRow(x=x, t=0, y=1.0, rho_used=0.8),
-    ]
-    assert ipw_ate(rows) == pytest.approx((1.0 / 0.25 - 1.0 / 0.2) / 2.0)
+    assert ipw_ate([1, 0], [1.0, 1.0], [0.25, 0.8]) == pytest.approx((1.0 / 0.25 - 1.0 / 0.2) / 2.0)
 
 
 def test_row_validation():
-    x = CovariateVector(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        TrialRow(x=x, t=2, y=0.0, rho_used=0.5)
-    with pytest.raises(ValueError):
-        TrialRow(x=x, t=1, y=0.0, rho_used=0.0)
-    with pytest.raises(ValueError):
-        TrialRow(x=x, t=1, y=0.0, rho_used=1.0)
+    zeros = np.zeros(1)
+    for t, rho in ((2, 0.5), (1, 0.0), (1, 1.0), (1, np.nan)):
+        with pytest.raises(ValueError):
+            fit_working_model(zeros, zeros, zeros, [t], zeros, [rho])
+        with pytest.raises(ValueError):
+            ipw_ate([t], zeros, [rho])
 
 
 def test_ipw_empty_rejected():
     with pytest.raises(ValueError):
-        ipw_ate([])
+        ipw_ate([], [], [])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cbara.datagen import CovariateVector, Scenario, ScenarioId
+from cbara import oracle
 from cbara.oracle import (
     PopulationSample,
     _rho_star,
@@ -24,6 +25,7 @@ from cbara.policy import (
     Family,
     ModelCoefficients,
     TargetPolicy,
+    allocation_prob,
     target_ratio,
     target_ratio_from_x1,
 )
@@ -153,6 +155,18 @@ def test_mest_covariance_shared_noise_case():
     assert float(np.abs(sig - ref).max()) <= 0.03 * float(np.abs(ref).max())
 
 
+def test_mest_covariance_on_the_discrete_scenario():
+    # x2 = x3 = 0 there: the criterion Gram is solved on the arm columns
+    # only, and the dropped coefficients get zero rows and columns
+    pop = PopulationSample(Scenario(ScenarioId.DISCRETE, 1.0), seed=310, m=10**5)
+    sig = mest_covariance(pop, oracle_theta_star(pop), TargetPolicy(family=Family.LOGISTIC))
+    assert np.array_equal(sig, sig.T)
+    assert (sig[4:] == 0.0).all() and (sig[:, 4:] == 0.0).all()
+    eigs = np.linalg.eigvalsh(sig)
+    assert eigs[0] >= -1e-12 * eigs[-1]
+    assert eigs[2] > 0.0  # the four arm coefficients carry variance
+
+
 def test_discrete_target_ratios():
     pop = PopulationSample(Scenario(ScenarioId.DISCRETE), seed=306, m=10**5)
     theta = oracle_theta_star(pop)
@@ -205,6 +219,30 @@ def test_invariant_probability_identity():
     probes = [CovariateVector(0.0, 0.0, 0.0), CovariateVector(1.0, 0.5, -0.5)]
     devs = invariant_pi_g_check(pol, theta, probes, horizon=10**5, seed=307)
     assert max(devs) < 0.01
+
+
+def test_invariant_check_is_the_scalar_probe_loop(monkeypatch):
+    # each deviation equals a scalar allocation_prob loop over the kept
+    # imbalance states, summed left to right, bit for bit
+    pol = TargetPolicy(family=Family.LOGISTIC)
+    theta = ModelCoefficients(2.0, 1.0, 0.0, -1.0, 0.5, -0.5)
+    probes = [CovariateVector(-1.0, -0.5, 0.3), CovariateVector(1.0, 0.7, -0.6)]
+    logs = []
+    real_run_trial = oracle.run_trial
+
+    def keep_log(cfg):
+        result = real_run_trial(cfg)
+        logs.append(result.log)
+        return result
+
+    monkeypatch.setattr(oracle, "run_trial", keep_log)
+    devs = invariant_pi_g_check(pol, theta, probes, horizon=10**5, seed=311)
+    states = logs[0].lam[10**4 :].tolist()
+    for x, dev in zip(probes, devs):
+        total = 0.0
+        for lam in states:
+            total += allocation_prob(pol, theta, lam, x)
+        assert dev == abs(total / len(states) - target_ratio(pol, theta, x))
 
 
 def test_invariant_check_rejects_short_horizons():

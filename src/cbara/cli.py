@@ -143,6 +143,14 @@ _PARSERS = {
 
 def parse_config(text: str) -> RunSpec:
     """Parse a flat key-value document into a validated RunSpec."""
+    spec = RunSpec(**_config_values(text))
+    validate_spec(spec)
+    return spec
+
+
+def _config_values(text: str) -> dict:
+    """The values a config document sets, by key, parsed but not
+    range-checked."""
     values: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -161,9 +169,7 @@ def parse_config(text: str) -> RunSpec:
             values[key] = _PARSERS[key](raw_value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    spec = RunSpec(**values)
-    validate_spec(spec)
-    return spec
+    return values
 
 
 def validate_spec(spec: RunSpec) -> None:
@@ -467,10 +473,22 @@ def _cmd_trace(spec: RunSpec, raw: bool) -> int:
     return 0
 
 
-def _cmd_check(spec: RunSpec) -> int:
+def _seed_given(args: argparse.Namespace) -> bool:
+    """Whether --seed, CBARA_SEED or the config file sets the seed."""
+    if args.seed is not None or "CBARA_SEED" in os.environ:
+        return True
+    if not args.config:
+        return False
+    with open(args.config, "r", encoding="utf-8") as fh:
+        return "seed" in _config_values(fh.read())
+
+
+def _cmd_check(spec: RunSpec, seed_given: bool) -> int:
     from .acceptance import run_acceptance
 
-    results = run_acceptance(parallelism=spec.parallelism)
+    # without a seed source the criteria keep their pinned base seed
+    kwargs = {"seed": spec.seed} if seed_given else {}
+    results = run_acceptance(parallelism=spec.parallelism, **kwargs)
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -516,7 +534,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(spec)
         if args.command == "check":
-            return _cmd_check(spec)
+            return _cmd_check(spec, _seed_given(args))
         return _cmd_trace(spec, args.raw)
     except ValueError as exc:
         print(f"cbara-error: {exc}", file=sys.stderr)

@@ -6,10 +6,15 @@ finalizer applied to base_seed + (k + 1) * 0x9E3779B97F4A7C15 (all
 arithmetic mod 2**64). The function is pure and documented here so
 other tools can regenerate any replication's stream exactly.
 
-A plan's replications run in at most `parallelism` contiguous shards.
-A shard of several replications runs through engine.run_lockstep and a
-shard of one through engine.run_trial; both give the same statistics
-bit for bit, so the split does not change any result.
+collect_plans is the one scheduler. It opens at most one process pool
+per call, with as many workers as the largest `parallelism` among its
+plans (`workers`), and none when there is one worker or one shard. Each
+plan is cut into ceil(workers / number of plans) contiguous shards: a
+single plan splits into `parallelism` shards, and a grid with at least
+as many plans as workers runs each plan as one shard. A shard of
+several replications runs through engine.run_lockstep and a shard of
+one through engine.run_trial; both give the same statistics bit for
+bit, so neither the split nor the shard size changes any result.
 
 Aggregation sums per-replication statistics with math.fsum, which is
 exactly rounded and therefore independent of completion order; together
@@ -175,18 +180,39 @@ def collect(plan: ReplicationPlan) -> list[TrialStats]:
 
 def collect_with_lambda(plan: ReplicationPlan) -> tuple[list[TrialStats], list[Lambda]]:
     """Run every replication and return its statistics and its final
-    feature imbalance vector Lambda_N, both in replication order. With
-    more than one shard the shards run on a process pool; results are
-    joined in replication order, so the output is identical at any
-    parallelism level."""
-    shards = _shards(replication_configs(plan), plan.parallelism)
-    if len(shards) == 1:
-        parts = [_run_shard(shards[0])]
+    feature imbalance vector Lambda_N, both in replication order."""
+    return collect_plans([plan])[0]
+
+
+def collect_plans(
+    plans: Sequence[ReplicationPlan],
+) -> list[tuple[list[TrialStats], list[Lambda]]]:
+    """Run every plan's replications and return, per plan in input
+    order, the statistics and final Lambda_N of each replication in
+    replication order. The shards of all plans share one process pool
+    (see the module docstring); results are joined in plan order, then
+    replication order, so the output is identical at any parallelism
+    level. A failure names the seed of the first failing replication
+    in that order."""
+    if not plans:
+        raise ValueError("plans must be nonempty")
+    workers = max(plan.parallelism for plan in plans)
+    per_plan = math.ceil(workers / len(plans))
+    shards = [_shards(replication_configs(plan), per_plan) for plan in plans]
+    tasks = [shard for plan_shards in shards for shard in plan_shards]
+    if workers == 1 or len(tasks) == 1:
+        parts = [_run_shard(task) for task in tasks]
     else:
-        with multiprocessing.Pool(processes=len(shards)) as pool:
-            parts = pool.map(_run_shard, shards, chunksize=1)
-    pairs = [pair for part in parts for pair in part]
-    return [s for s, _ in pairs], [lam for _, lam in pairs]
+        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+            # imap yields in task order, so the first failure raised is
+            # the first in plan order whichever worker finishes first
+            parts = list(pool.imap(_run_shard, tasks))
+    out = []
+    done = iter(parts)
+    for plan_shards in shards:
+        pairs = [pair for _ in plan_shards for pair in next(done)]
+        out.append(([s for s, _ in pairs], [lam for _, lam in pairs]))
+    return out
 
 
 def _mean_se(values: Sequence[float]) -> tuple[float, Optional[float]]:
@@ -241,8 +267,9 @@ def run_replications(plan: ReplicationPlan) -> MetricsSummary:
 _FAMILY_LABELS = {"crd": "CRD", "logistic": "Logistic", "probit": "Probit"}
 
 
-def labeled_summary(plan: ReplicationPlan, summary: MetricsSummary) -> LabeledSummary:
-    """Tag a plan's summary with the grid cell the plan belongs to."""
+def labeled_summary(plan: ReplicationPlan, stats: Sequence[TrialStats]) -> LabeledSummary:
+    """Summarize a plan's trial statistics and tag the summary with the
+    grid cell the plan belongs to."""
     cfg = plan.base_config
     return LabeledSummary(
         size=cfg.n_units,
@@ -250,13 +277,12 @@ def labeled_summary(plan: ReplicationPlan, summary: MetricsSummary) -> LabeledSu
         procedure=_FAMILY_LABELS[cfg.policy.family.value],
         estimation=cfg.weighting.value.capitalize(),
         mechanism=cfg.allocation.value.capitalize(),
-        summary=summary,
+        summary=summarize(stats, true_ate(cfg.scenario)),
     )
 
 
 def aggregate_grid(plans: Sequence[ReplicationPlan]) -> list[LabeledSummary]:
-    """Run a sequence of plans and label each summary with its grid
-    cell, preserving input order."""
-    if not plans:
-        raise ValueError("plans must be nonempty")
-    return [labeled_summary(plan, run_replications(plan)) for plan in plans]
+    """Run a sequence of plans on one scheduler call and label each
+    summary with its grid cell, preserving input order."""
+    collected = collect_plans(plans)
+    return [labeled_summary(plan, stats) for plan, (stats, _) in zip(plans, collected)]

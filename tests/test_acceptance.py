@@ -4,7 +4,18 @@ package acceptance module for what each criterion measures."""
 import numpy as np
 import pytest
 
-from cbara.acceptance import CRITERION_NAMES, _balance_split, _Shared, run_acceptance
+import cbara.acceptance as acceptance
+from cbara.acceptance import (
+    _SEED,
+    CRITERION_NAMES,
+    CriterionResult,
+    _balance_split,
+    _config,
+    _Shared,
+    run_acceptance,
+)
+from cbara.engine import Allocation
+from cbara.harness import split_seed
 
 
 @pytest.fixture(scope="module")
@@ -28,3 +39,19 @@ def test_informational_split_stays_out_of_the_clip_audit():
     line = _balance_split(sh, 60, 4, np.zeros(4), 1.0)
     assert line.startswith("informational N=60: N*mse=")
     assert (sh.clip_trials, sh.max_clip_excess) == (7, 1e-17)
+
+
+def test_base_seed_reaches_the_shared_runs(monkeypatch):
+    seen = []
+
+    def record(sh):
+        seen.append(sh)
+        return CriterionResult(CRITERION_NAMES[0], True, "")
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", (record,))
+    run_acceptance(seed=5)
+    run_acceptance()
+    cfg = _config(60, Allocation.DIRECT)
+    assert [sh.plan(3, cfg, 2).base_seed for sh in seen] == [
+        split_seed(5, 3), split_seed(_SEED, 3)
+    ]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cbara.acceptance import CriterionResult
 from cbara.cli import (
     RunSpec,
     emit_tables,
@@ -225,6 +226,42 @@ def test_cli_seed_sources(tmp_path):
     bad = _run_cli(["run", "--config", str(cfg)], env_extra={"CBARA_SEED": "x"})
     assert bad.returncode == 2
     assert bad.stderr.startswith("cbara-error:")
+
+
+def _check_seeds(monkeypatch, argv_list):
+    """The seed keyword `cbara check` hands run_acceptance per argv;
+    None when it passes none and the pinned seed stays."""
+    seen = []
+
+    def fake_run_acceptance(parallelism=1, **kwargs):
+        seen.append(kwargs.get("seed"))
+        return [CriterionResult("criterion-01-imbalance-table", True, "ok")]
+
+    monkeypatch.setattr("cbara.acceptance.run_acceptance", fake_run_acceptance)
+    for argv in argv_list:
+        assert main(["check", *argv]) == 0
+    return seen
+
+
+def test_check_passes_the_flag_and_config_seed(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("CBARA_SEED", raising=False)
+    seeded, unseeded = tmp_path / "seeded.cfg", tmp_path / "unseeded.cfg"
+    seeded.write_text("seed = 0\n")
+    unseeded.write_text("reps = 3\n")
+    seen = _check_seeds(monkeypatch, [
+        [],
+        ["--seed", "5"],
+        ["--config", str(seeded)],
+        ["--config", str(unseeded)],
+        ["--config", str(seeded), "--seed", "6"],
+    ])
+    assert seen == [None, 5, 0, None, 6]
+    assert capsys.readouterr().out.endswith("1/1 criteria passed\n")
+
+
+def test_check_passes_the_environment_seed(monkeypatch, capsys):
+    monkeypatch.setenv("CBARA_SEED", "7")
+    assert _check_seeds(monkeypatch, [[], ["--seed", "5"]]) == [7, 7]
 
 
 def test_cli_table_grid(tmp_path):

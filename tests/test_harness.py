@@ -1,5 +1,7 @@
 import math
 import statistics
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from cbara.harness import (
     TrialStats,
     aggregate_grid,
     collect,
+    collect_plans,
     collect_with_lambda,
+    labeled_summary,
     replication_configs,
     run_replications,
     split_seed,
@@ -98,6 +102,88 @@ def test_collect_with_lambda_adds_each_trials_final_imbalance():
     ]
     pooled = collect_with_lambda(_plan(reps=8, parallelism=2, allocation=Allocation.BALANCE))
     assert pooled == (stats, lams)
+
+
+def _mixed_grid(parallelism):
+    # both allocations at 1, 2 and 5 replications, each with its own seed
+    return [
+        _plan(reps=reps, parallelism=parallelism, seed=10 * reps + i, allocation=alloc)
+        for reps in (1, 2, 5)
+        for i, alloc in enumerate((Allocation.DIRECT, Allocation.BALANCE))
+    ]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 8])
+def test_collect_plans_equals_collecting_each_plan(parallelism):
+    # 6 plans: 2 and 3 workers run each plan as one shard; 8 workers cut
+    # each plan in two, more shards than a 1-replication plan has trials
+    reference = [collect_with_lambda(plan) for plan in _mixed_grid(1)]
+    assert collect_plans(_mixed_grid(parallelism)) == reference
+
+
+class _InlinePool:
+    """Stands in for a process pool: records its size and the size of
+    each shard it is handed, and runs the shards in this process."""
+
+    def __init__(self, processes):
+        self.processes = processes
+        self.shard_sizes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, shards):
+        self.shard_sizes = [len(shard) for shard in shards]
+        return map(fn, shards)
+
+
+@pytest.mark.parametrize("plans, pools", [
+    # one worker: no pool
+    (_mixed_grid(1), []),
+    # one plan splits into `parallelism` shards
+    ([_plan(reps=7, parallelism=3)], [(3, [3, 2, 2])]),
+    # at least as many plans as workers: one pool, one shard per plan
+    (_mixed_grid(2), [(2, [1, 1, 2, 2, 5, 5])]),
+    # fewer plans than workers: ceil(8 / 6) = 2 shards per plan at most
+    (_mixed_grid(8), [(8, [1, 1, 1, 1, 1, 1, 3, 2, 3, 2])]),
+])
+def test_a_grid_opens_at_most_one_pool(monkeypatch, plans, pools):
+    opened = []
+
+    def pool(processes):
+        opened.append(_InlinePool(processes))
+        return opened[-1]
+
+    monkeypatch.setattr(harness, "multiprocessing", types.SimpleNamespace(Pool=pool))
+    rows = aggregate_grid(plans)
+    assert [(p.processes, p.shard_sizes) for p in opened] == pools
+    assert rows == [labeled_summary(plan, collect(replace(plan, parallelism=1)))
+                    for plan in plans]
+
+
+def test_collect_plans_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="nonempty"):
+        collect_plans([])
+
+
+def test_pooled_grid_failure_names_the_first_failing_seed(monkeypatch):
+    # each balance plan is one shard that fails the clip budget check;
+    # the error names the first of them in plan order
+    monkeypatch.setattr(engine, "clip_bound", lambda mech, n: 0.0)
+    clipped = dict(allocation=Allocation.BALANCE, mechanism=UpdateMechanism.clipped())
+    plans = [
+        _plan(reps=3, seed=4, parallelism=2),
+        _plan(reps=3, seed=5, parallelism=2, **clipped),
+        _plan(reps=3, seed=6, parallelism=2, **clipped),
+    ]
+    with pytest.raises(
+        RuntimeError,
+        match=f"replication failed at seed {split_seed(5, 0)}: clipped updates exceeded",
+    ):
+        collect_plans(plans)
 
 
 def test_summarize_moment_identities():

@@ -51,8 +51,8 @@ class UpdateMechanism:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, MechanismKind):
             object.__setattr__(self, "kind", MechanismKind(self.kind))
-        if not self.clip_c0 > 0.0:
-            raise ValueError("clip_c0 must be > 0")
+        if not (self.clip_c0 > 0.0 and math.isfinite(self.clip_c0)):
+            raise ValueError("clip_c0 must be finite and > 0")
         if not 0.0 < self.clip_exponent <= 1.0:
             raise ValueError("clip_exponent must lie in (0, 1]")
 

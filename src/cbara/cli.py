@@ -185,8 +185,14 @@ def validate_spec(spec: RunSpec) -> None:
         raise ValueError("oracle_m must be >= 1")
     if spec.noise_sd < 0:
         raise ValueError("noise_sd must be >= 0")
-    if not spec.sizes or not spec.scenarios or not spec.families or not spec.weightings:
-        raise ValueError("grid axes must be nonempty")
+    for axis in ("sizes", "scenarios", "families", "weightings"):
+        values = getattr(spec, axis)
+        if not values:
+            raise ValueError("grid axes must be nonempty")
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                name = getattr(value, "value", value)
+                raise ValueError(f"{axis} repeats {name}: each grid cell must be distinct")
     # clip knob validation via a throwaway mechanism
     UpdateMechanism.clipped(spec.clip_c0, spec.clip_exponent)
 

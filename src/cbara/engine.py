@@ -8,14 +8,23 @@ by the targeted ratio (optionally imbalance-corrected), and pushes the
 feature and scalar imbalance increments.
 
 There are two paths. run_trial plays one trial with scalar per-step
-bookkeeping; it is the reference. run_lockstep plays the R replications
-of one plan together, one step at a time, with the state held as (R,),
-(R, 4), (R, 6) and (R, 6, 6) arrays. Every formula is evaluated
-elementwise in run_trial's order, so its results, step log included,
-equal run_trial's bit for bit. It costs more than run_trial for one
-replication and less per replication for several, so the harness sends
-shards of two or more replications to it and a single replication to
-run_trial.
+bookkeeping; it is the reference. run_lockstep plays R trials together,
+one step at a time, with the state held as (R,), (R, 4), (R, 6) and
+(R, 6, 6) arrays. Every formula is evaluated elementwise in run_trial's
+order, so its results, step log included, equal run_trial's bit for
+bit. It costs more than run_trial for one trial and less per trial for
+several, so the harness sends shards of two or more trials to it and a
+single trial to run_trial.
+
+A lockstep batch may hold any configs that share a step schedule
+(step_schedule): the same n_units, burn_in, response_delay,
+frozen_theta, keep_log and fitted columns (active_columns of the
+scenario, so DiscreteTest runs apart from A and B). Everything else is
+per row: seed, scenario (outcome noise included), policy (family,
+clamps, c_lambda, g_floor), weighting, update mechanism and
+allocation. A knob the rows share stays a scalar and a mechanism the
+rows share takes one call per step, so a batch whose rows differ only
+in seed pays nothing for what rows may vary.
 
 Both paths write the step log as one StepLog of columns, built once
 when the trial ends.
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -35,6 +44,7 @@ from .datagen import Scenario, draw_unit_arrays
 from .estimator import FitAccumulator, FitStack, Weighting, active_columns
 from .policy import (
     ModelCoefficients,
+    PolicyRows,
     TargetPolicy,
     ZERO_COEFFS,
     _allocation_prob_raw,
@@ -43,6 +53,7 @@ from .policy import (
     derive_constants,
     derive_constants_rows,
     increment_scale,
+    row_groups,
     sum_columns,
     target_ratio_from_x1,
     target_ratio_rows,
@@ -140,6 +151,18 @@ class StepLog:
 # a logged step as one row, in StepLog's field order: x1, x2, x3, rho,
 # g, t, y, zstar, lam (4), psi, theta (6)
 _LOG_WIDTH = 19
+
+
+def step_schedule(cfg: TrialConfig) -> tuple:
+    """What every config of one run_lockstep batch must share."""
+    return (
+        cfg.n_units,
+        cfg.burn_in,
+        cfg.response_delay,
+        cfg.frozen_theta,
+        cfg.keep_log,
+        active_columns(cfg.scenario),
+    )
 
 
 def _step_log(rows: np.ndarray) -> StepLog:
@@ -356,27 +379,55 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     )
 
 
-def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
-    """Play out the replications of one plan together, one step at a time.
+def _next_theta_rows(mechs, n: int, prev: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """next_theta_rows with each row under its own mechanism, one call
+    per mechanism; mechs is row_groups of the rows' mechanisms."""
+    if len(mechs) == 1:
+        return next_theta_rows(mechs[0][0], n, prev, eta)
+    new = np.empty_like(prev)
+    for mech, rows in mechs:
+        new[rows] = next_theta_rows(mech, n, prev[rows], eta[rows])
+    return new
 
-    The configs must differ only in seed. Replication r keeps its own
-    generator, consumed as in run_trial (a block of units, then one
-    uniform per unit), and every formula is evaluated elementwise in
-    run_trial's order, so result r has the summary fields of
-    run_trial(configs[r]) bit for bit, step log included.
+
+def _clip_budgets(clips, n: int, reps: int):
+    """clip_bound at step count n for each clipped row: a float when one
+    mechanism covers every row, else (R,) with 0 where a row does not
+    clip; clips is row_groups of the rows' mechanisms, clipped ones
+    only."""
+    if clips[0][1] is None:
+        return clip_bound(clips[0][0], n)
+    budget = np.zeros(reps)
+    for mech, rows in clips:
+        budget[rows] = clip_bound(mech, n)
+    return budget
+
+
+def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
+    """Play out trials that share a step schedule together, one step at
+    a time.
+
+    Row r keeps its own generator, consumed as in run_trial (a block of
+    units, then one uniform per unit), and its own scenario, policy,
+    weighting, mechanism and allocation; every formula is evaluated
+    elementwise in run_trial's order, so result r has the summary
+    fields of run_trial(configs[r]) bit for bit, step log included.
     """
     if not configs:
         raise ValueError("configs must be nonempty")
     cfg = configs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in configs):
-        raise ValueError("lockstep configs must differ only in seed")
+    schedule = step_schedule(cfg)
+    if any(step_schedule(c) != schedule for c in configs):
+        raise ValueError("lockstep configs must share a step schedule")
     reps = len(configs)
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    pol = cfg.policy
-    mech = cfg.mechanism
-    scenario = cfg.scenario
-    balance = cfg.allocation is Allocation.BALANCE
-    clipped = mech.kind is MechanismKind.CLIPPED
+    pol = PolicyRows.of([c.policy for c in configs])
+    mechs = row_groups([c.mechanism for c in configs])
+    clips = [(m, rows) for m, rows in mechs if m.kind is MechanismKind.CLIPPED]
+    clipped = np.array([c.mechanism.kind is MechanismKind.CLIPPED for c in configs])
+    every_clipped = clipped.all()
+    balance = np.array([c.allocation is Allocation.BALANCE for c in configs])
+    any_balance, every_balance = balance.any(), balance.all()
     frozen = cfg.frozen_theta is not None
     keep_log = cfg.keep_log
     burn = cfg.burn_in
@@ -389,7 +440,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     theta0 = cfg.frozen_theta if frozen else ZERO_COEFFS
     theta = np.tile(theta0.as_array(), (reps, 1))
     p_theta, c_theta = derive_constants_rows(pol, theta)
-    acc = FitStack(reps, cfg.weighting, active_columns(scenario))
+    acc = FitStack([c.weighting for c in configs], active_columns(cfg.scenario))
     pending: list[tuple[np.ndarray, ...]] = [()] * min(lag, n_units)
 
     lam = np.zeros((reps, 4))
@@ -412,8 +463,8 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
         # (bn, reps) per quantity, so that step k reads row k; a fresh
         # buffer per block, since pending rows keep views into it
         draws = np.empty((7, bn, reps))
-        for r, rng in enumerate(rngs):
-            draws[:6, :, r] = draw_unit_arrays(scenario, bn, rng)
+        for r, (c, rng) in enumerate(zip(configs, rngs)):
+            draws[:6, :, r] = draw_unit_arrays(c.scenario, bn, rng)
             draws[6, :, r] = rng.random(bn)
         ax1, ax2, ax3, ay1, ay0, az, au = draws
         aphi = np.stack((np.ones_like(ax1), ax1, ax2, ax3), axis=2)
@@ -429,30 +480,33 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                     n_fit_steps += both
                     # a trial without a fit keeps eta = theta, so it does not move
                     ok, eta = acc.fit(both, theta)
-                    new = next_theta_rows(mech, acc.n, theta, eta)
+                    new = _next_theta_rows(mechs, acc.n, theta, eta)
                     step = new - theta
                     move = np.sqrt(sum_columns(step * step))
                     theta_move_sum += move
                     went = move > 0.0
                     if went.any():
                         theta = np.where(went[:, None], new, theta)
-                        if balance:
+                        if any_balance:
                             p_theta, c_theta = derive_constants_rows(pol, theta)
                         norm = np.sqrt(sum_columns(theta * theta))
                         theta_max_norm = np.maximum(theta_max_norm, norm)
-                    if clipped:
-                        budget = clip_bound(mech, acc.n)
-                        clip_bound_sum += np.where(ok, budget, 0.0)
+                    if clips:
+                        budget = _clip_budgets(clips, acc.n, reps)
+                        live = ok if every_clipped else ok & clipped
+                        clip_bound_sum += np.where(live, budget, 0.0)
                         clip_step_excess = np.where(
-                            ok, np.maximum(clip_step_excess, move - budget), clip_step_excess
+                            live, np.maximum(clip_step_excess, move - budget), clip_step_excess
                         )
 
             if not frozen and i < burn:
                 rho = g = half
             else:
                 rho = target_ratio_rows(pol, theta, x1)
-                if balance:
+                if any_balance:
                     g = allocation_prob_rows(pol, rho, p_theta, c_theta, aphi[k], lam)
+                    if not every_balance:
+                        g = np.where(balance, g, rho)
                 else:
                     g = rho
 
@@ -486,7 +540,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     for r in range(reps):
         move_sum = float(theta_move_sum[r])
         bound_sum = float(clip_bound_sum[r])
-        if clipped and move_sum > bound_sum + 1e-9:
+        if clipped[r] and move_sum > bound_sum + 1e-9:
             raise RuntimeError(
                 "clipped updates exceeded their cumulative budget: "
                 f"{move_sum} > {bound_sum}"

@@ -8,13 +8,19 @@ other tools can regenerate any replication's stream exactly.
 
 collect_plans is the one scheduler. It opens at most one process pool
 per call, with as many workers as the largest `parallelism` among its
-plans (`workers`), and none when there is one worker or one shard. Each
-plan is cut into ceil(workers / number of plans) contiguous shards: a
-single plan splits into `parallelism` shards, and a grid with at least
-as many plans as workers runs each plan as one shard. A shard of
+plans (`workers`), and none when there is one worker or one shard. It
+groups the plans by step schedule (engine.step_schedule), lines up each
+group's replications in plan order, then replication order, and cuts
+that line into `workers` contiguous shards whose sizes differ by at
+most one, or into more when a shard would exceed SHARD_MAX rows. A
+single plan therefore splits into `parallelism` shards, and a grid
+whose cells share one schedule, as a `cbara table1` grid of one size
+does, runs as `workers` shards that each mix many plans. A shard of
 several replications runs through engine.run_lockstep and a shard of
 one through engine.run_trial; both give the same statistics bit for
-bit, so neither the split nor the shard size changes any result.
+bit, so neither the split nor the shard size changes any result. A
+lockstep row holds about 28 KB of state at its peak (mostly a 256-unit
+block of draws), so a shard of SHARD_MAX rows needs about 56 MB.
 
 Aggregation sums per-replication statistics with math.fsum, which is
 exactly rounded and therefore independent of completion order; together
@@ -26,10 +32,12 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .datagen import true_ate
-from .engine import TrialConfig, TrialResult, run_lockstep, run_trial
+from .engine import TrialConfig, TrialResult, run_lockstep, run_trial, step_schedule
+
+SHARD_MAX = 2000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -127,41 +135,48 @@ def _stats_of(result: TrialResult) -> TrialStats:
 Lambda = tuple[float, float, float, float]
 
 
-def _replicate(cfg: TrialConfig) -> tuple[TrialStats, Lambda]:
-    try:
-        result = run_trial(cfg)
-    except Exception as exc:
-        raise RuntimeError(f"replication failed at seed {cfg.seed}: {exc}") from exc
-    return _stats_of(result), result.final_imbalance.lam
+class _Failure(NamedTuple):
+    """A shard's first replication to fail on its own, by position in
+    the shard, and the message naming it."""
+
+    index: int
+    message: str
 
 
-def _run_shard(configs: list[TrialConfig]) -> list[tuple[TrialStats, Lambda]]:
-    """Run a contiguous shard of a plan's replications, in order.
+def _run_shard(
+    configs: list[TrialConfig],
+) -> Union[list[tuple[TrialStats, Lambda]], _Failure]:
+    """Run a contiguous shard of replications, in order, or say which
+    one failed first.
 
     A failed lockstep run does not say which replication failed, so the
-    shard is then rerun trial by trial, and the error names the seed of
-    the first replication that fails on its own.
+    shard is then rerun trial by trial, and the failure names the seed
+    of the first replication that fails on its own.
     """
-    if len(configs) == 1:
-        return [_replicate(configs[0])]
     try:
-        results = run_lockstep(configs)
+        results = run_lockstep(configs) if len(configs) > 1 else [run_trial(configs[0])]
     except Exception as exc:
-        for cfg in configs:
-            _replicate(cfg)
-        raise RuntimeError(
+        if len(configs) == 1:
+            return _Failure(0, f"replication failed at seed {configs[0].seed}: {exc}")
+        for index, cfg in enumerate(configs):
+            try:
+                run_trial(cfg)
+            except Exception as alone:
+                return _Failure(index, f"replication failed at seed {cfg.seed}: {alone}")
+        return _Failure(
+            0,
             f"replications at seeds {configs[0].seed}..{configs[-1].seed} "
-            f"failed together but each runs alone: {exc}"
-        ) from exc
+            f"failed together but each runs alone: {exc}",
+        )
     return [(_stats_of(r), r.final_imbalance.lam) for r in results]
 
 
-def _shards(configs: list[TrialConfig], parallelism: int) -> list[list[TrialConfig]]:
-    """At most `parallelism` contiguous shards whose sizes differ by at most one."""
-    count = min(parallelism, len(configs))
-    size, extra = divmod(len(configs), count)
+def _shards(items: list, count: int) -> list[list]:
+    """At most `count` contiguous shards whose sizes differ by at most one."""
+    count = min(count, len(items))
+    size, extra = divmod(len(items), count)
     bounds = [k * size + min(k, extra) for k in range(count + 1)]
-    return [configs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def replication_configs(plan: ReplicationPlan) -> list[TrialConfig]:
@@ -190,28 +205,42 @@ def collect_plans(
     """Run every plan's replications and return, per plan in input
     order, the statistics and final Lambda_N of each replication in
     replication order. The shards of all plans share one process pool
-    (see the module docstring); results are joined in plan order, then
-    replication order, so the output is identical at any parallelism
-    level. A failure names the seed of the first failing replication
-    in that order."""
+    (see the module docstring), and the output is identical at any
+    parallelism level. A failure names the seed of the first failing
+    replication in plan order, then replication order."""
     if not plans:
         raise ValueError("plans must be nonempty")
     workers = max(plan.parallelism for plan in plans)
-    per_plan = math.ceil(workers / len(plans))
-    shards = [_shards(replication_configs(plan), per_plan) for plan in plans]
-    tasks = [shard for plan_shards in shards for shard in plan_shards]
+    runs = [replication_configs(plan) for plan in plans]
+    # (plan, replication) positions, per step schedule
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for p, configs in enumerate(runs):
+        groups.setdefault(step_schedule(configs[0]), []).extend(
+            (p, k) for k in range(len(configs))
+        )
+    shards = [
+        shard
+        for group in groups.values()
+        for shard in _shards(group, max(workers, math.ceil(len(group) / SHARD_MAX)))
+    ]
+    tasks = [[runs[p][k] for p, k in shard] for shard in shards]
     if workers == 1 or len(tasks) == 1:
         parts = [_run_shard(task) for task in tasks]
     else:
         with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-            # imap yields in task order, so the first failure raised is
-            # the first in plan order whichever worker finishes first
             parts = list(pool.imap(_run_shard, tasks))
-    out = []
-    done = iter(parts)
-    for plan_shards in shards:
-        pairs = [pair for _ in plan_shards for pair in next(done)]
-        out.append(([s for s, _ in pairs], [lam for _, lam in pairs]))
+    failures = [
+        (shard[part.index], part.message)
+        for shard, part in zip(shards, parts)
+        if isinstance(part, _Failure)
+    ]
+    if failures:
+        raise RuntimeError(min(failures)[1])
+    out = [([None] * len(configs), [None] * len(configs)) for configs in runs]
+    for shard, part in zip(shards, parts):
+        for (p, k), (stats, lam) in zip(shard, part):
+            out[p][0][k] = stats
+            out[p][1][k] = lam
     return out
 
 

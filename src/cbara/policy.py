@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Hashable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,8 +79,8 @@ class TargetPolicy:
             raise ValueError("need 0 < clamp_lo <= 0.5 <= clamp_hi < 1")
         if abs(self.clamp_lo + self.clamp_hi - 1.0) > 1e-12:
             raise ValueError("asymmetric clamp: clamp_lo + clamp_hi must equal 1")
-        if not self.c_lambda > 0.0:
-            raise ValueError("c_lambda must be > 0")
+        if not (self.c_lambda > 0.0 and math.isfinite(self.c_lambda)):
+            raise ValueError("c_lambda must be finite and > 0")
         if not (0.0 < self.g_floor < self.clamp_lo):
             raise ValueError("need 0 < g_floor < clamp_lo")
 
@@ -119,13 +120,88 @@ def sum_columns(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _link_rows(policy: TargetPolicy, delta: np.ndarray) -> np.ndarray:
-    """_link at each entry of delta, one libm call per entry, so every
-    value has the scalar link's bits."""
-    return np.array([_link(policy, d) for d in delta.tolist()])
+Column = Union[float, np.ndarray]
 
 
-def target_ratio_rows(policy: TargetPolicy, theta: np.ndarray, x1: np.ndarray) -> np.ndarray:
+def row_column(values: Sequence) -> Union[float, bool, np.ndarray]:
+    """values[0] when every entry equals it, else the entries as an
+    array: a knob that rows share stays a scalar, so a uniform batch
+    pays nothing for rows that could differ."""
+    first = values[0]
+    return first if all(v == first for v in values) else np.array(values)
+
+
+def row_groups(keys: Sequence[Hashable]) -> list[tuple[Hashable, Optional[np.ndarray]]]:
+    """(key, rows) for each distinct key, in order of first appearance;
+    rows indexes the entries holding the key, or is None when every
+    entry does."""
+    groups: dict[Hashable, list[int]] = {}
+    for r, key in enumerate(keys):
+        groups.setdefault(key, []).append(r)
+    if len(groups) == 1:
+        return [(keys[0], None)]
+    return [(key, np.array(rows)) for key, rows in groups.items()]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PolicyRows:
+    """The policies of R rows, as the *_rows functions read them.
+
+    links holds (family, rows, clamp_lo, clamp_hi) for each family
+    present, rows as in row_groups. c_lambda, g_floor and each family's
+    clamps are columns in the sense of row_column: a float when the
+    rows share it, else one entry per row (per row of the family, for
+    the clamps).
+    """
+
+    links: tuple[tuple[Family, Optional[np.ndarray], Column, Column], ...]
+    c_lambda: Column
+    g_floor: Column
+
+    @classmethod
+    def of(cls, policies: Sequence[TargetPolicy]) -> "PolicyRows":
+        links = []
+        for family, rows in row_groups([p.family for p in policies]):
+            own = policies if rows is None else [policies[r] for r in rows.tolist()]
+            lo = row_column([p.clamp_lo for p in own])
+            hi = row_column([p.clamp_hi for p in own])
+            links.append((family, rows, lo, hi))
+        return cls(
+            tuple(links),
+            row_column([p.c_lambda for p in policies]),
+            row_column([p.g_floor for p in policies]),
+        )
+
+
+def _family_link(family: Family, delta: np.ndarray, lo: Column, hi: Column) -> np.ndarray:
+    """_link of one family at each entry of delta. The clamps and
+    1 / (1 + e) run in numpy; only exp and erf need libm's bits, so
+    they are called once per entry, and every value equals _link's."""
+    if family is Family.CRD:
+        return np.full(len(delta), 0.5)
+    if family is Family.LOGISTIC:
+        # d / -2.0 is -d / 2.0 bit for bit: negation is exact
+        u = np.minimum(np.maximum(delta / -2.0, -_EXP_ARG_MAX), _EXP_ARG_MAX)
+        raw = 1.0 / (1.0 + np.array(list(map(math.exp, u.tolist()))))
+    else:  # probit
+        u = np.minimum(np.maximum(delta / 3.0, -_EXP_ARG_MAX), _EXP_ARG_MAX) / _SQRT2
+        raw = 0.5 * (1.0 + np.array(list(map(math.erf, u.tolist()))))
+    return np.minimum(np.maximum(raw, lo), hi)
+
+
+def _link_rows(policy: PolicyRows, delta: np.ndarray) -> np.ndarray:
+    """_link of row r's policy at delta[r], for every row."""
+    if len(policy.links) == 1:
+        family, _, lo, hi = policy.links[0]
+        return _family_link(family, delta, lo, hi)
+    out = np.full(len(delta), 0.5)  # the crd rows
+    for family, rows, lo, hi in policy.links:
+        if family is not Family.CRD:
+            out[rows] = _family_link(family, delta[rows], lo, hi)
+    return out
+
+
+def target_ratio_rows(policy: PolicyRows, theta: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """target_ratio_from_x1 for row r of theta (R, 6) at x1[r]."""
     delta = (theta[:, 0] - theta[:, 2]) + x1 * (theta[:, 1] - theta[:, 3])
     return _link_rows(policy, delta)
@@ -159,7 +235,7 @@ def derive_constants(
 
 
 def derive_constants_rows(
-    policy: TargetPolicy, theta: np.ndarray
+    policy: PolicyRows, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(p_theta, c_theta) of derive_constants for each row of theta (R, 6)."""
     delta_max = np.abs(theta[:, 0] - theta[:, 2]) + np.abs(theta[:, 1] - theta[:, 3])
@@ -191,7 +267,7 @@ def clamp_allocation(raw: float, g_floor: float) -> float:
 
 
 def allocation_prob_rows(
-    policy: TargetPolicy,
+    policy: Union[PolicyRows, TargetPolicy],
     rho: np.ndarray,
     p_theta: np.ndarray,
     c_theta: np.ndarray,
@@ -201,7 +277,8 @@ def allocation_prob_rows(
     """Clamped allocation probability for R rows at once: row r is
     clamp_allocation(_allocation_prob_raw(...)) of rho[r], p_theta[r],
     c_theta[r], phi[r] and lam[r] (phi and lam are (R, 4)), with every
-    sum taken left to right as there."""
+    sum taken left to right as there. Only policy's c_lambda and g_floor
+    are read, so one TargetPolicy may stand for every row."""
     dot = sum_columns(phi * lam)
     phi_norm = np.sqrt(sum_columns(phi * phi))
     lam_norm = np.sqrt(sum_columns(lam * lam))

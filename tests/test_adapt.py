@@ -69,6 +69,9 @@ def test_mechanism_validation():
     with pytest.raises(ValueError):
         UpdateMechanism.clipped(1.0, 1.2)
     UpdateMechanism.clipped(1.0, 1.0)  # closed right endpoint
+    for c0 in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="clip_c0 must be finite"):
+            UpdateMechanism.clipped(c0, 0.5)
 
 
 coeff_st = st.builds(ModelCoefficients, *[st.floats(-20, 20) for _ in range(6)])

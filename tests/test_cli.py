@@ -333,6 +333,40 @@ def test_cli_rejects_bad_config(tmp_path):
     assert "nonsense" in proc.stderr
 
 
+@pytest.mark.parametrize("line, message", [
+    ("sizes = 60, 80, 60", "sizes repeats 60"),
+    ("scenarios = A, B, A", "scenarios repeats A"),
+    ("families = crd, crd", "families repeats crd"),
+    ("weightings = weighted, unweighted, unweighted", "weightings repeats unweighted"),
+])
+def test_repeated_grid_value_is_rejected_before_any_trial(monkeypatch, tmp_path, capsys,
+                                                          line, message):
+    def no_trials(plans):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("cbara.cli.aggregate_grid", no_trials)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"reps = 2\n{line}\n")
+    assert main(["table1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cbara-error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("c_lambda = inf", "c_lambda must be finite"),
+    ("clip_c0 = inf", "clip_c0 must be finite"),
+])
+def test_cli_rejects_a_nonfinite_knob(tmp_path, line, message):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"reps = 2\nsizes = 60\nfamilies = crd\n{line}\n")
+    proc = _run_cli(["table1", "--config", str(cfg)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"cbara-error: {message}")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_main_returns_exit_code(tmp_path, capsys):
     cfg = tmp_path / "r.cfg"
     cfg.write_text("reps = 0\n")

@@ -16,7 +16,10 @@ from cbara.harness import split_seed
 from cbara.policy import (
     Family,
     ModelCoefficients,
+    PolicyRows,
     TargetPolicy,
+    _link,
+    _link_rows,
     allocation_prob,
     imbalance_increment,
     target_ratio,
@@ -252,9 +255,63 @@ def test_lockstep_equals_run_trial_in_special_cases(kw):
         _assert_lockstep_is_run_trial(_cfg(**{"n_units": 120, **kw}, allocation=allocation))
 
 
+def test_lockstep_equals_run_trial_in_a_mixed_batch():
+    # one row per family x mechanism x allocation x scenario x weighting
+    cfgs = [
+        _cfg(
+            n_units=70,
+            policy=TargetPolicy(family=family),
+            mechanism=mechanism,
+            allocation=allocation,
+            scenario=Scenario(scenario),
+            weighting=weighting,
+            seed=split_seed(7, k),
+        )
+        for k, (family, mechanism, allocation, scenario, weighting) in enumerate(
+            itertools.product(
+                Family, _MECHANISMS.values(), Allocation, (ScenarioId.A, ScenarioId.B), Weighting
+            )
+        )
+    ]
+    assert len(cfgs) == 72
+    _assert_same_results(run_lockstep(cfgs), [run_trial(c) for c in cfgs])
+
+
 def test_lockstep_rejects_configs_of_different_plans():
-    with pytest.raises(ValueError, match="differ only in seed"):
-        run_lockstep([_cfg(), _cfg(n_units=170, seed=5)])
+    # configs of different plans share a batch only on one step schedule
+    base = _cfg()
+    for field, other in [
+        ("n_units", 170),
+        ("burn_in", 21),
+        ("response_delay", 1),
+        ("frozen_theta", _TRUTH_A),
+        ("keep_log", False),
+        # DiscreteTest fits four columns, A all six
+        ("scenario", Scenario(ScenarioId.DISCRETE)),
+    ]:
+        with pytest.raises(ValueError, match="share a step schedule"):
+            run_lockstep([base, replace(base, seed=5, **{field: other})])
+    run_lockstep([base, replace(base, seed=5, scenario=Scenario(ScenarioId.B, 1.0))])
+
+
+@pytest.mark.parametrize("clamp_lo", [0.2, 0.5])
+@pytest.mark.parametrize("family", list(Family))
+def test_link_rows_is_the_scalar_link(family, clamp_lo):
+    rng = np.random.default_rng(3)
+    # both saturations, signed zeros and a spread around the clamps
+    delta = np.concatenate(
+        (rng.normal(0.0, 3.0, 5000), rng.normal(0.0, 200.0, 500), [0.0, -0.0, 1e300, -1e300])
+    )
+    policy = TargetPolicy(family=family, clamp_lo=clamp_lo, clamp_hi=1.0 - clamp_lo,
+                          g_floor=clamp_lo / 2)
+    want = np.array([_link(policy, d) for d in delta.tolist()])
+    assert _link_rows(PolicyRows.of([policy] * len(delta)), delta).tobytes() == want.tobytes()
+    # the same rows mixed with the other families and the other clamps
+    others = [TargetPolicy(family=f, clamp_lo=lo, clamp_hi=1.0 - lo)
+              for f in Family for lo in (0.2, 0.3)]
+    policies = [policy if r % 2 else others[r % len(others)] for r in range(len(delta))]
+    want = np.array([_link(p, d) for p, d in zip(policies, delta.tolist())])
+    assert _link_rows(PolicyRows.of(policies), delta).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -328,3 +385,33 @@ def test_trial_properties_over_valid_configs(cfg):
         assert np.isfinite(result.log.lam).all()
         assert math.isfinite(result.final_imbalance.psi)
         assert result.clip_step_excess <= 1e-12
+
+
+@st.composite
+def batches_of_one_schedule(draw):
+    """2-4 valid configs that share a step schedule and differ in
+    everything else."""
+    first = draw(trial_configs())
+    discrete = first.scenario.id is ScenarioId.DISCRETE
+    ids = [ScenarioId.DISCRETE] if discrete else [ScenarioId.A, ScenarioId.B]
+    rows = [first]
+    for _ in range(draw(st.integers(1, 3))):
+        other = draw(trial_configs())
+        rows.append(
+            replace(
+                other,
+                n_units=first.n_units,
+                burn_in=first.burn_in,
+                response_delay=first.response_delay,
+                frozen_theta=first.frozen_theta,
+                keep_log=first.keep_log,
+                scenario=Scenario(draw(st.sampled_from(ids)), other.scenario.outcome_noise_sd),
+            )
+        )
+    return rows
+
+
+@settings(max_examples=40)
+@given(batches_of_one_schedule())
+def test_lockstep_equals_run_trial_on_any_shared_schedule(cfgs):
+    _assert_same_results(run_lockstep(cfgs), [run_trial(c) for c in cfgs])

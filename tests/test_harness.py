@@ -115,8 +115,8 @@ def _mixed_grid(parallelism):
 
 @pytest.mark.parametrize("parallelism", [1, 2, 3, 8])
 def test_collect_plans_equals_collecting_each_plan(parallelism):
-    # 6 plans: 2 and 3 workers run each plan as one shard; 8 workers cut
-    # each plan in two, more shards than a 1-replication plan has trials
+    # 6 plans, 16 replications on one schedule: shards cut across plan
+    # boundaries, and at 8 workers a shard holds two replications
     reference = [collect_with_lambda(plan) for plan in _mixed_grid(1)]
     assert collect_plans(_mixed_grid(parallelism)) == reference
 
@@ -140,17 +140,8 @@ class _InlinePool:
         return map(fn, shards)
 
 
-@pytest.mark.parametrize("plans, pools", [
-    # one worker: no pool
-    (_mixed_grid(1), []),
-    # one plan splits into `parallelism` shards
-    ([_plan(reps=7, parallelism=3)], [(3, [3, 2, 2])]),
-    # at least as many plans as workers: one pool, one shard per plan
-    (_mixed_grid(2), [(2, [1, 1, 2, 2, 5, 5])]),
-    # fewer plans than workers: ceil(8 / 6) = 2 shards per plan at most
-    (_mixed_grid(8), [(8, [1, 1, 1, 1, 1, 1, 3, 2, 3, 2])]),
-])
-def test_a_grid_opens_at_most_one_pool(monkeypatch, plans, pools):
+def _open_pools(monkeypatch):
+    """The stand-in pools collect_plans opens, in order."""
     opened = []
 
     def pool(processes):
@@ -158,10 +149,61 @@ def test_a_grid_opens_at_most_one_pool(monkeypatch, plans, pools):
         return opened[-1]
 
     monkeypatch.setattr(harness, "multiprocessing", types.SimpleNamespace(Pool=pool))
+    return opened
+
+
+@pytest.mark.parametrize("plans, pools", [
+    # one worker: no pool
+    (_mixed_grid(1), []),
+    # one plan splits into `parallelism` shards
+    ([_plan(reps=7, parallelism=3)], [(3, [3, 2, 2])]),
+    # the grid shares one schedule: its 16 replications in `workers` shards
+    (_mixed_grid(2), [(2, [8, 8])]),
+    (_mixed_grid(8), [(8, [2, 2, 2, 2, 2, 2, 2, 2])]),
+])
+def test_a_grid_opens_at_most_one_pool(monkeypatch, plans, pools):
+    opened = _open_pools(monkeypatch)
     rows = aggregate_grid(plans)
     assert [(p.processes, p.shard_sizes) for p in opened] == pools
     assert rows == [labeled_summary(plan, collect(replace(plan, parallelism=1)))
                     for plan in plans]
+
+
+def _two_schedule_grid(parallelism):
+    # sizes 60, 80 x scenarios A, DiscreteTest x both allocations: four
+    # step schedules, since DiscreteTest fits fewer columns than A
+    return [
+        _plan(reps=3 + i % 3, parallelism=parallelism, seed=i, n_units=size,
+              scenario=Scenario(scenario), allocation=alloc,
+              policy=TargetPolicy(family=Family.LOGISTIC),
+              mechanism=UpdateMechanism.clipped() if alloc is Allocation.BALANCE
+              else UpdateMechanism.direct())
+        for i, (size, scenario, alloc) in enumerate(
+            (size, scenario, alloc)
+            for size in (60, 80)
+            for scenario in (ScenarioId.A, ScenarioId.DISCRETE)
+            for alloc in Allocation
+        )
+    ]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 8])
+def test_collect_plans_on_several_schedules_equals_each_plan(parallelism):
+    reference = [collect_with_lambda(plan) for plan in _two_schedule_grid(1)]
+    assert collect_plans(_two_schedule_grid(parallelism)) == reference
+
+
+def test_shards_stop_at_the_row_cap(monkeypatch):
+    # 16 replications on one schedule at 2 workers: ceil(16 / 5) = 4
+    # shards of at most 5 rows instead of 2 of 8
+    reference = collect_plans(_mixed_grid(1))
+    monkeypatch.setattr(harness, "SHARD_MAX", 5)
+    opened = _open_pools(monkeypatch)
+    assert collect_plans(_mixed_grid(2)) == reference
+    assert [(p.processes, p.shard_sizes) for p in opened] == [(2, [4, 4, 4, 4])]
+    # one worker runs the capped shards in this process
+    assert collect_plans(_mixed_grid(1)) == reference
+    assert len(opened) == 1
 
 
 def test_collect_plans_rejects_an_empty_grid():
@@ -170,8 +212,8 @@ def test_collect_plans_rejects_an_empty_grid():
 
 
 def test_pooled_grid_failure_names_the_first_failing_seed(monkeypatch):
-    # each balance plan is one shard that fails the clip budget check;
-    # the error names the first of them in plan order
+    # the 9 replications run as two pooled shards of 5 and 4, each with
+    # a failing balance plan; the error names the first in plan order
     monkeypatch.setattr(engine, "clip_bound", lambda mech, n: 0.0)
     clipped = dict(allocation=Allocation.BALANCE, mechanism=UpdateMechanism.clipped())
     plans = [
@@ -183,6 +225,28 @@ def test_pooled_grid_failure_names_the_first_failing_seed(monkeypatch):
         RuntimeError,
         match=f"replication failed at seed {split_seed(5, 0)}: clipped updates exceeded",
     ):
+        collect_plans(plans)
+
+
+def test_a_failing_plan_in_a_shared_shard_names_its_first_seed(monkeypatch):
+    # one worker: plans 0 and 2 share a schedule and one shard, plan 1
+    # (DiscreteTest) runs in a later shard; plans 1 and 2 fail, and the
+    # error names plan 1's first seed, the first failure in plan order
+    monkeypatch.setattr(engine, "clip_bound", lambda mech, n: 0.0)
+    clipped = dict(allocation=Allocation.BALANCE, mechanism=UpdateMechanism.clipped())
+    plans = [
+        _plan(reps=3, seed=4),
+        _plan(reps=3, seed=5, scenario=Scenario(ScenarioId.DISCRETE), **clipped),
+        _plan(reps=3, seed=6, **clipped),
+    ]
+    with pytest.raises(
+        RuntimeError,
+        match=f"replication failed at seed {split_seed(5, 0)}: clipped updates exceeded",
+    ):
+        collect_plans(plans)
+    # plan 1 alone passes: the shared shard names plan 2's first seed
+    plans[1] = _plan(reps=3, seed=5, scenario=Scenario(ScenarioId.DISCRETE))
+    with pytest.raises(RuntimeError, match=f"replication failed at seed {split_seed(6, 0)}: "):
         collect_plans(plans)
 
 
@@ -245,6 +309,22 @@ def test_failed_replication_names_its_seed(monkeypatch):
     monkeypatch.setattr(harness, "run_trial", exploding)
     with pytest.raises(RuntimeError, match=f"replication failed at seed {bad_seeds[0]}: "):
         collect(plan)
+
+
+def test_a_failing_single_trial_shard_runs_once(monkeypatch):
+    # a shard of one replication runs through run_trial, and its failure
+    # is named without rerunning the trial
+    calls = []
+
+    def exploding(cfg):
+        calls.append(cfg.seed)
+        raise ArithmeticError("numerical blowup")
+
+    monkeypatch.setattr(harness, "run_trial", exploding)
+    with pytest.raises(RuntimeError,
+                       match=f"replication failed at seed {split_seed(5, 0)}: numerical blowup"):
+        collect(_plan(reps=1, seed=5))
+    assert calls == [split_seed(5, 0)]
 
 
 def test_clip_budget_failure_names_the_first_seed(monkeypatch):

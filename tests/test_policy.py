@@ -75,6 +75,9 @@ def test_policy_validation():
         TargetPolicy(family=Family.CRD, g_floor=0.25)  # must stay below clamp_lo
     with pytest.raises(ValueError):
         TargetPolicy(family=Family.CRD, c_lambda=0.0)
+    for c_lambda in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="c_lambda must be finite"):
+            TargetPolicy(family=Family.CRD, c_lambda=c_lambda)
 
 
 def test_coefficients_validation_and_round_trip():

@@ -183,8 +183,7 @@ def validate_spec(spec: RunSpec) -> None:
         raise ValueError("seed must fit in 64 bits")
     if spec.oracle_m < 1:
         raise ValueError("oracle_m must be >= 1")
-    if spec.noise_sd < 0:
-        raise ValueError("noise_sd must be >= 0")
+    Scenario(spec.scenario, spec.noise_sd)  # noise sd checks live there
     for axis in ("sizes", "scenarios", "families", "weightings"):
         values = getattr(spec, axis)
         if not values:

@@ -7,6 +7,7 @@ three-point discrete variable and x2, x3 are bounded in [-1, 1].
 """
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -54,8 +55,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.id, ScenarioId):
             object.__setattr__(self, "id", ScenarioId(self.id))
-        if not self.outcome_noise_sd >= 0.0:
-            raise ValueError("outcome_noise_sd must be >= 0")
+        if not 0.0 <= self.outcome_noise_sd < math.inf:
+            raise ValueError(
+                f"outcome noise sd must be finite and >= 0, got {self.outcome_noise_sd}"
+            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -189,14 +189,8 @@ def replication_configs(plan: ReplicationPlan) -> list[TrialConfig]:
 
 def collect(plan: ReplicationPlan) -> list[TrialStats]:
     """Run every replication and return per-trial statistics in
-    replication order; see collect_with_lambda."""
-    return collect_with_lambda(plan)[0]
-
-
-def collect_with_lambda(plan: ReplicationPlan) -> tuple[list[TrialStats], list[Lambda]]:
-    """Run every replication and return its statistics and its final
-    feature imbalance vector Lambda_N, both in replication order."""
-    return collect_plans([plan])[0]
+    replication order; see collect_plans."""
+    return collect_plans([plan])[0][0]
 
 
 def collect_plans(

@@ -1,21 +1,14 @@
 """Acceptance gate: every criterion prints one PASS/FAIL line and must
 hold. The full battery runs once per session (a few minutes); see the
 package acceptance module for what each criterion measures."""
-import numpy as np
 import pytest
 
 import cbara.acceptance as acceptance
-from cbara.acceptance import (
-    _SEED,
-    CRITERION_NAMES,
-    CriterionResult,
-    _balance_split,
-    _config,
-    _Shared,
-    run_acceptance,
-)
-from cbara.engine import Allocation
+from cbara.acceptance import _SEED, CRITERION_NAMES, _run_table, run_acceptance
 from cbara.harness import split_seed
+from cbara.policy import ModelCoefficients
+
+_THETA = ModelCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -32,26 +25,47 @@ def test_criterion(results, name):
     assert res.passed, f"FAIL {res.name}: {res.detail}"
 
 
-def test_informational_split_stays_out_of_the_clip_audit():
-    # criterion 11's reading must not depend on whether criterion 7 failed
-    sh = _Shared()
-    sh.clip_trials, sh.max_clip_excess = 7, 1e-17
-    line = _balance_split(sh, 60, 4, np.zeros(4), 1.0)
-    assert line.startswith("informational N=60: N*mse=")
-    assert (sh.clip_trials, sh.max_clip_excess) == (7, 1e-17)
+class _Stop(Exception):
+    pass
 
 
 def test_base_seed_reaches_the_shared_runs(monkeypatch):
+    # the table's plans as handed to the scheduler, stopped before any runs
     seen = []
 
-    def record(sh):
-        seen.append(sh)
-        return CriterionResult(CRITERION_NAMES[0], True, "")
+    def record(plans):
+        seen.append([plan.base_seed for plan in plans])
+        raise _Stop
 
-    monkeypatch.setattr(acceptance, "_CRITERIA", (record,))
-    run_acceptance(seed=5)
-    run_acceptance()
-    cfg = _config(60, Allocation.DIRECT)
-    assert [sh.plan(3, cfg, 2).base_seed for sh in seen] == [
-        split_seed(5, 3), split_seed(_SEED, 3)
+    monkeypatch.setattr(acceptance, "_oracle", lambda seed: {"theta_star": _THETA})
+    monkeypatch.setattr(acceptance, "collect_plans", record)
+    for kwargs in ({"seed": 5}, {}):
+        with pytest.raises(_Stop):
+            run_acceptance(**kwargs)
+    keys = [k for k, _, _ in _run_table(_THETA).values()]
+    assert seen == [
+        [split_seed(5, k) for k in keys], [split_seed(_SEED, k) for k in keys]
     ]
+
+
+def test_seed_keys_are_distinct():
+    # the table's keys, then the ones criteria 8-10 and the oracle derive
+    keys = [k for k, _, _ in _run_table(_THETA).values()]
+    keys += [13, 14, 15, 17, 18, 19, 30, 31, 32]
+    assert len(set(keys)) == len(keys)
+    assert len({split_seed(_SEED, k) for k in keys}) == len(keys)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": 2**64}, "seed must be an integer in"),
+    ({"seed": -1}, "seed must be an integer in"),
+    ({"parallelism": 0}, "parallelism must be an integer >= 1"),
+    ({"parallelism": 2.7}, "parallelism must be an integer >= 1"),
+])
+def test_bad_input_is_rejected_before_any_population_is_drawn(monkeypatch, kwargs, message):
+    def no_oracle(seed):
+        raise AssertionError("a population was drawn")
+
+    monkeypatch.setattr(acceptance, "_oracle", no_oracle)
+    with pytest.raises(ValueError, match=message):
+        run_acceptance(**kwargs)

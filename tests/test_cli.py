@@ -367,6 +367,21 @@ def test_cli_rejects_a_nonfinite_knob(tmp_path, line, message):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "table1", "oracle", "trace"])
+def test_infinite_noise_is_rejected_before_any_trial(monkeypatch, tmp_path, capsys, command):
+    def no_work(*_):
+        raise AssertionError("work started")
+
+    for name in ("run_replications", "aggregate_grid", "run_trial", "PopulationSample"):
+        monkeypatch.setattr(f"cbara.cli.{name}", no_work)
+    cfg = tmp_path / "noise.cfg"
+    cfg.write_text("reps = 2\nnoise_sd = inf\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cbara-error: outcome noise sd must be finite and >= 0, got inf\n"
+
+
 def test_main_returns_exit_code(tmp_path, capsys):
     cfg = tmp_path / "r.cfg"
     cfg.write_text("reps = 0\n")

@@ -71,8 +71,9 @@ def test_true_ate_values():
 
 def test_scenario_coerces_and_validates():
     assert Scenario("A").id is ScenarioId.A
-    with pytest.raises(ValueError):
-        Scenario(ScenarioId.A, -0.1)
+    for sd in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="outcome noise sd must be finite and >= 0"):
+            Scenario(ScenarioId.A, sd)
 
 
 @pytest.mark.parametrize("bad", [(0.5, 0, 0), (-1, 1.5, 0), (1, 0, -1.01)])

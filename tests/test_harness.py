@@ -19,7 +19,6 @@ from cbara.harness import (
     aggregate_grid,
     collect,
     collect_plans,
-    collect_with_lambda,
     labeled_summary,
     replication_configs,
     run_replications,
@@ -88,20 +87,20 @@ def test_replication_configs_thread_seeds_and_drop_logs():
 def test_collect_parallel_equals_serial(reps, parallelism):
     # uneven shards; (5, 4) mixes lockstep shards with single-trial ones
     kw = dict(reps=reps, allocation=Allocation.BALANCE)
-    serial = collect_with_lambda(_plan(parallelism=1, **kw))
-    pooled = collect_with_lambda(_plan(parallelism=parallelism, **kw))
+    serial = collect_plans([_plan(parallelism=1, **kw)])
+    pooled = collect_plans([_plan(parallelism=parallelism, **kw)])
     assert serial == pooled
 
 
-def test_collect_with_lambda_adds_each_trials_final_imbalance():
+def test_collect_plans_adds_each_trials_final_imbalance():
     plan = _plan(reps=8, allocation=Allocation.BALANCE)
-    stats, lams = collect_with_lambda(plan)
+    [(stats, lams)] = collect_plans([plan])
     assert stats == collect(plan)
     assert lams == [
         run_trial(cfg).final_imbalance.lam for cfg in replication_configs(plan)
     ]
-    pooled = collect_with_lambda(_plan(reps=8, parallelism=2, allocation=Allocation.BALANCE))
-    assert pooled == (stats, lams)
+    pooled = collect_plans([_plan(reps=8, parallelism=2, allocation=Allocation.BALANCE)])
+    assert pooled == [(stats, lams)]
 
 
 def _mixed_grid(parallelism):
@@ -117,7 +116,7 @@ def _mixed_grid(parallelism):
 def test_collect_plans_equals_collecting_each_plan(parallelism):
     # 6 plans, 16 replications on one schedule: shards cut across plan
     # boundaries, and at 8 workers a shard holds two replications
-    reference = [collect_with_lambda(plan) for plan in _mixed_grid(1)]
+    reference = [collect_plans([plan])[0] for plan in _mixed_grid(1)]
     assert collect_plans(_mixed_grid(parallelism)) == reference
 
 
@@ -189,7 +188,7 @@ def _two_schedule_grid(parallelism):
 
 @pytest.mark.parametrize("parallelism", [1, 2, 3, 8])
 def test_collect_plans_on_several_schedules_equals_each_plan(parallelism):
-    reference = [collect_with_lambda(plan) for plan in _two_schedule_grid(1)]
+    reference = [collect_plans([plan])[0] for plan in _two_schedule_grid(1)]
     assert collect_plans(_two_schedule_grid(parallelism)) == reference
 
 

@@ -1,8 +1,8 @@
 """Update mechanisms for the allocation parameter.
 
 Three ways to turn the estimate sequence into the parameter sequence:
-direct reuse, reuse on an increasingly rare index set (default: the
-perfect squares), and norm-clipped steps with budget c0 * n**(-exponent).
+direct reuse, reuse on an increasingly rare index set (the perfect
+squares), and norm-clipped steps with budget c0 * n**(-exponent).
 The rare-set density and the vanishing clip budget each force the
 cumulative parameter movement to be o(n), which is the slow-variation
 property the allocation theory needs; the clip budget additionally has
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -28,23 +27,21 @@ class MechanismKind(str, Enum):
 
 
 def perfect_squares(n: int) -> bool:
-    """Membership test for the default rare-update index set {k*k}."""
+    """Membership test for the rare-update index set {k*k}, whose
+    density in [1, n] is at most n**-0.5."""
     r = math.isqrt(n)
     return r * r == n
 
 
 @dataclass(frozen=True, slots=True)
 class UpdateMechanism:
-    """Parameter-update rule: kind plus its schedule knobs.
+    """Parameter-update rule: kind plus the clipped kind's budget knobs.
 
-    iru_schedule is a membership predicate over step counts; it must
-    describe a set whose density in [1, n] vanishes (the default
-    perfect squares have density <= n**-0.5). clip_exponent must stay
-    in (0, 1] so the clip budgets sum to infinity.
+    clip_exponent must stay in (0, 1] so the clip budgets sum to
+    infinity.
     """
 
     kind: MechanismKind
-    iru_schedule: Callable[[int], bool] = perfect_squares
     clip_c0: float = 1.0
     clip_exponent: float = 0.5
 
@@ -61,8 +58,8 @@ class UpdateMechanism:
         return cls(kind=MechanismKind.DIRECT)
 
     @classmethod
-    def iru(cls, schedule: Callable[[int], bool] = perfect_squares) -> "UpdateMechanism":
-        return cls(kind=MechanismKind.IRU, iru_schedule=schedule)
+    def iru(cls) -> "UpdateMechanism":
+        return cls(kind=MechanismKind.IRU)
 
     @classmethod
     def clipped(cls, c0: float = 1.0, exponent: float = 0.5) -> "UpdateMechanism":
@@ -85,8 +82,8 @@ def next_theta(
     """Advance the allocation parameter given the fresh estimate eta_n.
 
     n counts responses available at this update (n >= 1). Direct
-    returns eta_n. The rare mechanism returns eta_n only when the
-    schedule contains n and otherwise holds theta_prev. Clipped moves
+    returns eta_n. The rare mechanism returns eta_n only when n is a
+    perfect square and otherwise holds theta_prev. Clipped moves
     from theta_prev toward eta_n, truncating the step to norm
     clip_bound(mech, n); a within-budget step lands on eta_n exactly,
     so the parameter never overshoots the estimate.
@@ -97,7 +94,7 @@ def next_theta(
     if kind is MechanismKind.DIRECT:
         return eta_n
     if kind is MechanismKind.IRU:
-        return eta_n if mech.iru_schedule(n) else theta_prev
+        return eta_n if perfect_squares(n) else theta_prev
 
     prev = theta_prev.as_array()
     delta = eta_n.as_array() - prev
@@ -125,7 +122,7 @@ def next_theta_rows(
     if kind is MechanismKind.DIRECT:
         return eta
     if kind is MechanismKind.IRU:
-        return eta if mech.iru_schedule(n) else prev
+        return eta if perfect_squares(n) else prev
     delta = eta - prev
     bound = clip_bound(mech, n)
     near = np.flatnonzero(sum_columns(delta * delta) > bound * bound * (1.0 - 1e-9))

@@ -22,9 +22,11 @@ frozen_theta, keep_log and fitted columns (active_columns of the
 scenario, so DiscreteTest runs apart from A and B). Everything else is
 per row: seed, scenario (outcome noise included), policy (family,
 clamps, c_lambda, g_floor), weighting, update mechanism and
-allocation. A knob the rows share stays a scalar and a mechanism the
-rows share takes one call per step, so a batch whose rows differ only
-in seed pays nothing for what rows may vary.
+allocation. Each knob is held one way, as one entry per row, also when
+every row has the same value. Rows that share a family or a mechanism
+are served by one call per step (row_groups). Work that no row needs is
+skipped: an all-direct batch never computes the balance rule, and a
+batch without clipped rows keeps no clip budget.
 
 Both paths write the step log as one StepLog of columns, built once
 when the trial ends.
@@ -382,21 +384,16 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
 def _next_theta_rows(mechs, n: int, prev: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """next_theta_rows with each row under its own mechanism, one call
     per mechanism; mechs is row_groups of the rows' mechanisms."""
-    if len(mechs) == 1:
-        return next_theta_rows(mechs[0][0], n, prev, eta)
     new = np.empty_like(prev)
     for mech, rows in mechs:
         new[rows] = next_theta_rows(mech, n, prev[rows], eta[rows])
     return new
 
 
-def _clip_budgets(clips, n: int, reps: int):
-    """clip_bound at step count n for each clipped row: a float when one
-    mechanism covers every row, else (R,) with 0 where a row does not
-    clip; clips is row_groups of the rows' mechanisms, clipped ones
-    only."""
-    if clips[0][1] is None:
-        return clip_bound(clips[0][0], n)
+def _clip_budgets(clips, n: int, reps: int) -> np.ndarray:
+    """clip_bound at step count n for each row, (R,) with 0 where a row
+    does not clip; clips is row_groups of the rows' mechanisms, clipped
+    ones only."""
     budget = np.zeros(reps)
     for mech, rows in clips:
         budget[rows] = clip_bound(mech, n)
@@ -425,9 +422,8 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     mechs = row_groups([c.mechanism for c in configs])
     clips = [(m, rows) for m, rows in mechs if m.kind is MechanismKind.CLIPPED]
     clipped = np.array([c.mechanism.kind is MechanismKind.CLIPPED for c in configs])
-    every_clipped = clipped.all()
     balance = np.array([c.allocation is Allocation.BALANCE for c in configs])
-    any_balance, every_balance = balance.any(), balance.all()
+    any_balance = balance.any()
     frozen = cfg.frozen_theta is not None
     keep_log = cfg.keep_log
     burn = cfg.burn_in
@@ -493,7 +489,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                         theta_max_norm = np.maximum(theta_max_norm, norm)
                     if clips:
                         budget = _clip_budgets(clips, acc.n, reps)
-                        live = ok if every_clipped else ok & clipped
+                        live = ok & clipped
                         clip_bound_sum += np.where(live, budget, 0.0)
                         clip_step_excess = np.where(
                             live, np.maximum(clip_step_excess, move - budget), clip_step_excess
@@ -505,8 +501,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                 rho = target_ratio_rows(pol, theta, x1)
                 if any_balance:
                     g = allocation_prob_rows(pol, rho, p_theta, c_theta, aphi[k], lam)
-                    if not every_balance:
-                        g = np.where(balance, g, rho)
+                    g = np.where(balance, g, rho)
                 else:
                     g = rho
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import Scenario, ScenarioId
-from .policy import ModelCoefficients, ZERO_COEFFS, row_column
+from .policy import ModelCoefficients, ZERO_COEFFS
 
 _RANK_RTOL = 1e-8
 
@@ -130,8 +130,10 @@ class FitStack:
     the 21 upper-triangle cells of every trial's Gram. A row's other-arm
     cells get exact zeros, so each cell sums the same terms in the same
     order as in FitAccumulator.add, and fit solves the symmetric
-    matrices FitAccumulator.fit solves. Trial r is weighted by
-    weightings[r]; all trials share the active columns.
+    matrices FitAccumulator.fit solves. weighted marks the trials
+    whose weightings entry is WEIGHTED; an unweighted trial's rows are
+    multiplied by 1.0, which leaves them exact. All trials share the
+    active columns.
     """
 
     __slots__ = ("weighted", "active", "_cells", "_u", "_b", "n", "n_treated")
@@ -140,8 +142,7 @@ class FitStack:
 
     def __init__(self, weightings: Sequence[Weighting], active: Sequence[int]) -> None:
         reps = len(weightings)
-        # True or False when the trials agree, else a per-trial mask
-        self.weighted = row_column([Weighting(w) is Weighting.WEIGHTED for w in weightings])
+        self.weighted = np.array([Weighting(w) is Weighting.WEIGHTED for w in weightings])
         self.active = np.array(active)
         # cell (p, q) of the full Gram is upper-triangle cell (min, max)
         cell = np.zeros((6, 6), dtype=np.intp)
@@ -173,14 +174,9 @@ class FitStack:
         d[:, 3] = d[:, 2] * x1
         d[:, 4] = x2
         d[:, 5] = x3
-        if self.weighted is False:
-            wd = d
-        else:
-            w = 0.5 / np.where(t == 1.0, rho_used, 1.0 - rho_used)
-            if self.weighted is not True:
-                # an unweighted trial's weight is 1.0, as in FitAccumulator
-                w = np.where(self.weighted, w, 1.0)
-            wd = d * w[:, None]
+        # an unweighted trial's weight is 1.0, as in FitAccumulator
+        w = np.where(self.weighted, 0.5 / np.where(t == 1.0, rho_used, 1.0 - rho_used), 1.0)
+        wd = d * w[:, None]
         p, q = self._UPPER
         self._u += wd[:, p] * d[:, q]
         self._b += wd * y[:, None]

@@ -62,12 +62,12 @@ class ReplicationPlan:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_reps < 1:
-            raise ValueError("n_reps must be >= 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if not 0 <= self.base_seed < 2**64:
-            raise ValueError("base_seed must fit in 64 bits")
+        if not (isinstance(self.n_reps, int) and self.n_reps >= 1):
+            raise ValueError(f"n_reps must be an integer >= 1, got {self.n_reps!r}")
+        if not (isinstance(self.parallelism, int) and self.parallelism >= 1):
+            raise ValueError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
+        if not (isinstance(self.base_seed, int) and 0 <= self.base_seed < 2**64):
+            raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
 
 
 class TrialStats(NamedTuple):

@@ -296,23 +296,20 @@ def mest_covariance(
     form, with the correction matrix A solved row-wise from the shared
     balance Gram. Dropped design columns get zero rows and columns.
     """
-    rho = _rho_star(policy, theta_star, pop.x1)
-    w = _balance_weights(policy, theta_star, pop, rho)
+    g, rho, w = _balance_gram(pop, policy, theta_star)
     ts = theta_star.as_array()
     m = len(pop)
 
     minv = _solve_active(pop, _criterion_gram(pop)[0], np.eye(6))
 
-    # One pass accumulating every moment the covariance needs:
+    # One pass accumulating every other moment the covariance needs:
     #   zc_quad = E[rho (1-rho) Zc Zc'],  zc_phi = E[Zc phi'],
     #   h_mat   = E[Zc phi' w]           (A-system right side),
-    #   g       = E[phi phi' w / (rho(1-rho))],
     #   phi_quad= E[phi phi' / (rho(1-rho))],
     #   zu_mom  = E[Zu Zu'],  zu_mean = E[Zu].
     zc_quad = np.zeros((6, 6))
     zc_phi = np.zeros((6, 4))
     h_mat = np.zeros((6, 4))
-    g = np.zeros((4, 4))
     phi_quad = np.zeros((4, 4))
     zu_mom = np.zeros((6, 6))
     zu_mean = np.zeros(6)
@@ -332,11 +329,10 @@ def mest_covariance(
         zc_quad += (zc * rr[:, None]).T @ zc
         zc_phi += zc.T @ phi
         h_mat += (zc * ww[:, None]).T @ phi
-        g += (phi * (ww / rr)[:, None]).T @ phi
         phi_quad += (phi / rr[:, None]).T @ phi
         zu_mom += zu.T @ zu
         zu_mean += zu.sum(axis=0)
-    for arr in (zc_quad, zc_phi, h_mat, g, phi_quad, zu_mom):
+    for arr in (zc_quad, zc_phi, h_mat, phi_quad, zu_mom):
         arr /= m
     zu_mean /= m
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Optional, Sequence, Union
+from typing import Hashable, Sequence, Union
 
 import numpy as np
 
@@ -120,26 +120,15 @@ def sum_columns(a: np.ndarray) -> np.ndarray:
     return total
 
 
-Column = Union[float, np.ndarray]
-
-
-def row_column(values: Sequence) -> Union[float, bool, np.ndarray]:
-    """values[0] when every entry equals it, else the entries as an
-    array: a knob that rows share stays a scalar, so a uniform batch
-    pays nothing for rows that could differ."""
-    first = values[0]
-    return first if all(v == first for v in values) else np.array(values)
-
-
-def row_groups(keys: Sequence[Hashable]) -> list[tuple[Hashable, Optional[np.ndarray]]]:
+def row_groups(keys: Sequence[Hashable]) -> list[tuple[Hashable, Union[slice, np.ndarray]]]:
     """(key, rows) for each distinct key, in order of first appearance;
-    rows indexes the entries holding the key, or is None when every
-    entry does."""
+    rows indexes the entries holding the key, and is slice(None) when
+    every entry does."""
     groups: dict[Hashable, list[int]] = {}
     for r, key in enumerate(keys):
         groups.setdefault(key, []).append(r)
     if len(groups) == 1:
-        return [(keys[0], None)]
+        return [(keys[0], slice(None))]
     return [(key, np.array(rows)) for key, rows in groups.items()]
 
 
@@ -148,32 +137,32 @@ class PolicyRows:
     """The policies of R rows, as the *_rows functions read them.
 
     links holds (family, rows, clamp_lo, clamp_hi) for each family
-    present, rows as in row_groups. c_lambda, g_floor and each family's
-    clamps are columns in the sense of row_column: a float when the
-    rows share it, else one entry per row (per row of the family, for
-    the clamps).
+    present, rows as in row_groups and the clamps one entry per row of
+    the family. c_lambda and g_floor hold one entry per row.
     """
 
-    links: tuple[tuple[Family, Optional[np.ndarray], Column, Column], ...]
-    c_lambda: Column
-    g_floor: Column
+    links: tuple[tuple[Family, Union[slice, np.ndarray], np.ndarray, np.ndarray], ...]
+    c_lambda: np.ndarray
+    g_floor: np.ndarray
 
     @classmethod
     def of(cls, policies: Sequence[TargetPolicy]) -> "PolicyRows":
-        links = []
-        for family, rows in row_groups([p.family for p in policies]):
-            own = policies if rows is None else [policies[r] for r in rows.tolist()]
-            lo = row_column([p.clamp_lo for p in own])
-            hi = row_column([p.clamp_hi for p in own])
-            links.append((family, rows, lo, hi))
+        lo = np.array([p.clamp_lo for p in policies])
+        hi = np.array([p.clamp_hi for p in policies])
+        links = tuple(
+            (family, rows, lo[rows], hi[rows])
+            for family, rows in row_groups([p.family for p in policies])
+        )
         return cls(
-            tuple(links),
-            row_column([p.c_lambda for p in policies]),
-            row_column([p.g_floor for p in policies]),
+            links,
+            np.array([p.c_lambda for p in policies]),
+            np.array([p.g_floor for p in policies]),
         )
 
 
-def _family_link(family: Family, delta: np.ndarray, lo: Column, hi: Column) -> np.ndarray:
+def _family_link(
+    family: Family, delta: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
     """_link of one family at each entry of delta. The clamps and
     1 / (1 + e) run in numpy; only exp and erf need libm's bits, so
     they are called once per entry, and every value equals _link's."""
@@ -191,13 +180,9 @@ def _family_link(family: Family, delta: np.ndarray, lo: Column, hi: Column) -> n
 
 def _link_rows(policy: PolicyRows, delta: np.ndarray) -> np.ndarray:
     """_link of row r's policy at delta[r], for every row."""
-    if len(policy.links) == 1:
-        family, _, lo, hi = policy.links[0]
-        return _family_link(family, delta, lo, hi)
-    out = np.full(len(delta), 0.5)  # the crd rows
+    out = np.empty(len(delta))
     for family, rows, lo, hi in policy.links:
-        if family is not Family.CRD:
-            out[rows] = _family_link(family, delta[rows], lo, hi)
+        out[rows] = _family_link(family, delta[rows], lo, hi)
     return out
 
 

@@ -31,12 +31,6 @@ def test_rare_mechanism_updates_only_on_schedule():
     assert next_theta(mech, 4, ZERO_COEFFS, ETA) == ETA
 
 
-def test_rare_mechanism_accepts_custom_schedule():
-    mech = UpdateMechanism.iru(schedule=lambda n: n % 5 == 0)
-    assert next_theta(mech, 5, ZERO_COEFFS, ETA) == ETA
-    assert next_theta(mech, 6, ZERO_COEFFS, ETA) == ZERO_COEFFS
-
-
 def test_clip_bound_decays():
     mech = UpdateMechanism.clipped(1.0, 0.5)
     assert clip_bound(mech, 4) == pytest.approx(0.5)

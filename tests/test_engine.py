@@ -273,7 +273,22 @@ def test_lockstep_equals_run_trial_in_a_mixed_batch():
             )
         )
     ]
-    assert len(cfgs) == 72
+    # logistic rows whose knobs differ inside the family: clamps,
+    # c_lambda and g_floor, under clipped mechanisms with their own budgets
+    cfgs += [
+        _cfg(
+            n_units=70,
+            policy=TargetPolicy(Family.LOGISTIC, lo, hi, c_lambda=c_lambda, g_floor=g_floor),
+            mechanism=UpdateMechanism.clipped(c0, exponent),
+            seed=split_seed(8, k),
+        )
+        for k, ((lo, hi), c_lambda, g_floor, (c0, exponent)) in enumerate(
+            itertools.product(
+                ((0.2, 0.8), (0.3, 0.7)), (1.0, 5.0), (0.01, 0.15), ((0.5, 1.0), (3.0, 0.3))
+            )
+        )
+    ]
+    assert len(cfgs) == 88
     _assert_same_results(run_lockstep(cfgs), [run_trial(c) for c in cfgs])
 
 

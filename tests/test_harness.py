@@ -364,3 +364,12 @@ def test_plan_validation():
         _plan(parallelism=0)
     with pytest.raises(ValueError):
         _plan(seed=-1)
+    # a non-integer is named before it reaches range, split_seed or the pool
+    for kw, field in [
+        ({"reps": 2.5}, "n_reps"),
+        ({"seed": 1.5}, "base_seed"),
+        ({"parallelism": 2.5}, "parallelism"),
+        ({"parallelism": 2.5, "reps": 2}, "parallelism"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            _plan(**kw)

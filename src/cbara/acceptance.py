@@ -94,10 +94,6 @@ class CriterionResult:
     detail: str
 
 
-def _policy(family: Family) -> TargetPolicy:
-    return TargetPolicy(family=family)
-
-
 def _config(
     n: int,
     allocation: Allocation,
@@ -114,7 +110,7 @@ def _config(
     return TrialConfig(
         n_units=n,
         scenario=Scenario(scenario, noise_sd),
-        policy=_policy(family),
+        policy=TargetPolicy(family=family),
         weighting=weighting,
         mechanism=mech,
         allocation=allocation,
@@ -125,7 +121,7 @@ def _config(
 
 def _oracle(seed: int) -> dict:
     """The population quantities the criteria compare against."""
-    policy = _policy(Family.CRD)
+    policy = TargetPolicy(family=Family.CRD)
     pop0 = PopulationSample(Scenario(ScenarioId.A), seed=split_seed(seed, 30), m=10**6)
     theta = oracle_theta_star(pop0)
     a_opt = balance_coeff_a(pop0, theta, policy)
@@ -209,13 +205,8 @@ def _imbalance_remainder(lams: list[Lambda], a: np.ndarray, n: int) -> float:
     ) / (len(lams) * n)
 
 
-def _band(center: float, rel: float) -> tuple[float, float]:
-    return center * (1 - rel), center * (1 + rel)
-
-
 def _in_band(value: float, center: float, rel: float) -> bool:
-    lo, hi = _band(center, rel)
-    return lo <= value <= hi
+    return center * (1 - rel) <= value <= center * (1 + rel)
 
 
 def _criterion_1(sh: _Shared) -> CriterionResult:
@@ -346,7 +337,7 @@ def _criterion_7(sh: _Shared) -> CriterionResult:
 
 
 def _criterion_8(sh: _Shared) -> CriterionResult:
-    policy = _policy(Family.LOGISTIC)
+    policy = TargetPolicy(family=Family.LOGISTIC)
     pop = PopulationSample(
         Scenario(ScenarioId.DISCRETE), seed=split_seed(sh.seed, 32), m=10**6
     )
@@ -388,7 +379,7 @@ def _criterion_8(sh: _Shared) -> CriterionResult:
 
 
 def _criterion_9(sh: _Shared) -> CriterionResult:
-    policy = _policy(Family.LOGISTIC)
+    policy = TargetPolicy(family=Family.LOGISTIC)
     probes = [
         CovariateVector(-1.0, -0.5, 0.3),
         CovariateVector(0.0, 0.0, 0.0),

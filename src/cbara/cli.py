@@ -17,13 +17,16 @@ Subcommands:
 Trace columns, in order: Step, X1, X2, X3, Rho, G, T, Y, ZStar,
 Lam1..Lam4, Psi, Alpha1, Gamma1, Alpha0, Gamma0, Beta2, Beta3.
 
-Errors print a single machine-readable line `cbara-error: <message>`
-to stderr; exit status is 0 only when all requested work completed
-(for `check`: when every criterion passed).
+Every failure, be it a bad flag, a bad config value or an error during
+the run, prints one machine-readable line `cbara-error: <message>` to
+stderr and no traceback. The exit status is 2 for a bad value, 1 for
+any other failure, and 0 only when all requested work completed (for
+`check`: when every criterion passed).
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -98,24 +101,31 @@ def _parse_choice(raw: str, choices: Sequence[str], key: str) -> str:
     return low
 
 
+def _enum_parser(enum, key: str):
+    """Parser of one member of enum, named by its value in any case."""
+    choices = [member.value for member in enum]
+    return lambda raw: enum(_parse_choice(raw, choices, key))
+
+
+def _list_parser(item):
+    """Parser of a comma-separated list of item, blank entries skipped."""
+    return lambda raw: tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+
+
 _PARSERS = {
     "n": int,
     "scenario": _parse_scenario,
     "noise_sd": float,
-    "family": lambda raw: Family(_parse_choice(raw, [f.value for f in Family], "family")),
+    "family": _enum_parser(Family, "family"),
     "clamp_lo": float,
     "clamp_hi": float,
     "c_lambda": float,
     "g_floor": float,
-    "mechanism": lambda raw: Allocation(
-        _parse_choice(raw, [a.value for a in Allocation], "mechanism")
-    ),
+    "mechanism": _enum_parser(Allocation, "mechanism"),
     "update": lambda raw: _parse_choice(raw, _UPDATE_CHOICES, "update"),
     "clip_c0": float,
     "clip_exponent": float,
-    "weighting": lambda raw: Weighting(
-        _parse_choice(raw, [w.value for w in Weighting], "weighting")
-    ),
+    "weighting": _enum_parser(Weighting, "weighting"),
     "burn_in": int,
     "response_delay": int,
     "reps": int,
@@ -124,20 +134,10 @@ _PARSERS = {
     "out": str,
     "format": lambda raw: _parse_choice(raw, _FORMAT_CHOICES, "format"),
     "oracle_m": int,
-    "sizes": lambda raw: tuple(int(v.strip()) for v in raw.split(",") if v.strip()),
-    "scenarios": lambda raw: tuple(
-        _parse_scenario(v.strip()) for v in raw.split(",") if v.strip()
-    ),
-    "families": lambda raw: tuple(
-        Family(_parse_choice(v.strip(), [f.value for f in Family], "families"))
-        for v in raw.split(",")
-        if v.strip()
-    ),
-    "weightings": lambda raw: tuple(
-        Weighting(_parse_choice(v.strip(), [w.value for w in Weighting], "weightings"))
-        for v in raw.split(",")
-        if v.strip()
-    ),
+    "sizes": _list_parser(int),
+    "scenarios": _list_parser(_parse_scenario),
+    "families": _list_parser(_enum_parser(Family, "families")),
+    "weightings": _list_parser(_enum_parser(Weighting, "weightings")),
 }
 
 
@@ -220,12 +220,12 @@ def to_policy(spec: RunSpec) -> TargetPolicy:
     )
 
 
-def update_mechanism_for(spec: RunSpec, allocation: Allocation) -> UpdateMechanism:
+def update_mechanism_for(spec: RunSpec) -> UpdateMechanism:
     """Resolve the update mechanism, pairing clipped updates with the
     balancing allocation by default."""
     choice = spec.update
     if choice == "auto":
-        choice = "clipped" if allocation is Allocation.BALANCE else "direct"
+        choice = "clipped" if spec.mechanism is Allocation.BALANCE else "direct"
     if choice == "direct":
         return UpdateMechanism.direct()
     if choice == "iru":
@@ -233,31 +233,17 @@ def update_mechanism_for(spec: RunSpec, allocation: Allocation) -> UpdateMechani
     return UpdateMechanism.clipped(spec.clip_c0, spec.clip_exponent)
 
 
-def to_trial_config(
-    spec: RunSpec,
-    allocation: Optional[Allocation] = None,
-    n: Optional[int] = None,
-    scenario: Optional[ScenarioId] = None,
-    weighting: Optional[Weighting] = None,
-    family: Optional[Family] = None,
-    seed: int = 0,
-) -> TrialConfig:
-    alloc = spec.mechanism if allocation is None else allocation
-    pol = (
-        to_policy(spec)
-        if family is None
-        else replace(to_policy(spec), family=family)
-    )
+def to_trial_config(spec: RunSpec) -> TrialConfig:
     return TrialConfig(
-        n_units=spec.n if n is None else n,
-        scenario=Scenario(spec.scenario if scenario is None else scenario, spec.noise_sd),
-        policy=pol,
-        weighting=spec.weighting if weighting is None else weighting,
-        mechanism=update_mechanism_for(spec, alloc),
-        allocation=alloc,
+        n_units=spec.n,
+        scenario=Scenario(spec.scenario, spec.noise_sd),
+        policy=to_policy(spec),
+        weighting=spec.weighting,
+        mechanism=update_mechanism_for(spec),
+        allocation=spec.mechanism,
         burn_in=spec.burn_in,
         response_delay=spec.response_delay,
-        seed=seed,
+        seed=spec.seed,
     )
 
 
@@ -265,31 +251,24 @@ def grid_plans(spec: RunSpec) -> list[ReplicationPlan]:
     """Plans for the full table grid, rows ordered by (size, scenario,
     family, weighting) with the direct/balance pair adjacent. Each cell
     gets an independent base seed split from spec.seed."""
-    plans: list[ReplicationPlan] = []
-    idx = 0
-    for size in spec.sizes:
-        for scen in spec.scenarios:
-            for fam in spec.families:
-                for wgt in spec.weightings:
-                    for alloc in (Allocation.DIRECT, Allocation.BALANCE):
-                        cfg = to_trial_config(
-                            spec,
-                            allocation=alloc,
-                            n=size,
-                            scenario=scen,
-                            weighting=wgt,
-                            family=fam,
-                        )
-                        plans.append(
-                            ReplicationPlan(
-                                base_config=cfg,
-                                n_reps=spec.reps,
-                                base_seed=split_seed(spec.seed, idx),
-                                parallelism=spec.parallelism,
-                            )
-                        )
-                        idx += 1
-    return plans
+    cells = itertools.product(
+        spec.sizes,
+        spec.scenarios,
+        spec.families,
+        spec.weightings,
+        (Allocation.DIRECT, Allocation.BALANCE),
+    )
+    return [
+        ReplicationPlan(
+            base_config=to_trial_config(
+                replace(spec, n=size, scenario=scen, family=fam, weighting=wgt, mechanism=alloc)
+            ),
+            n_reps=spec.reps,
+            base_seed=split_seed(spec.seed, idx),
+            parallelism=spec.parallelism,
+        )
+        for idx, (size, scen, fam, wgt, alloc) in enumerate(cells)
+    ]
 
 
 def _fmt_value(value, raw: bool) -> str:
@@ -420,88 +399,37 @@ def _write_out(text: str, out: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_spec(args: argparse.Namespace) -> RunSpec:
+def _load_spec(args: argparse.Namespace) -> tuple[RunSpec, bool]:
+    """The spec a command runs, and whether --seed, CBARA_SEED or the
+    config file sets its seed. The file's values are validated on their
+    own, then again with the flags and CBARA_SEED over them."""
+    text = ""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            spec = parse_config(fh.read())
-    else:
-        spec = RunSpec()
-    overrides: dict = {}
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.parallelism is not None:
-        overrides["parallelism"] = args.parallelism
-    if args.format is not None:
-        overrides["format"] = args.format
-    if args.out is not None:
-        overrides["out"] = args.out
+            text = fh.read()
+    spec = parse_config(text)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("reps", "seed", "parallelism", "format", "out")
+        if getattr(args, key) is not None
+    }
     env_seed = os.environ.get("CBARA_SEED")
     if env_seed is not None:
         try:
             overrides["seed"] = int(env_seed)
         except ValueError:
             raise ValueError(f"CBARA_SEED must be an integer, got {env_seed!r}") from None
-    if overrides:
-        spec = replace(spec, **overrides)
+    spec = replace(spec, **overrides)
     validate_spec(spec)
-    return spec
+    return spec, "seed" in overrides or "seed" in _config_values(text)
 
 
-def _cmd_run(spec: RunSpec, raw: bool) -> int:
-    cfg = to_trial_config(spec, allocation=spec.mechanism)
-    plan = ReplicationPlan(
-        base_config=cfg,
-        n_reps=spec.reps,
-        base_seed=spec.seed,
-        parallelism=spec.parallelism,
-    )
-    _write_out(_emit_run(run_replications(plan), spec.format, raw), spec.out)
-    return 0
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a bad command line as a ValueError instead of printing
+    usage and exiting, so it ends in the one cbara-error line."""
 
-
-def _cmd_table(spec: RunSpec, raw: bool) -> int:
-    rows = aggregate_grid(grid_plans(spec))
-    _write_out(emit_tables(rows, spec.format, raw), spec.out)
-    return 0
-
-
-def _cmd_oracle(spec: RunSpec) -> int:
-    _write_out(_emit_oracle(spec), spec.out)
-    return 0
-
-
-def _cmd_trace(spec: RunSpec, raw: bool) -> int:
-    cfg = to_trial_config(spec, allocation=spec.mechanism, seed=spec.seed)
-    _write_out(_emit_trace(cfg, spec.format, raw), spec.out)
-    return 0
-
-
-def _seed_given(args: argparse.Namespace) -> bool:
-    """Whether --seed, CBARA_SEED or the config file sets the seed."""
-    if args.seed is not None or "CBARA_SEED" in os.environ:
-        return True
-    if not args.config:
-        return False
-    with open(args.config, "r", encoding="utf-8") as fh:
-        return "seed" in _config_values(fh.read())
-
-
-def _cmd_check(spec: RunSpec, seed_given: bool) -> int:
-    from .acceptance import run_acceptance
-
-    # without a seed source the criteria keep their pinned base seed
-    kwargs = {"seed": spec.seed} if seed_given else {}
-    results = run_acceptance(parallelism=spec.parallelism, **kwargs)
-    lines = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{status} {res.name}: {res.detail}")
-    n_fail = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - n_fail}/{len(results)} criteria passed")
-    _write_out("\n".join(lines) + "\n", spec.out)
-    return 0 if n_fail == 0 else 1
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -514,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     common.add_argument("--parallelism", type=int, default=None)
     common.add_argument("--raw", action="store_true", help="full-precision values")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cbara",
         description="Covariate-balanced response-adaptive trial simulator",
     )
@@ -529,24 +457,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ):
         sub.add_parser(name, parents=[common], help=help_text)
 
-    args = parser.parse_args(argv)
     try:
-        spec = _load_spec(args)
+        args = parser.parse_args(argv)
+        spec, seed_given = _load_spec(args)
+        code = 0
         if args.command == "run":
-            return _cmd_run(spec, args.raw)
-        if args.command in ("table1", "table2"):
-            return _cmd_table(spec, args.raw)
-        if args.command == "oracle":
-            return _cmd_oracle(spec)
-        if args.command == "check":
-            return _cmd_check(spec, _seed_given(args))
-        return _cmd_trace(spec, args.raw)
-    except ValueError as exc:
+            plan = ReplicationPlan(
+                base_config=to_trial_config(spec),
+                n_reps=spec.reps,
+                base_seed=spec.seed,
+                parallelism=spec.parallelism,
+            )
+            text = _emit_run(run_replications(plan), spec.format, args.raw)
+        elif args.command in ("table1", "table2"):
+            text = emit_tables(aggregate_grid(grid_plans(spec)), spec.format, args.raw)
+        elif args.command == "oracle":
+            text = _emit_oracle(spec)
+        elif args.command == "trace":
+            text = _emit_trace(to_trial_config(spec), spec.format, args.raw)
+        else:
+            from .acceptance import run_acceptance
+
+            # without a seed source the criteria keep their pinned base seed
+            kwargs = {"seed": spec.seed} if seed_given else {}
+            results = run_acceptance(parallelism=spec.parallelism, **kwargs)
+            lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+            n_fail = sum(1 for r in results if not r.passed)
+            lines.append(f"{len(results) - n_fail}/{len(results)} criteria passed")
+            text, code = "\n".join(lines) + "\n", int(n_fail > 0)
+        _write_out(text, spec.out)
+        return code
+    except Exception as exc:  # the one error boundary: no traceback escapes
         print(f"cbara-error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, RuntimeError) as exc:
-        print(f"cbara-error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -99,6 +99,9 @@ class TrialConfig:
             object.__setattr__(self, "allocation", Allocation(self.allocation))
         if not isinstance(self.weighting, Weighting):
             object.__setattr__(self, "weighting", Weighting(self.weighting))
+        for name in ("n_units", "burn_in", "response_delay", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.burn_in < 2:
             raise ValueError("burn_in must be >= 2")
         if self.n_units <= self.burn_in:

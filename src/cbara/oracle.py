@@ -29,6 +29,7 @@ from .engine import Allocation, TrialConfig, run_trial
 from .estimator import Weighting, active_columns
 from .policy import (
     ModelCoefficients,
+    PolicyRows,
     TargetPolicy,
     allocation_prob_rows,
     derive_constants,
@@ -381,11 +382,12 @@ def invariant_pi_g_check(
     lam = run_trial(cfg).log.lam[horizon // 10 :]
 
     p_theta, c_theta, _ = derive_constants(policy, theta)
+    rows = PolicyRows.of([policy])
     devs: list[float] = []
     for x in probe_xs:
         rho = target_ratio(policy, theta, x)
         phi = np.broadcast_to(feature_vector(x), lam.shape)
-        g = allocation_prob_rows(policy, rho, p_theta, c_theta, phi, lam)
+        g = allocation_prob_rows(rows, rho, p_theta, c_theta, phi, lam)
         # summed left to right, as a scalar loop does
         devs.append(abs(float(np.cumsum(g)[-1]) / len(lam) - rho))
     return devs

@@ -252,7 +252,7 @@ def clamp_allocation(raw: float, g_floor: float) -> float:
 
 
 def allocation_prob_rows(
-    policy: Union[PolicyRows, TargetPolicy],
+    policy: PolicyRows,
     rho: np.ndarray,
     p_theta: np.ndarray,
     c_theta: np.ndarray,
@@ -262,8 +262,7 @@ def allocation_prob_rows(
     """Clamped allocation probability for R rows at once: row r is
     clamp_allocation(_allocation_prob_raw(...)) of rho[r], p_theta[r],
     c_theta[r], phi[r] and lam[r] (phi and lam are (R, 4)), with every
-    sum taken left to right as there. Only policy's c_lambda and g_floor
-    are read, so one TargetPolicy may stand for every row."""
+    sum taken left to right as there."""
     dot = sum_columns(phi * lam)
     phi_norm = np.sqrt(sum_columns(phi * phi))
     lam_norm = np.sqrt(sum_columns(lam * lam))

@@ -88,17 +88,17 @@ def test_asymmetric_clamp_rejected():
 
 
 def test_update_pairing_follows_allocation():
-    spec = RunSpec()
-    assert update_mechanism_for(spec, Allocation.BALANCE).kind is MechanismKind.CLIPPED
-    assert update_mechanism_for(spec, Allocation.DIRECT).kind is MechanismKind.DIRECT
-    pinned = replace(spec, update="iru")
-    assert update_mechanism_for(pinned, Allocation.DIRECT).kind is MechanismKind.IRU
-    assert update_mechanism_for(pinned, Allocation.BALANCE).kind is MechanismKind.IRU
+    balance = RunSpec(mechanism=Allocation.BALANCE)
+    direct = RunSpec(mechanism=Allocation.DIRECT)
+    assert update_mechanism_for(balance).kind is MechanismKind.CLIPPED
+    assert update_mechanism_for(direct).kind is MechanismKind.DIRECT
+    assert update_mechanism_for(replace(direct, update="iru")).kind is MechanismKind.IRU
+    assert update_mechanism_for(replace(balance, update="iru")).kind is MechanismKind.IRU
 
 
 def test_trial_config_override_fields():
     spec = parse_config("n = 90\nnoise_sd = 0.5\nscenario = B")
-    cfg = to_trial_config(spec, allocation=Allocation.BALANCE, n=120)
+    cfg = to_trial_config(replace(spec, mechanism=Allocation.BALANCE, n=120))
     assert cfg.n_units == 120
     assert cfg.scenario.outcome_noise_sd == 0.5
     assert cfg.scenario.id is ScenarioId.B
@@ -385,21 +385,41 @@ def test_infinite_noise_is_rejected_before_any_trial(monkeypatch, tmp_path, caps
 def test_main_returns_exit_code(tmp_path, capsys):
     cfg = tmp_path / "r.cfg"
     cfg.write_text("reps = 0\n")
-    assert main(["run", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("cbara-error:")
+    # a bad config value, bad flags and a missing subcommand alike
+    for argv in (
+        ["run", "--config", str(cfg)],
+        ["run", "--reps", "x"],
+        ["run", "--format", "xml"],
+        [],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("cbara-error:") and err.count("\n") == 1, (argv, err)
+    with pytest.raises(SystemExit) as help_exit:
+        main(["run", "--help"])
+    assert help_exit.value.code == 0
 
 
 def test_run_failure_is_one_error_line(monkeypatch, capsys):
-    def failing(_):
+    def failing(*_, **__):
         raise ArithmeticError("injected trial failure")
+
+    def out_of_memory(*_, **__):
+        raise MemoryError("injected allocation failure")
 
     # the two replications run as one lockstep shard, which is rerun
     # trial by trial to name the failing seed
     monkeypatch.setattr("cbara.harness.run_lockstep", failing)
     monkeypatch.setattr("cbara.harness.run_trial", failing)
-    assert main(["run", "--reps", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("cbara-error:")
-    assert "injected trial failure" in err
-    assert "Traceback" not in err
+    monkeypatch.setattr("cbara.cli.PopulationSample", out_of_memory)
+    for argv, message in (
+        (["run", "--reps", "2"], "injected trial failure"),
+        (["oracle"], "injected allocation failure"),
+    ):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cbara-error:") and err.count("\n") == 1, err
+        assert message in err
+        assert "Traceback" not in err

@@ -197,6 +197,10 @@ def test_config_validation():
         _cfg(seed=-1)
     with pytest.raises(ValueError):
         _cfg(response_delay=-1)
+    for field, value in (("n_units", 100.5), ("burn_in", 5.5), ("response_delay", 1.5),
+                         ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            _cfg(**{field: value})
 
 
 _MECHANISMS = {

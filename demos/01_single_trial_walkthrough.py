@@ -45,5 +45,6 @@ print("the fitted parameter and the alloc column is tilted against the")
 print("imbalance, so |lambda| stays bounded instead of growing like sqrt(n).")
 print()
 print(f"final fitted coefficients: {result.theta_final}")
-print(f"final |lambda| = {result.final_lambda_norm:.3f}, "
-      f"ipw effect estimate = {result.ipw_estimate:.3f} (truth -3.0)")
+stats = result.stats  # the trial's summary numbers, as the harness aggregates them
+print(f"final |lambda| = {stats.lambda_norm:.3f}, "
+      f"ipw effect estimate = {stats.ipw:.3f} (truth -3.0)")

@@ -27,7 +27,7 @@ spec = RunSpec(
 
 plans = grid_plans(spec)
 print(f"{len(plans)} grid cells, {spec.reps} replications each")
-rows = aggregate_grid(plans)
+rows = aggregate_grid(plans, spec.parallelism)  # the worker count is per call
 print()
 print(emit_tables(rows, fmt="csv"))
 print("each output row merges the direct and balance runs of one cell;")

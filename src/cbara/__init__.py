@@ -10,10 +10,10 @@ from .adapt import MechanismKind, UpdateMechanism, clip_bound, next_theta, perfe
 from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays, true_ate
 from .engine import (
     Allocation,
-    ImbalanceState,
     StepLog,
     TrialConfig,
     TrialResult,
+    TrialStats,
     run_trial,
 )
 from .estimator import (
@@ -27,7 +27,6 @@ from .harness import (
     LabeledSummary,
     MetricsSummary,
     ReplicationPlan,
-    TrialStats,
     aggregate_grid,
     collect,
     run_replications,

@@ -10,11 +10,14 @@ Every replication plan that criteria 1-7 read is declared once, in
 `_run_table`, by name, with its seed key, config and replication count.
 `_Shared` builds the population oracle first, since the frozen-theta
 plans need theta*, then runs the whole table through one
-`collect_plans` call before any criterion reads it. Where criteria
-overlap they read the same run: the imbalance table cells feed criteria
-1-4, the efficiency runs feed 5 and 7. Criteria 8 and 12 run their own
-trials. Every replication's worst per-step clipped-update violation is
-folded into criterion 11.
+`collect_plans` call, with the run's worker count, before any criterion
+reads it. Where criteria overlap they read the same run: the imbalance
+table cells feed criteria 1-4, the efficiency runs feed 5 and 7.
+Criteria 8 and 12 run their own trials; criterion 12 runs the calls
+`cbara table1` makes, `aggregate_grid` then `emit_tables`, on one plan
+list at several worker counts. Every run's worst per-step
+clipped-update violation goes through one method,
+`_Shared._track_clip`, into criterion 11.
 """
 from __future__ import annotations
 
@@ -27,16 +30,13 @@ import numpy as np
 
 from .adapt import MechanismKind, UpdateMechanism, perfect_squares
 from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays, true_ate
-from .engine import Allocation, TrialConfig, run_lockstep
+from .engine import Allocation, Lambda, TrialConfig, TrialStats, run_lockstep
 from .estimator import Weighting, fit_working_model, ipw_ate
 from .harness import (
-    Lambda,
-    LabeledSummary,
     MetricsSummary,
     ReplicationPlan,
-    TrialStats,
+    aggregate_grid,
     collect_plans,
-    labeled_summary,
     split_seed,
     summarize,
 )
@@ -180,22 +180,20 @@ class _Shared:
         self.oracle = _oracle(seed)
         table = _run_table(self.oracle["theta_star"])
         plans = [
-            ReplicationPlan(cfg, reps, split_seed(seed, k), parallelism)
-            for k, cfg, reps in table.values()
+            ReplicationPlan(cfg, reps, split_seed(seed, k)) for k, cfg, reps in table.values()
         ]
         self.runs: dict[str, _Run] = {}
-        for name, plan, (stats, lams) in zip(table, plans, collect_plans(plans)):
-            self._track_clip(plan.base_config, stats)
-            self.runs[name] = _Run(
-                stats, lams, summarize(stats, true_ate(plan.base_config.scenario))
-            )
+        for name, plan, (stats, lams) in zip(table, plans, collect_plans(plans, parallelism)):
+            summary = summarize(stats, true_ate(plan.base_config.scenario))
+            self._track_clip(plan.base_config, summary.n_reps, summary.max_clip_excess)
+            self.runs[name] = _Run(stats, lams, summary)
 
-    def _track_clip(self, cfg: TrialConfig, stats: list[TrialStats]) -> None:
+    def _track_clip(self, cfg: TrialConfig, trials: int, worst: float) -> None:
+        """Fold `trials` runs of cfg, whose worst per-step clip excess
+        is `worst`, into criterion 11's audit."""
         if cfg.mechanism.kind is MechanismKind.CLIPPED and cfg.frozen_theta is None:
-            self.clip_trials += len(stats)
-        self.max_clip_excess = max(
-            self.max_clip_excess, max(s.clip_excess for s in stats)
-        )
+            self.clip_trials += trials
+        self.max_clip_excess = max(self.max_clip_excess, worst)
 
 
 def _imbalance_remainder(lams: list[Lambda], a: np.ndarray, n: int) -> float:
@@ -362,9 +360,9 @@ def _criterion_8(sh: _Shared) -> CriterionResult:
     # 200 logged trials in lockstep shards of 50, so the logs stay small
     for lo in range(0, 200, 50):
         shard = [replace(cfg0, seed=split_seed(base, i)) for i in range(lo, lo + 50)]
-        for result in run_lockstep(shard):
-            sh.clip_trials += 1
-            sh.max_clip_excess = max(sh.max_clip_excess, result.clip_step_excess)
+        results = run_lockstep(shard)
+        sh._track_clip(cfg0, len(results), max(r.stats.clip_excess for r in results))
+        for result in results:
             for atom in targets:
                 at = result.log.x1 == atom
                 counts[atom] += int(at.sum())
@@ -478,16 +476,6 @@ def _criterion_11(sh: _Shared) -> CriterionResult:
     return CriterionResult(CRITERION_NAMES[10], density_ok and clip_ok, detail)
 
 
-def _labeled_rows(sh: _Shared, plans) -> list[LabeledSummary]:
-    """The grid rows `cbara table1` emits, from the same scheduler, with
-    every plan's trials folded into the clip audit."""
-    rows = []
-    for plan, (stats, _) in zip(plans, collect_plans(plans)):
-        sh._track_clip(plan.base_config, stats)
-        rows.append(labeled_summary(plan, stats))
-    return rows
-
-
 def _criterion_12(sh: _Shared) -> CriterionResult:
     from .cli import RunSpec, emit_tables, grid_plans
 
@@ -499,10 +487,13 @@ def _criterion_12(sh: _Shared) -> CriterionResult:
         reps=8,
         seed=977,
     )
+    plans = grid_plans(spec)
     outputs = []
     for parallelism in (1, 1, 4, 8):
-        plans = grid_plans(replace(spec, parallelism=parallelism))
-        outputs.append(emit_tables(_labeled_rows(sh, plans), "csv"))
+        rows = aggregate_grid(plans, parallelism)
+        for plan, row in zip(plans, rows):
+            sh._track_clip(plan.base_config, row.summary.n_reps, row.summary.max_clip_excess)
+        outputs.append(emit_tables(rows, "csv"))
     ok = all(text == outputs[0] for text in outputs[1:])
     detail = (
         f"grid csv bytes: rerun identical={outputs[1] == outputs[0]},"

@@ -265,7 +265,6 @@ def grid_plans(spec: RunSpec) -> list[ReplicationPlan]:
             ),
             n_reps=spec.reps,
             base_seed=split_seed(spec.seed, idx),
-            parallelism=spec.parallelism,
         )
         for idx, (size, scen, fam, wgt, alloc) in enumerate(cells)
     ]
@@ -462,15 +461,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         spec, seed_given = _load_spec(args)
         code = 0
         if args.command == "run":
-            plan = ReplicationPlan(
-                base_config=to_trial_config(spec),
-                n_reps=spec.reps,
-                base_seed=spec.seed,
-                parallelism=spec.parallelism,
-            )
-            text = _emit_run(run_replications(plan), spec.format, args.raw)
+            plan = ReplicationPlan(to_trial_config(spec), spec.reps, spec.seed)
+            text = _emit_run(run_replications(plan, spec.parallelism), spec.format, args.raw)
         elif args.command in ("table1", "table2"):
-            text = emit_tables(aggregate_grid(grid_plans(spec)), spec.format, args.raw)
+            rows = aggregate_grid(grid_plans(spec), spec.parallelism)
+            text = emit_tables(rows, spec.format, args.raw)
         elif args.command == "oracle":
             text = _emit_oracle(spec)
         elif args.command == "trace":

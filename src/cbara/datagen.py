@@ -38,6 +38,7 @@ _Q25 = statistics.NormalDist().inv_cdf(0.25)
 _Q75 = -_Q25
 
 _ZSTAR_NOISE_SD = 0.2
+_NOISE_SD_MAX = 1e6
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +47,10 @@ class Scenario:
 
     The base outcome surfaces carry no noise term; a positive
     outcome_noise_sd adds one shared Normal(0, sd^2) draw to both
-    potential outcomes of a unit (sensitivity runs only).
+    potential outcomes of a unit (sensitivity runs only). The sd is at
+    most _NOISE_SD_MAX: responses are O(10) in every scenario, and at
+    that bound every square the estimators and summaries take stays far
+    inside float range.
     """
 
     id: ScenarioId
@@ -58,6 +62,10 @@ class Scenario:
         if not 0.0 <= self.outcome_noise_sd < math.inf:
             raise ValueError(
                 f"outcome noise sd must be finite and >= 0, got {self.outcome_noise_sd}"
+            )
+        if self.outcome_noise_sd > _NOISE_SD_MAX:
+            raise ValueError(
+                f"outcome_noise_sd must be <= {_NOISE_SD_MAX:g}, got {self.outcome_noise_sd}"
             )
 
 

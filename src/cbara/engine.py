@@ -28,8 +28,8 @@ are served by one call per step (row_groups). Work that no row needs is
 skipped: an all-direct batch never computes the balance rule, and a
 batch without clipped rows keeps no clip budget.
 
-Both paths write the step log as one StepLog of columns, built once
-when the trial ends.
+Both paths build the trial's TrialStats record, and the step log as
+one StepLog of columns, once when the trial ends.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -112,18 +112,6 @@ class TrialConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-@dataclass(frozen=True, slots=True)
-class ImbalanceState:
-    """Feature imbalance vector and the scalar imbalance, as of some step."""
-
-    lam: tuple[float, float, float, float]
-    psi: float
-
-    @property
-    def lam_norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.lam))
-
-
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class StepLog:
     """Per-step columns of one trial; row i is step i + 1.
@@ -180,30 +168,57 @@ def _step_log(rows: np.ndarray) -> StepLog:
 _NO_LOG = _step_log(np.empty((0, _LOG_WIDTH)))
 
 
+class TrialStats(NamedTuple):
+    """The per-trial numbers every aggregate is built from: |Lambda_N|,
+    Psi_N, the sd of the targeted ratios, the IPW estimate, the largest
+    per-update clip budget violation (0 up to rounding) and the largest
+    allocation parameter norm."""
+
+    lambda_norm: float
+    psi: float
+    psi_abs: float
+    mean_response: float
+    target_sd: float
+    ipw: float
+    clip_excess: float
+    theta_max_norm: float
+
+
+Lambda = tuple[float, float, float, float]
+
+
 @dataclass(frozen=True, slots=True)
 class TrialResult:
-    """Per-trial summaries plus (optionally) the step log.
+    """One trial's statistics, its final Lambda_N, the adaptation
+    trajectory's totals (parameter movement, clip budget, fitted steps)
+    and (optionally) the step log.
 
-    All summary fields are recomputable from the log when it is kept;
-    the theta_* and clip_* fields are diagnostics for the adaptation
-    trajectory (max parameter norm, total parameter movement, total
-    clip budget, and the largest per-update budget violation, which
-    must be 0 up to rounding).
+    Every statistic is recomputable from the log when it is kept.
     """
 
     log: StepLog
-    final_imbalance: ImbalanceState
-    final_lambda_norm: float
-    final_psi_abs: float
-    mean_response: float
-    target_ratio_sd: float
-    ipw_estimate: float
+    stats: TrialStats
+    lam: Lambda
     theta_final: ModelCoefficients
-    theta_max_norm: float
     theta_move_sum: float
     clip_bound_sum: float
-    clip_step_excess: float
     n_fit_steps: int
+
+
+def _trial_stats(lam, psi, n, sum_y, sum_rho, sum_rho_sq, ipw_sum, clip_excess, theta_max_norm):
+    """A trial's TrialStats from its final Lambda_N and Psi_N, its sums
+    over n steps, its worst clip excess and largest parameter norm."""
+    rho_var = sum_rho_sq / n - (sum_rho / n) ** 2
+    return TrialStats(
+        lambda_norm=math.sqrt(sum(v * v for v in lam)),
+        psi=psi,
+        psi_abs=abs(psi),
+        mean_response=sum_y / n,
+        target_sd=math.sqrt(rho_var) if rho_var > 0.0 else 0.0,
+        ipw=ipw_sum / n,
+        clip_excess=clip_excess,
+        theta_max_norm=theta_max_norm,
+    )
 
 
 def _coef_norm(c: ModelCoefficients) -> float:
@@ -364,22 +379,17 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             f"{theta_move_sum} > {clip_bound_sum}"
         )
 
-    n = float(n_units)
-    rho_var = sum_rho_sq / n - (sum_rho / n) ** 2
-    final = ImbalanceState(lam=(l0, l1, l2, l3), psi=psi)
+    lam = (l0, l1, l2, l3)
     return TrialResult(
         log=_step_log(np.frombuffer(log).reshape(-1, _LOG_WIDTH)) if keep_log else _NO_LOG,
-        final_imbalance=final,
-        final_lambda_norm=final.lam_norm,
-        final_psi_abs=abs(psi),
-        mean_response=sum_y / n,
-        target_ratio_sd=math.sqrt(rho_var) if rho_var > 0.0 else 0.0,
-        ipw_estimate=ipw_sum / n,
+        stats=_trial_stats(
+            lam, psi, float(n_units), sum_y, sum_rho, sum_rho_sq, ipw_sum,
+            clip_step_excess, theta_max_norm,
+        ),
+        lam=lam,
         theta_final=theta,
-        theta_max_norm=theta_max_norm,
         theta_move_sum=theta_move_sum,
         clip_bound_sum=clip_bound_sum,
-        clip_step_excess=clip_step_excess,
         n_fit_steps=n_fit_steps,
     )
 
@@ -543,23 +553,19 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                 "clipped updates exceeded their cumulative budget: "
                 f"{move_sum} > {bound_sum}"
             )
-        mean_rho = float(sum_rho[r]) / n
-        rho_var = float(sum_rho_sq[r]) / n - mean_rho**2
-        final = ImbalanceState(lam=tuple(lam[r].tolist()), psi=float(psi[r]))
+        lam_r = tuple(lam[r].tolist())
         results.append(
             TrialResult(
                 log=_step_log(log[:, :, r]) if keep_log else _NO_LOG,
-                final_imbalance=final,
-                final_lambda_norm=final.lam_norm,
-                final_psi_abs=abs(final.psi),
-                mean_response=float(sum_y[r]) / n,
-                target_ratio_sd=math.sqrt(rho_var) if rho_var > 0.0 else 0.0,
-                ipw_estimate=float(ipw_sum[r]) / n,
+                stats=_trial_stats(
+                    lam_r, float(psi[r]), n, float(sum_y[r]), float(sum_rho[r]),
+                    float(sum_rho_sq[r]), float(ipw_sum[r]), float(clip_step_excess[r]),
+                    float(theta_max_norm[r]),
+                ),
+                lam=lam_r,
                 theta_final=theta0 if frozen else ModelCoefficients.from_array(theta[r]),
-                theta_max_norm=float(theta_max_norm[r]),
                 theta_move_sum=move_sum,
                 clip_bound_sum=bound_sum,
-                clip_step_excess=float(clip_step_excess[r]),
                 n_fit_steps=int(n_fit_steps[r]),
             )
         )

@@ -6,19 +6,21 @@ finalizer applied to base_seed + (k + 1) * 0x9E3779B97F4A7C15 (all
 arithmetic mod 2**64). The function is pure and documented here so
 other tools can regenerate any replication's stream exactly.
 
-collect_plans is the one scheduler. It opens at most one process pool
-per call, with as many workers as the largest `parallelism` among its
-plans (`workers`), and none when there is one worker or one shard. It
-groups the plans by step schedule (engine.step_schedule), lines up each
-group's replications in plan order, then replication order, and cuts
-that line into `workers` contiguous shards whose sizes differ by at
-most one, or into more when a shard would exceed SHARD_MAX rows. A
-single plan therefore splits into `parallelism` shards, and a grid
-whose cells share one schedule, as a `cbara table1` grid of one size
-does, runs as `workers` shards that each mix many plans. A shard of
-several replications runs through engine.run_lockstep and a shard of
-one through engine.run_trial; both give the same statistics bit for
-bit, so neither the split nor the shard size changes any result. A
+collect_plans is the one scheduler. The worker count is an argument
+of each call (`parallelism`, 1 unless given), not a property of a plan;
+collect, run_replications and aggregate_grid pass theirs on. A call
+opens at most one process pool, with `parallelism` workers, and none
+when there is one worker or one shard. It groups the plans by step
+schedule (engine.step_schedule), lines up each group's replications in
+plan order, then replication order, and cuts that line into
+`parallelism` contiguous shards whose sizes differ by at most one, or
+into more when a shard would exceed SHARD_MAX rows. A single plan
+therefore splits into `parallelism` shards, and a grid whose cells
+share one schedule, as a `cbara table1` grid of one size does, runs as
+`parallelism` shards that each mix many plans. A shard of several
+replications runs through engine.run_lockstep and a shard of one
+through engine.run_trial; both build the same engine.TrialStats bit
+for bit, so neither the split nor the shard size changes any result. A
 lockstep row holds about 28 KB of state at its peak (mostly a 256-unit
 block of draws), so a shard of SHARD_MAX rows needs about 56 MB.
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .datagen import true_ate
-from .engine import TrialConfig, TrialResult, run_lockstep, run_trial, step_schedule
+from .engine import Lambda, TrialConfig, TrialStats, run_lockstep, run_trial, step_schedule
 
 SHARD_MAX = 2000
 
@@ -59,28 +61,12 @@ class ReplicationPlan:
     base_config: TrialConfig
     n_reps: int
     base_seed: int
-    parallelism: int = 1
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n_reps, int) and self.n_reps >= 1):
             raise ValueError(f"n_reps must be an integer >= 1, got {self.n_reps!r}")
-        if not (isinstance(self.parallelism, int) and self.parallelism >= 1):
-            raise ValueError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         if not (isinstance(self.base_seed, int) and 0 <= self.base_seed < 2**64):
             raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
-
-
-class TrialStats(NamedTuple):
-    """The per-trial numbers every aggregate is built from."""
-
-    lambda_norm: float
-    psi: float
-    psi_abs: float
-    mean_response: float
-    target_sd: float
-    ipw: float
-    clip_excess: float
-    theta_max_norm: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +76,8 @@ class MetricsSummary:
     ipw_mse is the mean squared error against the scenario's true
     effect and equals ipw_bias**2 plus the population variance of the
     estimates by construction. SE fields are None when n_reps = 1.
+    max_clip_excess is the worst per-step clip excess of any trial, an
+    audit figure that no table prints.
     """
 
     n_reps: int
@@ -99,6 +87,7 @@ class MetricsSummary:
     mean_target_sd: float
     ipw_bias: float
     ipw_mse: float
+    max_clip_excess: float
     mean_lambda_norm_se: Optional[float]
     mean_psi_abs_se: Optional[float]
     mean_response_se: Optional[float]
@@ -117,22 +106,6 @@ class LabeledSummary:
     estimation: str
     mechanism: str
     summary: MetricsSummary
-
-
-def _stats_of(result: TrialResult) -> TrialStats:
-    return TrialStats(
-        lambda_norm=result.final_lambda_norm,
-        psi=result.final_imbalance.psi,
-        psi_abs=result.final_psi_abs,
-        mean_response=result.mean_response,
-        target_sd=result.target_ratio_sd,
-        ipw=result.ipw_estimate,
-        clip_excess=result.clip_step_excess,
-        theta_max_norm=result.theta_max_norm,
-    )
-
-
-Lambda = tuple[float, float, float, float]
 
 
 class _Failure(NamedTuple):
@@ -168,7 +141,7 @@ def _run_shard(
             f"replications at seeds {configs[0].seed}..{configs[-1].seed} "
             f"failed together but each runs alone: {exc}",
         )
-    return [(_stats_of(r), r.final_imbalance.lam) for r in results]
+    return [(r.stats, r.lam) for r in results]
 
 
 def _shards(items: list, count: int) -> list[list]:
@@ -187,24 +160,26 @@ def replication_configs(plan: ReplicationPlan) -> list[TrialConfig]:
     ]
 
 
-def collect(plan: ReplicationPlan) -> list[TrialStats]:
+def collect(plan: ReplicationPlan, parallelism: int = 1) -> list[TrialStats]:
     """Run every replication and return per-trial statistics in
     replication order; see collect_plans."""
-    return collect_plans([plan])[0][0]
+    return collect_plans([plan], parallelism)[0][0]
 
 
 def collect_plans(
-    plans: Sequence[ReplicationPlan],
+    plans: Sequence[ReplicationPlan], parallelism: int = 1
 ) -> list[tuple[list[TrialStats], list[Lambda]]]:
-    """Run every plan's replications and return, per plan in input
-    order, the statistics and final Lambda_N of each replication in
-    replication order. The shards of all plans share one process pool
-    (see the module docstring), and the output is identical at any
-    parallelism level. A failure names the seed of the first failing
-    replication in plan order, then replication order."""
+    """Run every plan's replications on `parallelism` workers and
+    return, per plan in input order, the statistics and final Lambda_N
+    of each replication in replication order. The shards of all plans
+    share one process pool (see the module docstring), and the output
+    is identical at any parallelism level. A failure names the seed of
+    the first failing replication in plan order, then replication
+    order."""
     if not plans:
         raise ValueError("plans must be nonempty")
-    workers = max(plan.parallelism for plan in plans)
+    if not (isinstance(parallelism, int) and parallelism >= 1):
+        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
     runs = [replication_configs(plan) for plan in plans]
     # (plan, replication) positions, per step schedule
     groups: dict[tuple, list[tuple[int, int]]] = {}
@@ -215,13 +190,13 @@ def collect_plans(
     shards = [
         shard
         for group in groups.values()
-        for shard in _shards(group, max(workers, math.ceil(len(group) / SHARD_MAX)))
+        for shard in _shards(group, max(parallelism, math.ceil(len(group) / SHARD_MAX)))
     ]
     tasks = [[runs[p][k] for p, k in shard] for shard in shards]
-    if workers == 1 or len(tasks) == 1:
+    if parallelism == 1 or len(tasks) == 1:
         parts = [_run_shard(task) for task in tasks]
     else:
-        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+        with multiprocessing.Pool(processes=min(parallelism, len(tasks))) as pool:
             parts = list(pool.imap(_run_shard, tasks))
     failures = [
         (shard[part.index], part.message)
@@ -267,6 +242,7 @@ def summarize(stats: Sequence[TrialStats], true_effect: float) -> MetricsSummary
         mean_target_sd=mean_ts,
         ipw_bias=bias,
         ipw_mse=mse,
+        max_clip_excess=max(s.clip_excess for s in stats),
         mean_lambda_norm_se=se_ln,
         mean_psi_abs_se=se_pa,
         mean_response_se=se_mr,
@@ -276,14 +252,14 @@ def summarize(stats: Sequence[TrialStats], true_effect: float) -> MetricsSummary
     )
 
 
-def run_replications(plan: ReplicationPlan) -> MetricsSummary:
-    """Execute a plan and aggregate its metrics.
+def run_replications(plan: ReplicationPlan, parallelism: int = 1) -> MetricsSummary:
+    """Execute a plan on `parallelism` workers and aggregate its metrics.
 
     The MSE is taken against the scenario's true average treatment
     effect. Any trial failure aborts the whole plan with the failing
     replication's seed in the error message.
     """
-    stats = collect(plan)
+    stats = collect(plan, parallelism)
     return summarize(stats, true_ate(plan.base_config.scenario))
 
 
@@ -304,8 +280,11 @@ def labeled_summary(plan: ReplicationPlan, stats: Sequence[TrialStats]) -> Label
     )
 
 
-def aggregate_grid(plans: Sequence[ReplicationPlan]) -> list[LabeledSummary]:
-    """Run a sequence of plans on one scheduler call and label each
-    summary with its grid cell, preserving input order."""
-    collected = collect_plans(plans)
+def aggregate_grid(
+    plans: Sequence[ReplicationPlan], parallelism: int = 1
+) -> list[LabeledSummary]:
+    """Run a sequence of plans on one scheduler call with `parallelism`
+    workers and label each summary with its grid cell, preserving input
+    order."""
+    collected = collect_plans(plans, parallelism)
     return [labeled_summary(plan, stats) for plan, (stats, _) in zip(plans, collected)]

@@ -1,11 +1,13 @@
 """Acceptance gate: every criterion prints one PASS/FAIL line and must
 hold. The full battery runs once per session (a few minutes); see the
 package acceptance module for what each criterion measures."""
+import types
+
 import pytest
 
 import cbara.acceptance as acceptance
 from cbara.acceptance import _SEED, CRITERION_NAMES, _run_table, run_acceptance
-from cbara.harness import split_seed
+from cbara.harness import TrialStats, labeled_summary, split_seed
 from cbara.policy import ModelCoefficients
 
 _THETA = ModelCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -30,22 +32,45 @@ class _Stop(Exception):
 
 
 def test_base_seed_reaches_the_shared_runs(monkeypatch):
-    # the table's plans as handed to the scheduler, stopped before any runs
+    # the table's plans and the worker count as handed to the scheduler,
+    # stopped before any runs
     seen = []
 
-    def record(plans):
-        seen.append([plan.base_seed for plan in plans])
+    def record(plans, parallelism):
+        seen.append(([plan.base_seed for plan in plans], parallelism))
         raise _Stop
 
     monkeypatch.setattr(acceptance, "_oracle", lambda seed: {"theta_star": _THETA})
     monkeypatch.setattr(acceptance, "collect_plans", record)
-    for kwargs in ({"seed": 5}, {}):
+    for kwargs in ({"seed": 5, "parallelism": 3}, {}):
         with pytest.raises(_Stop):
             run_acceptance(**kwargs)
     keys = [k for k, _, _ in _run_table(_THETA).values()]
     assert seen == [
-        [split_seed(5, k) for k in keys], [split_seed(_SEED, k) for k in keys]
+        ([split_seed(5, k) for k in keys], 3), ([split_seed(_SEED, k) for k in keys], 1)
     ]
+
+
+def test_determinism_runs_the_table_path_on_one_plan_list(monkeypatch):
+    # criterion 12 makes the calls `cbara table1` makes, on one plan list
+    # at widths 1, 1, 4 and 8, and audits every row's clip excess
+    calls, audited = [], []
+
+    def spy(plans, parallelism):
+        calls.append((plans, parallelism))
+        stats = [TrialStats(1.0, 0.5, 0.5, 6.0, 0.1, -3.0, 1e-16, 1.0)]
+        return [labeled_summary(plan, stats) for plan in plans]
+
+    shared = types.SimpleNamespace(
+        _track_clip=lambda cfg, trials, worst: audited.append((cfg, trials, worst))
+    )
+    monkeypatch.setattr(acceptance, "aggregate_grid", spy)
+    result = acceptance._criterion_12(shared)
+    assert result.passed, result.detail
+    assert [width for _, width in calls] == [1, 1, 4, 8]
+    plans = calls[0][0]
+    assert all(got is plans for got, _ in calls)
+    assert audited == [(plan.base_config, 1, 1e-16) for plan in plans] * 4
 
 
 def test_seed_keys_are_distinct():

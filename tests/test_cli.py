@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,7 @@ def _fake_summary(v: float, se=0.01) -> MetricsSummary:
         mean_target_sd=-0.0001,  # rounds to negative zero before normalization
         ipw_bias=-0.0001,
         ipw_mse=v / 10,
+        max_clip_excess=0.0,
         mean_lambda_norm_se=se,
         mean_psi_abs_se=se,
         mean_response_se=se,
@@ -264,6 +266,29 @@ def test_check_passes_the_environment_seed(monkeypatch, capsys):
     assert _check_seeds(monkeypatch, [[], ["--seed", "5"]]) == [7, 7]
 
 
+def test_run_and_table_hand_their_worker_count_to_the_call(monkeypatch, tmp_path, capsys):
+    # the config's width, or the flag's over it, goes to the harness call
+    widths = []
+
+    def run_replications(plan, parallelism):
+        widths.append(("run", parallelism))
+        return _fake_summary(1.0)
+
+    def aggregate_grid(plans, parallelism):
+        widths.append(("table1", parallelism))
+        return _pair()
+
+    monkeypatch.setattr("cbara.cli.run_replications", run_replications)
+    monkeypatch.setattr("cbara.cli.aggregate_grid", aggregate_grid)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("parallelism = 3\n")
+    for command in ("run", "table1"):
+        assert main([command, "--config", str(cfg)]) == 0
+        assert main([command, "--config", str(cfg), "--parallelism", "5"]) == 0
+    capsys.readouterr()
+    assert widths == [("run", 3), ("run", 5), ("table1", 3), ("table1", 5)]
+
+
 def test_cli_table_grid(tmp_path):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(
@@ -375,11 +400,21 @@ def test_infinite_noise_is_rejected_before_any_trial(monkeypatch, tmp_path, caps
     for name in ("run_replications", "aggregate_grid", "run_trial", "PopulationSample"):
         monkeypatch.setattr(f"cbara.cli.{name}", no_work)
     cfg = tmp_path / "noise.cfg"
-    cfg.write_text("reps = 2\nnoise_sd = inf\n")
-    assert main([command, "--config", str(cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "cbara-error: outcome noise sd must be finite and >= 0, got inf\n"
+    # a finite sd so large that squared responses overflow is refused
+    # like an infinite one, whatever the replication count
+    for text, message in [
+        ("reps = 2\nnoise_sd = inf\n", "outcome noise sd must be finite and >= 0, got inf"),
+        ("n = 60\nreps = 1\nnoise_sd = 1e200\n", "outcome_noise_sd must be <= 1e+06, got 1e+200"),
+        ("n = 60\nreps = 4\nnoise_sd = 1e200\n", "outcome_noise_sd must be <= 1e+06, got 1e+200"),
+    ]:
+        cfg.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg)]) == 2
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cbara-error: {message}\n"
 
 
 def test_main_returns_exit_code(tmp_path, capsys):

@@ -74,6 +74,11 @@ def test_scenario_coerces_and_validates():
     for sd in (-0.1, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="outcome noise sd must be finite and >= 0"):
             Scenario(ScenarioId.A, sd)
+    # finite but large enough to overflow the squared errors of a summary
+    assert Scenario(ScenarioId.A, 1e6).outcome_noise_sd == 1e6
+    for sd in (1e6 * (1 + 2**-52), 1e80, 1e200):
+        with pytest.raises(ValueError, match=r"^outcome_noise_sd must be <= 1e\+06, got "):
+            Scenario(ScenarioId.A, sd)
 
 
 @pytest.mark.parametrize("bad", [(0.5, 0, 0), (-1, 1.5, 0), (1, 0, -1.01)])

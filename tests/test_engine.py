@@ -43,8 +43,8 @@ def _cfg(**kw) -> TrialConfig:
 def test_reruns_are_identical():
     a = run_trial(_cfg())
     b = run_trial(_cfg())
-    assert a.final_imbalance == b.final_imbalance
-    assert a.ipw_estimate == b.ipw_estimate
+    assert a.stats == b.stats
+    assert a.lam == b.lam
     assert a.theta_final == b.theta_final
     assert a.log.t.tobytes() == b.log.t.tobytes()
     assert a.log.g.tobytes() == b.log.g.tobytes()
@@ -79,9 +79,10 @@ def test_log_replays_the_imbalance_recursion():
             psi += imbalance_increment(rho, zstar, t)
             assert lam_after == lam
             assert psi_after == psi
-        assert result.final_imbalance.lam == lam
-        assert result.final_lambda_norm == pytest.approx(math.hypot(*lam))
-        assert result.final_psi_abs == abs(psi)
+        assert result.lam == lam
+        assert result.stats.lambda_norm == pytest.approx(math.hypot(*lam))
+        assert result.stats.psi == psi
+        assert result.stats.psi_abs == abs(psi)
 
 
 def test_burn_in_uses_even_coin():
@@ -138,12 +139,12 @@ def test_delay_shifts_first_update():
 def test_summary_fields_recompute_from_log():
     result = run_trial(_cfg(n_units=140))
     ys = result.log.y.tolist()
-    assert result.mean_response == pytest.approx(sum(ys) / len(ys))
+    assert result.stats.mean_response == pytest.approx(sum(ys) / len(ys))
     rhos = result.log.rho.tolist()
-    assert result.target_ratio_sd == pytest.approx(statistics.pstdev(rhos), abs=1e-12)
+    assert result.stats.target_sd == pytest.approx(statistics.pstdev(rhos), abs=1e-12)
     log = result.log
     # both sum left to right: exact
-    assert result.ipw_estimate == ipw_ate(log.t, log.y, log.rho)
+    assert result.stats.ipw == ipw_ate(log.t, log.y, log.rho)
 
 
 def test_ipw_error_splits_into_effect_and_imbalance_terms():
@@ -156,13 +157,13 @@ def test_ipw_error_splits_into_effect_and_imbalance_terms():
     a = (6.0, 3.2, 2.9, 1.4)
     n = len(result.log)
     effect = math.fsum(-3.0 + 3.0 * x1 - tau for x1 in result.log.x1.tolist())
-    imbalance = math.fsum(ai * li for ai, li in zip(a, result.final_imbalance.lam))
-    assert n * (result.ipw_estimate - tau) == pytest.approx(effect + imbalance, rel=1e-9)
+    imbalance = math.fsum(ai * li for ai, li in zip(a, result.lam))
+    assert n * (result.stats.ipw - tau) == pytest.approx(effect + imbalance, rel=1e-9)
 
 
 def test_clipped_run_respects_per_step_budget():
     result = run_trial(_cfg(n_units=400))
-    assert result.clip_step_excess <= 1e-12
+    assert result.stats.clip_excess <= 1e-12
     assert result.theta_move_sum <= result.clip_bound_sum + 1e-9
 
 
@@ -184,8 +185,8 @@ def test_keep_log_off_drops_the_log():
     assert len(result.log) == 0
     with_log = run_trial(_cfg(keep_log=True))
     assert len(with_log.log) == 160
-    assert result.final_imbalance == with_log.final_imbalance
-    assert result.ipw_estimate == with_log.ipw_estimate
+    assert result.stats == with_log.stats
+    assert result.lam == with_log.lam
 
 
 def test_config_validation():
@@ -402,8 +403,8 @@ def test_trial_properties_over_valid_configs(cfg):
     for result in logged:
         assert ((floor <= result.log.g) & (result.log.g <= 1.0 - floor)).all()
         assert np.isfinite(result.log.lam).all()
-        assert math.isfinite(result.final_imbalance.psi)
-        assert result.clip_step_excess <= 1e-12
+        assert math.isfinite(result.stats.psi)
+        assert result.stats.clip_excess <= 1e-12
 
 
 @st.composite

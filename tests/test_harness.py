@@ -1,7 +1,6 @@
 import math
 import statistics
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from cbara.harness import (
 from cbara.policy import Family, TargetPolicy
 
 
-def _plan(reps=6, parallelism=1, seed=42, **cfg_kw) -> ReplicationPlan:
+def _plan(reps=6, seed=42, **cfg_kw) -> ReplicationPlan:
     base = dict(
         n_units=60,
         scenario=Scenario(ScenarioId.A),
@@ -39,12 +38,7 @@ def _plan(reps=6, parallelism=1, seed=42, **cfg_kw) -> ReplicationPlan:
         seed=0,
     )
     base.update(cfg_kw)
-    return ReplicationPlan(
-        base_config=TrialConfig(**base),
-        n_reps=reps,
-        base_seed=seed,
-        parallelism=parallelism,
-    )
+    return ReplicationPlan(base_config=TrialConfig(**base), n_reps=reps, base_seed=seed)
 
 
 def test_split_seed_reference_values():
@@ -87,8 +81,8 @@ def test_replication_configs_thread_seeds_and_drop_logs():
 def test_collect_parallel_equals_serial(reps, parallelism):
     # uneven shards; (5, 4) mixes lockstep shards with single-trial ones
     kw = dict(reps=reps, allocation=Allocation.BALANCE)
-    serial = collect_plans([_plan(parallelism=1, **kw)])
-    pooled = collect_plans([_plan(parallelism=parallelism, **kw)])
+    serial = collect_plans([_plan(**kw)], 1)
+    pooled = collect_plans([_plan(**kw)], parallelism)
     assert serial == pooled
 
 
@@ -96,17 +90,14 @@ def test_collect_plans_adds_each_trials_final_imbalance():
     plan = _plan(reps=8, allocation=Allocation.BALANCE)
     [(stats, lams)] = collect_plans([plan])
     assert stats == collect(plan)
-    assert lams == [
-        run_trial(cfg).final_imbalance.lam for cfg in replication_configs(plan)
-    ]
-    pooled = collect_plans([_plan(reps=8, parallelism=2, allocation=Allocation.BALANCE)])
-    assert pooled == [(stats, lams)]
+    assert lams == [run_trial(cfg).lam for cfg in replication_configs(plan)]
+    assert collect_plans([plan], 2) == [(stats, lams)]
 
 
-def _mixed_grid(parallelism):
+def _mixed_grid():
     # both allocations at 1, 2 and 5 replications, each with its own seed
     return [
-        _plan(reps=reps, parallelism=parallelism, seed=10 * reps + i, allocation=alloc)
+        _plan(reps=reps, seed=10 * reps + i, allocation=alloc)
         for reps in (1, 2, 5)
         for i, alloc in enumerate((Allocation.DIRECT, Allocation.BALANCE))
     ]
@@ -116,8 +107,8 @@ def _mixed_grid(parallelism):
 def test_collect_plans_equals_collecting_each_plan(parallelism):
     # 6 plans, 16 replications on one schedule: shards cut across plan
     # boundaries, and at 8 workers a shard holds two replications
-    reference = [collect_plans([plan])[0] for plan in _mixed_grid(1)]
-    assert collect_plans(_mixed_grid(parallelism)) == reference
+    reference = [collect_plans([plan])[0] for plan in _mixed_grid()]
+    assert collect_plans(_mixed_grid(), parallelism) == reference
 
 
 class _InlinePool:
@@ -153,26 +144,28 @@ def _open_pools(monkeypatch):
 
 @pytest.mark.parametrize("plans, pools", [
     # one worker: no pool
-    (_mixed_grid(1), []),
+    (_mixed_grid(), []),
     # one plan splits into `parallelism` shards
-    ([_plan(reps=7, parallelism=3)], [(3, [3, 2, 2])]),
-    # the grid shares one schedule: its 16 replications in `workers` shards
-    (_mixed_grid(2), [(2, [8, 8])]),
-    (_mixed_grid(8), [(8, [2, 2, 2, 2, 2, 2, 2, 2])]),
+    ([_plan(reps=7)], [(3, [3, 2, 2])]),
+    # the grid shares one schedule: its 16 replications in `parallelism` shards
+    (_mixed_grid(), [(2, [8, 8])]),
+    (_mixed_grid(), [(8, [2, 2, 2, 2, 2, 2, 2, 2])]),
 ])
 def test_a_grid_opens_at_most_one_pool(monkeypatch, plans, pools):
+    # each case asks for as many workers as the pool it expects has
+    # processes, and for one worker when it expects no pool
+    parallelism = pools[0][0] if pools else 1
     opened = _open_pools(monkeypatch)
-    rows = aggregate_grid(plans)
+    rows = aggregate_grid(plans, parallelism)
     assert [(p.processes, p.shard_sizes) for p in opened] == pools
-    assert rows == [labeled_summary(plan, collect(replace(plan, parallelism=1)))
-                    for plan in plans]
+    assert rows == [labeled_summary(plan, collect(plan)) for plan in plans]
 
 
-def _two_schedule_grid(parallelism):
+def _two_schedule_grid():
     # sizes 60, 80 x scenarios A, DiscreteTest x both allocations: four
     # step schedules, since DiscreteTest fits fewer columns than A
     return [
-        _plan(reps=3 + i % 3, parallelism=parallelism, seed=i, n_units=size,
+        _plan(reps=3 + i % 3, seed=i, n_units=size,
               scenario=Scenario(scenario), allocation=alloc,
               policy=TargetPolicy(family=Family.LOGISTIC),
               mechanism=UpdateMechanism.clipped() if alloc is Allocation.BALANCE
@@ -188,20 +181,20 @@ def _two_schedule_grid(parallelism):
 
 @pytest.mark.parametrize("parallelism", [1, 2, 3, 8])
 def test_collect_plans_on_several_schedules_equals_each_plan(parallelism):
-    reference = [collect_plans([plan])[0] for plan in _two_schedule_grid(1)]
-    assert collect_plans(_two_schedule_grid(parallelism)) == reference
+    reference = [collect_plans([plan])[0] for plan in _two_schedule_grid()]
+    assert collect_plans(_two_schedule_grid(), parallelism) == reference
 
 
 def test_shards_stop_at_the_row_cap(monkeypatch):
     # 16 replications on one schedule at 2 workers: ceil(16 / 5) = 4
     # shards of at most 5 rows instead of 2 of 8
-    reference = collect_plans(_mixed_grid(1))
+    reference = collect_plans(_mixed_grid())
     monkeypatch.setattr(harness, "SHARD_MAX", 5)
     opened = _open_pools(monkeypatch)
-    assert collect_plans(_mixed_grid(2)) == reference
+    assert collect_plans(_mixed_grid(), 2) == reference
     assert [(p.processes, p.shard_sizes) for p in opened] == [(2, [4, 4, 4, 4])]
     # one worker runs the capped shards in this process
-    assert collect_plans(_mixed_grid(1)) == reference
+    assert collect_plans(_mixed_grid()) == reference
     assert len(opened) == 1
 
 
@@ -216,15 +209,15 @@ def test_pooled_grid_failure_names_the_first_failing_seed(monkeypatch):
     monkeypatch.setattr(engine, "clip_bound", lambda mech, n: 0.0)
     clipped = dict(allocation=Allocation.BALANCE, mechanism=UpdateMechanism.clipped())
     plans = [
-        _plan(reps=3, seed=4, parallelism=2),
-        _plan(reps=3, seed=5, parallelism=2, **clipped),
-        _plan(reps=3, seed=6, parallelism=2, **clipped),
+        _plan(reps=3, seed=4),
+        _plan(reps=3, seed=5, **clipped),
+        _plan(reps=3, seed=6, **clipped),
     ]
     with pytest.raises(
         RuntimeError,
         match=f"replication failed at seed {split_seed(5, 0)}: clipped updates exceeded",
     ):
-        collect_plans(plans)
+        collect_plans(plans, 2)
 
 
 def test_a_failing_plan_in_a_shared_shard_names_its_first_seed(monkeypatch):
@@ -251,8 +244,8 @@ def test_a_failing_plan_in_a_shared_shard_names_its_first_seed(monkeypatch):
 
 def test_summarize_moment_identities():
     stats = [
-        TrialStats(1.0, 0.5, 0.5, 6.0, 0.1, -2.5, 0.0, 1.0),
-        TrialStats(2.0, -0.5, 0.5, 6.2, 0.2, -3.5, 0.0, 1.0),
+        TrialStats(1.0, 0.5, 0.5, 6.0, 0.1, -2.5, 1e-16, 1.0),
+        TrialStats(2.0, -0.5, 0.5, 6.2, 0.2, -3.5, 4e-16, 1.0),
         TrialStats(3.0, 1.5, 1.5, 5.8, 0.0, -3.0, 0.0, 1.0),
     ]
     s = summarize(stats, true_effect=-3.0)
@@ -267,6 +260,8 @@ def test_summarize_moment_identities():
     assert s.mean_lambda_norm_se == pytest.approx(
         statistics.stdev([1.0, 2.0, 3.0]) / math.sqrt(3)
     )
+    # the worst clip excess of any trial, not a mean
+    assert s.max_clip_excess == 4e-16
 
 
 def test_single_rep_has_no_standard_errors():
@@ -357,19 +352,29 @@ def test_aggregate_grid_labels():
     assert rows[0].estimation == "Unweighted"
 
 
-def test_plan_validation():
+def _no_trials(*_):
+    raise AssertionError("a trial ran")
+
+
+def test_plan_validation(monkeypatch):
     with pytest.raises(ValueError):
         _plan(reps=0)
     with pytest.raises(ValueError):
-        _plan(parallelism=0)
-    with pytest.raises(ValueError):
         _plan(seed=-1)
-    # a non-integer is named before it reaches range, split_seed or the pool
+    # a non-integer is named before it reaches range or split_seed
     for kw, field in [
         ({"reps": 2.5}, "n_reps"),
         ({"seed": 1.5}, "base_seed"),
-        ({"parallelism": 2.5}, "parallelism"),
-        ({"parallelism": 2.5, "reps": 2}, "parallelism"),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             _plan(**kw)
+    # the worker count belongs to the call, and a bad one is named
+    # before any trial runs or any pool opens
+    opened = _open_pools(monkeypatch)
+    monkeypatch.setattr(harness, "run_lockstep", _no_trials)
+    monkeypatch.setattr(harness, "run_trial", _no_trials)
+    plan = _plan(reps=2)
+    for parallelism in (0, 2.5):
+        with pytest.raises(ValueError, match="^parallelism must be an integer >= 1, got "):
+            collect_plans([plan], parallelism)
+    assert opened == []

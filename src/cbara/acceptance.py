@@ -42,6 +42,7 @@ from .harness import (
 )
 from .oracle import (
     PopulationSample,
+    _balanced_ipw,
     balance_coeff_a,
     invariant_pi_g_check,
     ipw_asym_var,
@@ -136,10 +137,10 @@ def _oracle(seed: int) -> dict:
     )
     theta1 = oracle_theta_star(pop1)
     bundle["v_direct_s"] = ipw_asym_var(pop1, theta1, policy, balance=False)
-    bundle["v_balance_s"] = ipw_asym_var(pop1, theta1, policy, balance=True)
     # the z that the IPW error carries, (1 - rho) Y(1) + rho Y(0),
-    # with rho = 1/2 under CRD; its a is the one inside v_balance_s
-    bundle["a_ipw_s"] = balance_coeff_a(
+    # with rho = 1/2 under CRD; its a is the one inside v_balance_s,
+    # and one balance system gives both
+    bundle["a_ipw_s"], bundle["v_balance_s"] = _balanced_ipw(
         pop1, theta1, policy, lambda pop: 0.5 * (pop.y1 + pop.y0)
     )
     return bundle

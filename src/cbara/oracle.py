@@ -15,11 +15,28 @@ unaffected. The balance linear systems all share one Gram matrix,
 G = E[phi phi' w / (rho (1 - rho))], with per-unit weight
 w = 1 / max(|phi| / (rho (1 - rho)), C_theta); only the right-hand side
 changes with the quantity being balanced.
+
+Passes. Every sum runs over slices of _CHUNK units, whose design rows
+phi = (1, x1, x2, x3), d1 and d0 are filled in place in one buffer
+each. `asymptotic_report` reads the population in three passes, in the
+order the data dependencies allow:
+
+1. the criterion normal equations, giving theta* and Mp^-1;
+2. G, the a-system right-hand sides for z and for the IPW h, and the
+   M-estimator moments;
+3. the residual sums behind sigma_z_sq and the IPW variance.
+
+The public functions run the passes they need through the same
+helpers, so each per-chunk formula is written once. The ratio rho and
+the weight w are the only population-wide temporaries: the per-chunk
+weights (w / (rho (1 - rho)), z w / (rho (1 - rho)), h and h w) are
+formed one chunk at a time, and Var(Y(1) - Y(0)) is one population-wide
+reduction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,8 +67,10 @@ class PopulationSample:
     __slots__ = ("scenario", "seed", "x1", "x2", "x3", "y1", "y0", "zstar")
 
     def __init__(self, scenario: Scenario, seed: int, m: int = 10**6) -> None:
-        if m < 1:
-            raise ValueError("m must be >= 1")
+        if not (isinstance(m, int) and m >= 1):
+            raise ValueError(f"m must be an integer >= 1, got {m!r}")
+        if not (isinstance(seed, int) and 0 <= seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         self.scenario = scenario
         self.seed = seed
         rng = np.random.default_rng(seed)
@@ -128,34 +147,65 @@ def _balance_weights(
     return 1.0 / np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta)
 
 
-def _phi_matrix(pop: PopulationSample, lo: int, hi: int) -> np.ndarray:
-    return np.column_stack(
-        (np.ones(hi - lo), pop.x1[lo:hi], pop.x2[lo:hi], pop.x3[lo:hi])
-    )
+def _chunks(m: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of each slice of at most _CHUNK units, in order."""
+    for lo in range(0, m, _CHUNK):
+        yield lo, min(lo + _CHUNK, m)
 
 
-def _design_blocks(pop: PopulationSample, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm design rows d(x,1) and d(x,0) for a chunk of units."""
-    n = hi - lo
-    one = np.ones(n)
-    zero = np.zeros(n)
-    x1 = pop.x1[lo:hi]
-    x2 = pop.x2[lo:hi]
-    x3 = pop.x3[lo:hi]
-    d1 = np.column_stack((one, x1, zero, zero, x2, x3))
-    d0 = np.column_stack((zero, zero, one, x1, x2, x3))
-    return d1, d0
+class _Rows:
+    """A chunk's design matrices, each filled in place in one buffer:
+    phi = (1, x1, x2, x3) and the per-arm rows d(x,1) = (1, x1, 0, 0,
+    x2, x3) and d(x,0) = (0, 0, 1, x1, x2, x3). The constant columns are
+    written once; a chunk copies in its covariates and gets views that
+    hold until the next chunk."""
+
+    __slots__ = ("pop", "_phi", "_arms")
+
+    def __init__(self, pop: PopulationSample) -> None:
+        self.pop = pop
+        self._phi: np.ndarray | None = None
+        self._arms: tuple[np.ndarray, np.ndarray] | None = None
+
+    def phi(self, lo: int, hi: int) -> np.ndarray:
+        if self._phi is None:
+            self._phi = np.ones((min(len(self.pop), _CHUNK), 4))
+        phi = self._phi[: hi - lo]
+        phi[:, 1] = self.pop.x1[lo:hi]
+        phi[:, 2] = self.pop.x2[lo:hi]
+        phi[:, 3] = self.pop.x3[lo:hi]
+        return phi
+
+    def arms(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._arms is None:
+            n = min(len(self.pop), _CHUNK)
+            d1 = np.zeros((n, 6))
+            d0 = np.zeros((n, 6))
+            d1[:, 0] = 1.0
+            d0[:, 2] = 1.0
+            self._arms = (d1, d0)
+        d1 = self._arms[0][: hi - lo]
+        d0 = self._arms[1][: hi - lo]
+        d1[:, 1] = d0[:, 3] = self.pop.x1[lo:hi]
+        d1[:, 4] = d0[:, 4] = self.pop.x2[lo:hi]
+        d1[:, 5] = d0[:, 5] = self.pop.x3[lo:hi]
+        return d1, d0
 
 
-def _criterion_gram(pop: PopulationSample) -> tuple[np.ndarray, np.ndarray]:
-    """Mp = E[(d1 d1' + d0 d0') / 2] and E[(d1 Y(1) + d0 Y(0)) / 2]: the
-    population normal equations of the working model."""
+def _ipw_h(pop: PopulationSample, r: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """h = Y(1)/rho + Y(0)/(1 - rho) on one chunk."""
+    return pop.y1[lo:hi] / r + pop.y0[lo:hi] / (1.0 - r)
+
+
+def _criterion_pass(pop: PopulationSample) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 1. Mp = E[(d1 d1' + d0 d0') / 2] and E[(d1 Y(1) + d0 Y(0)) / 2]:
+    the population normal equations of the working model."""
     m = len(pop)
+    rows = _Rows(pop)
     gram = np.zeros((6, 6))
     rhs = np.zeros(6)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        d1, d0 = _design_blocks(pop, lo, hi)
+    for lo, hi in _chunks(m):
+        d1, d0 = rows.arms(lo, hi)
         gram += 0.5 * (d1.T @ d1 + d0.T @ d0)
         rhs += 0.5 * (d1.T @ pop.y1[lo:hi] + d0.T @ pop.y0[lo:hi])
     return gram / m, rhs / m
@@ -174,6 +224,123 @@ def _solve_active(pop: PopulationSample, gram: np.ndarray, rhs: np.ndarray) -> n
     return out
 
 
+class _MestSums:
+    """The moments mest_covariance assembles, summed chunk by chunk, for
+    the influence vectors Zc (conditional) and Zu (unconditional) at the
+    limit parameter:
+      zc_quad = E[rho (1-rho) Zc Zc'],  zc_phi = E[Zc phi'],
+      h_mat   = E[Zc phi' w]           (A-system right side),
+      phi_quad= E[phi phi' / (rho(1-rho))],
+      zu_mom  = E[Zu Zu'],  zu_mean = E[Zu]."""
+
+    def __init__(self, theta_star: ModelCoefficients, minv: np.ndarray) -> None:
+        self.ts = theta_star.as_array()
+        self.neg_minv_t = -minv.T
+        self.zc_quad = np.zeros((6, 6))
+        self.zc_phi = np.zeros((6, 4))
+        self.h_mat = np.zeros((6, 4))
+        self.phi_quad = np.zeros((4, 4))
+        self.zu_mom = np.zeros((6, 6))
+        self.zu_mean = np.zeros(6)
+
+    def add(self, pop: PopulationSample, rows: _Rows, lo: int, hi: int,
+            phi: np.ndarray, r: np.ndarray, rr: np.ndarray, ww: np.ndarray) -> None:
+        d1, d0 = rows.arms(lo, hi)
+        r1 = pop.y1[lo:hi] - d1 @ self.ts
+        r0 = pop.y0[lo:hi] - d0 @ self.ts
+        s1 = (r1 * d1.T).T @ self.neg_minv_t  # rows are (d2 criterion)^-1 score, arm 1
+        s0 = (r0 * d0.T).T @ self.neg_minv_t
+        zc = (0.5 / r)[:, None] * s1 - (0.5 / (1.0 - r))[:, None] * s0
+        zu = 0.5 * (s1 + s0)
+        self.zc_quad += (zc * rr[:, None]).T @ zc
+        self.zc_phi += zc.T @ phi
+        self.h_mat += (zc * ww[:, None]).T @ phi
+        self.phi_quad += (phi / rr[:, None]).T @ phi
+        self.zu_mom += zu.T @ zu
+        self.zu_mean += zu.sum(axis=0)
+
+    def covariance(self, g: np.ndarray, m: int) -> np.ndarray:
+        """The covariance from the sums over m units, with the
+        correction matrix A solved row-wise from the balance Gram g."""
+        zc_quad, zc_phi, h_mat, phi_quad, zu_mom = (
+            arr / m for arr in (self.zc_quad, self.zc_phi, self.h_mat, self.phi_quad, self.zu_mom)
+        )
+        zu_mean = self.zu_mean / m
+        a_mat = _solve_gram(g, h_mat.T).T
+        cov_u = zu_mom - np.outer(zu_mean, zu_mean)
+        cond_part = (
+            zc_quad
+            - a_mat @ zc_phi.T
+            - zc_phi @ a_mat.T
+            + a_mat @ phi_quad @ a_mat.T
+        )
+        sigma = cov_u + cond_part
+        return (sigma + sigma.T) / 2.0
+
+
+def _balance_pass(
+    pop: PopulationSample,
+    rho: np.ndarray,
+    w: np.ndarray,
+    z: np.ndarray | None = None,
+    ipw: bool = False,
+    mest: _MestSums | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pass 2. The balance Gram G = E[phi phi' w / (rho (1-rho))] and,
+    when asked, the a-system right-hand sides E[phi z w / (rho (1-rho))]
+    for z and E[phi h w] for the IPW h, as (G, z side, h side); a side
+    not asked for stays 0. The M-estimator moments go into mest."""
+    m = len(pop)
+    rows = _Rows(pop)
+    g = np.zeros((4, 4))
+    z_rhs = np.zeros(4)
+    h_rhs = np.zeros(4)
+    for lo, hi in _chunks(m):
+        phi = rows.phi(lo, hi)
+        r = rho[lo:hi]
+        ww = w[lo:hi]
+        rr = r * (1.0 - r)
+        g += (phi * (ww / rr)[:, None]).T @ phi
+        if z is not None:
+            z_rhs += phi.T @ (z[lo:hi] * ww / rr)
+        if ipw:
+            h_rhs += phi.T @ (_ipw_h(pop, r, lo, hi) * ww)
+        if mest is not None:
+            mest.add(pop, rows, lo, hi, phi, r, rr, ww)
+    return g / m, z_rhs / m, h_rhs / m
+
+
+def _residual_pass(
+    pop: PopulationSample,
+    rho: np.ndarray,
+    z: np.ndarray | None = None,
+    a: np.ndarray | None = None,
+    a_ipw: np.ndarray | None = None,
+) -> tuple[float, float]:
+    """Pass 3. The means of (z - a' phi)^2 / (rho (1-rho)), when z is
+    given, and of rho (1-rho) (h - a_ipw' phi / (rho (1-rho)))^2, when
+    a_ipw is given; 0 otherwise."""
+    m = len(pop)
+    rows = _Rows(pop)
+    s_z = s_ipw = 0.0
+    for lo, hi in _chunks(m):
+        phi = rows.phi(lo, hi)
+        r = rho[lo:hi]
+        rr = r * (1.0 - r)
+        if z is not None:
+            resid = z[lo:hi] - phi @ a
+            s_z += float(np.sum(resid * resid / rr))
+        if a_ipw is not None:
+            resid = _ipw_h(pop, r, lo, hi) - (phi @ a_ipw) / rr
+            s_ipw += float(np.sum(rr * resid * resid))
+    return s_z / m, s_ipw / m
+
+
+def _ipw_var(pop: PopulationSample, allocation_term: float) -> float:
+    """Var(Y(1) - Y(0)) plus the allocation term from _residual_pass."""
+    return float(np.var(pop.y1 - pop.y0)) + allocation_term
+
+
 def oracle_theta_star(pop: PopulationSample) -> ModelCoefficients:
     """Limit of the working-model fit: population least squares over
     both potential outcomes with reference weights 1/2 per arm.
@@ -183,25 +350,7 @@ def oracle_theta_star(pop: PopulationSample) -> ModelCoefficients:
     constant, so the weighted and unweighted flavors share one
     solution.
     """
-    return ModelCoefficients.from_array(_solve_active(pop, *_criterion_gram(pop)))
-
-
-def _balance_gram(
-    pop: PopulationSample,
-    policy: TargetPolicy,
-    theta_star: ModelCoefficients,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G, rho, w) shared by every balance linear system."""
-    rho = _rho_star(policy, theta_star, pop.x1)
-    w = _balance_weights(policy, theta_star, pop, rho)
-    m = len(pop)
-    g = np.zeros((4, 4))
-    coef = w / (rho * (1.0 - rho))
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        phi = _phi_matrix(pop, lo, hi)
-        g += (phi * coef[lo:hi, None]).T @ phi
-    return g / m, rho, w
+    return ModelCoefficients.from_array(_solve_active(pop, *_criterion_pass(pop)))
 
 
 def balance_coeff_a(
@@ -216,15 +365,10 @@ def balance_coeff_a(
     balance Gram; with the constant-weight guard active everywhere this
     a also minimizes sigma_z_sq over coefficient vectors.
     """
-    g, rho, w = _balance_gram(pop, policy, theta_star)
     z = _eval_z(pop, z_def)
-    coef = z * w / (rho * (1.0 - rho))
-    m = len(pop)
-    rhs = np.zeros(4)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        rhs += _phi_matrix(pop, lo, hi).T @ coef[lo:hi]
-    return _solve_gram(g, rhs / m)
+    rho = _rho_star(policy, theta_star, pop.x1)
+    g, z_rhs, _ = _balance_pass(pop, rho, _balance_weights(policy, theta_star, pop, rho), z=z)
+    return _solve_gram(g, z_rhs)
 
 
 def sigma_z_sq(
@@ -238,15 +382,7 @@ def sigma_z_sq(
     E[(Z - a' phi)^2 / (rho (1 - rho))]."""
     rho = _rho_star(policy, theta_star, pop.x1)
     z = _eval_z(pop, z_def)
-    a = np.asarray(a, dtype=float)
-    total = 0.0
-    m = len(pop)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        resid = z[lo:hi] - _phi_matrix(pop, lo, hi) @ a
-        r = rho[lo:hi]
-        total += float(np.sum(resid * resid / (r * (1.0 - r))))
-    return total / m
+    return _residual_pass(pop, rho, z=z, a=np.asarray(a, dtype=float))[0]
 
 
 def ipw_asym_var(
@@ -260,28 +396,16 @@ def ipw_asym_var(
     Var(Y(1) - Y(0)) plus the allocation term
     E[rho (1-rho) (h - a' phi / (rho (1-rho)))^2] for
     h = Y(1)/rho + Y(0)/(1-rho), with a from the balance system
-    (balance=True) or a = 0 for the uncorrected comparator.
+    (balance=True) or a = 0 for the uncorrected comparator, which needs
+    no balance system.
     """
-    g, rho, w = _balance_gram(pop, policy, theta_star)
-    h = pop.y1 / rho + pop.y0 / (1.0 - rho)
-    m = len(pop)
-
-    rhs = np.zeros(4)
-    hw = h * w
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        rhs += _phi_matrix(pop, lo, hi).T @ hw[lo:hi]
-    a = _solve_gram(g, rhs / m) if balance else np.zeros(4)
-
-    diff = pop.y1 - pop.y0
-    var_diff = float(np.var(diff))
-    total = 0.0
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        r = rho[lo:hi]
-        resid = h[lo:hi] - (_phi_matrix(pop, lo, hi) @ a) / (r * (1.0 - r))
-        total += float(np.sum(r * (1.0 - r) * resid * resid))
-    return var_diff + total / m
+    rho = _rho_star(policy, theta_star, pop.x1)
+    a = np.zeros(4)
+    if balance:
+        w = _balance_weights(policy, theta_star, pop, rho)
+        g, _, h_rhs = _balance_pass(pop, rho, w, ipw=True)
+        a = _solve_gram(g, h_rhs)
+    return _ipw_var(pop, _residual_pass(pop, rho, a_ipw=a)[1])
 
 
 def mest_covariance(
@@ -297,57 +421,28 @@ def mest_covariance(
     form, with the correction matrix A solved row-wise from the shared
     balance Gram. Dropped design columns get zero rows and columns.
     """
-    g, rho, w = _balance_gram(pop, policy, theta_star)
-    ts = theta_star.as_array()
-    m = len(pop)
+    minv = _solve_active(pop, _criterion_pass(pop)[0], np.eye(6))
+    rho = _rho_star(policy, theta_star, pop.x1)
+    mest = _MestSums(theta_star, minv)
+    g, _, _ = _balance_pass(pop, rho, _balance_weights(policy, theta_star, pop, rho), mest=mest)
+    return mest.covariance(g, len(pop))
 
-    minv = _solve_active(pop, _criterion_gram(pop)[0], np.eye(6))
 
-    # One pass accumulating every other moment the covariance needs:
-    #   zc_quad = E[rho (1-rho) Zc Zc'],  zc_phi = E[Zc phi'],
-    #   h_mat   = E[Zc phi' w]           (A-system right side),
-    #   phi_quad= E[phi phi' / (rho(1-rho))],
-    #   zu_mom  = E[Zu Zu'],  zu_mean = E[Zu].
-    zc_quad = np.zeros((6, 6))
-    zc_phi = np.zeros((6, 4))
-    h_mat = np.zeros((6, 4))
-    phi_quad = np.zeros((4, 4))
-    zu_mom = np.zeros((6, 6))
-    zu_mean = np.zeros(6)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        d1, d0 = _design_blocks(pop, lo, hi)
-        r = rho[lo:hi]
-        ww = w[lo:hi]
-        r1 = pop.y1[lo:hi] - d1 @ ts
-        r0 = pop.y0[lo:hi] - d0 @ ts
-        s1 = (r1 * d1.T).T @ (-minv.T)  # rows are (d2 criterion)^-1 score, arm 1
-        s0 = (r0 * d0.T).T @ (-minv.T)
-        zc = (0.5 / r)[:, None] * s1 - (0.5 / (1.0 - r))[:, None] * s0
-        zu = 0.5 * (s1 + s0)
-        phi = _phi_matrix(pop, lo, hi)
-        rr = r * (1.0 - r)
-        zc_quad += (zc * rr[:, None]).T @ zc
-        zc_phi += zc.T @ phi
-        h_mat += (zc * ww[:, None]).T @ phi
-        phi_quad += (phi / rr[:, None]).T @ phi
-        zu_mom += zu.T @ zu
-        zu_mean += zu.sum(axis=0)
-    for arr in (zc_quad, zc_phi, h_mat, phi_quad, zu_mom):
-        arr /= m
-    zu_mean /= m
-
-    a_mat = _solve_gram(g, h_mat.T).T
-
-    cov_u = zu_mom - np.outer(zu_mean, zu_mean)
-    cond_part = (
-        zc_quad
-        - a_mat @ zc_phi.T
-        - zc_phi @ a_mat.T
-        + a_mat @ phi_quad @ a_mat.T
-    )
-    sigma = cov_u + cond_part
-    return (sigma + sigma.T) / 2.0
+def _balanced_ipw(
+    pop: PopulationSample,
+    theta_star: ModelCoefficients,
+    policy: TargetPolicy,
+    z_def: Callable,
+) -> tuple[np.ndarray, float]:
+    """balance_coeff_a(pop, theta_star, policy, z_def) and
+    ipw_asym_var(pop, theta_star, policy), bit for bit, from one
+    balance pass: both solve the same G."""
+    z = _eval_z(pop, z_def)
+    rho = _rho_star(policy, theta_star, pop.x1)
+    w = _balance_weights(policy, theta_star, pop, rho)
+    g, z_rhs, h_rhs = _balance_pass(pop, rho, w, z=z, ipw=True)
+    s_ipw = _residual_pass(pop, rho, a_ipw=_solve_gram(g, h_rhs))[1]
+    return _solve_gram(g, z_rhs), _ipw_var(pop, s_ipw)
 
 
 def invariant_pi_g_check(
@@ -398,16 +493,21 @@ def asymptotic_report(
     policy: TargetPolicy,
     z_def: Callable = z_additional,
 ) -> AsymptoticReport:
-    """Assemble every asymptotic quantity for one (scenario, policy, Z)."""
-    theta_star = oracle_theta_star(pop)
-    a = balance_coeff_a(pop, theta_star, policy, z_def)
-    s = sigma_z_sq(pop, theta_star, policy, a, z_def)
-    ipw = ipw_asym_var(pop, theta_star, policy)
-    cov = mest_covariance(pop, theta_star, policy)
+    """Assemble every asymptotic quantity for one (scenario, policy, Z),
+    bit for bit as the public functions give them, in three passes."""
+    gram, rhs = _criterion_pass(pop)
+    theta_star = ModelCoefficients.from_array(_solve_active(pop, gram, rhs))
+    z = _eval_z(pop, z_def)
+    rho = _rho_star(policy, theta_star, pop.x1)
+    w = _balance_weights(policy, theta_star, pop, rho)
+    mest = _MestSums(theta_star, _solve_active(pop, gram, np.eye(6)))
+    g, z_rhs, h_rhs = _balance_pass(pop, rho, w, z=z, ipw=True, mest=mest)
+    a = _solve_gram(g, z_rhs)
+    s_z, s_ipw = _residual_pass(pop, rho, z=z, a=a, a_ipw=_solve_gram(g, h_rhs))
     return AsymptoticReport(
         theta_star=theta_star,
         a_vec=tuple(float(v) for v in a),
-        sigma_z_sq=float(s),
-        ipw_var=float(ipw),
-        mest_cov=cov,
+        sigma_z_sq=s_z,
+        ipw_var=_ipw_var(pop, s_ipw),
+        mest_cov=mest.covariance(g, len(pop)),
     )

@@ -202,15 +202,63 @@ def test_oracle_ratio_is_the_engine_link(pop_b, theta_b, family):
         assert np.array_equal(_rho_star(policy, theta, x1), want)
 
 
-def test_report_bundles_consistent_pieces(pop_a, theta_a):
-    report = asymptotic_report(pop_a, POLICY)
-    assert report.theta_star == theta_a
-    a = balance_coeff_a(pop_a, theta_a, POLICY)
-    np.testing.assert_allclose(report.a_vec, a, atol=1e-12)
-    assert report.sigma_z_sq == pytest.approx(
-        sigma_z_sq(pop_a, theta_a, POLICY, a), abs=1e-12
-    )
+def _assert_report_is_the_public_functions(pop, policy):
+    # the report's passes and the public functions share their per-chunk
+    # formulas, so every field matches bit for bit
+    report = asymptotic_report(pop, policy)
+    theta = oracle_theta_star(pop)
+    assert report.theta_star == theta
+    a = balance_coeff_a(pop, theta, policy)
+    assert report.a_vec == tuple(float(v) for v in a)
+    assert report.sigma_z_sq == sigma_z_sq(pop, theta, policy, a)
+    assert report.ipw_var == ipw_asym_var(pop, theta, policy)
+    assert np.array_equal(report.mest_cov, mest_covariance(pop, theta, policy))
     assert report.mest_cov.shape == (6, 6)
+
+
+def test_report_bundles_consistent_pieces(pop_a):
+    _assert_report_is_the_public_functions(pop_a, POLICY)
+
+
+def test_report_pieces_agree_on_a_ragged_last_chunk():
+    # two full chunks and one unit: the last chunk's design buffers are
+    # a one-row slice
+    pop = PopulationSample(
+        Scenario(ScenarioId.DISCRETE, 1.0), seed=312, m=2 * oracle._CHUNK + 1
+    )
+    _assert_report_is_the_public_functions(pop, TargetPolicy(family=Family.PROBIT))
+
+
+def test_balanced_ipw_pair_is_the_public_functions(pop_b, theta_b):
+    def z_ipw(pop):
+        return 0.5 * (pop.y1 + pop.y0)
+
+    a, v = oracle._balanced_ipw(pop_b, theta_b, POLICY, z_ipw)
+    assert np.array_equal(a, balance_coeff_a(pop_b, theta_b, POLICY, z_ipw))
+    assert v == ipw_asym_var(pop_b, theta_b, POLICY, balance=True)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"m": 0}, "m must be an integer >= 1, got 0"),
+        ({"m": 2.5}, "m must be an integer >= 1, got 2.5"),
+        ({"m": 1e6}, "m must be an integer >= 1, got 1000000.0"),
+        ({"m": "10"}, "m must be an integer >= 1, got '10'"),
+        ({"seed": 1.5}, "seed must be an integer in [0, 2**64), got 1.5"),
+        ({"seed": -1}, "seed must be an integer in [0, 2**64), got -1"),
+        ({"seed": 2**64}, "seed must be an integer in [0, 2**64), got 18446744073709551616"),
+        ({"seed": "3"}, "seed must be an integer in [0, 2**64), got '3'"),
+    ],
+)
+def test_population_sample_rejects_bad_fields_before_any_draw(monkeypatch, kwargs, message):
+    def no_draw(*args):
+        raise AssertionError("drew units")
+
+    monkeypatch.setattr(oracle, "draw_unit_arrays", no_draw)
+    with pytest.raises(ValueError) as info:
+        PopulationSample(Scenario(ScenarioId.A), **{"seed": 1, "m": 10, **kwargs})
+    assert str(info.value) == message
 
 
 def test_invariant_probability_identity():

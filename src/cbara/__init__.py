@@ -52,9 +52,6 @@ from .policy import (
     ZERO_COEFFS,
     allocation_prob,
     derive_constants,
-    feature_vector,
-    imbalance_increment,
-    target_ratio,
     target_ratio_from_x1,
 )
 from .acceptance import CRITERION_NAMES, CriterionResult, run_acceptance

@@ -8,6 +8,10 @@ across processes, so a run is reproducible from the seeds below.
 
 Every replication plan that criteria 1-7 read is declared once, in
 `_run_table`, by name, with its seed key, config and replication count.
+Its configs and criterion 8's are the ones `cbara run` builds,
+`cli.to_trial_config` of a `RunSpec`, so the update mechanism paired
+with each allocation comes from `cli.update_mechanism_for` alone; a
+frozen-parameter plan carries that mechanism too but never updates.
 `_Shared` builds the population oracle first, since the frozen-theta
 plans need theta*, then runs the whole table through one
 `collect_plans` call, with the run's worker count, before any criterion
@@ -28,9 +32,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .adapt import MechanismKind, UpdateMechanism, perfect_squares
+from .adapt import MechanismKind, perfect_squares
+from .cli import RunSpec, emit_tables, grid_plans, to_trial_config
 from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays, true_ate
-from .engine import Allocation, Lambda, TrialConfig, TrialStats, run_lockstep
+from .engine import Allocation, Lambda, TrialConfig, TrialStats, _check_int, run_lockstep
 from .estimator import Weighting, fit_working_model, ipw_ate
 from .harness import (
     MetricsSummary,
@@ -49,7 +54,7 @@ from .oracle import (
     oracle_theta_star,
     sigma_z_sq,
 )
-from .policy import Family, ModelCoefficients, TargetPolicy, target_ratio
+from .policy import Family, ModelCoefficients, TargetPolicy, target_ratio_from_x1
 
 _SEED = 20260818
 
@@ -101,23 +106,15 @@ def _config(
     family: Family = Family.CRD,
     weighting: Weighting = Weighting.UNWEIGHTED,
     noise_sd: float = 0.0,
-    scenario: ScenarioId = ScenarioId.A,
     frozen_theta: Optional[ModelCoefficients] = None,
 ) -> TrialConfig:
-    if allocation is Allocation.BALANCE and frozen_theta is None:
-        mech = UpdateMechanism.clipped(1.0, 0.5)
-    else:
-        mech = UpdateMechanism.direct()
-    return TrialConfig(
-        n_units=n,
-        scenario=Scenario(scenario, noise_sd),
-        policy=TargetPolicy(family=family),
-        weighting=weighting,
-        mechanism=mech,
-        allocation=allocation,
-        frozen_theta=frozen_theta,
-        keep_log=False,
+    """The config `cbara run` builds for these settings on scenario A,
+    update mechanism included, with the step log off and the parameter
+    pinned at frozen_theta when one is given."""
+    spec = RunSpec(
+        n=n, noise_sd=noise_sd, family=family, mechanism=allocation, weighting=weighting
     )
+    return replace(to_trial_config(spec), frozen_theta=frozen_theta, keep_log=False)
 
 
 def _oracle(seed: int) -> dict:
@@ -336,28 +333,26 @@ def _criterion_7(sh: _Shared) -> CriterionResult:
 
 
 def _criterion_8(sh: _Shared) -> CriterionResult:
-    policy = TargetPolicy(family=Family.LOGISTIC)
+    cfg0 = to_trial_config(
+        RunSpec(
+            n=5000,
+            scenario=ScenarioId.DISCRETE,
+            family=Family.LOGISTIC,
+            mechanism=Allocation.BALANCE,
+            weighting=Weighting.WEIGHTED,
+        )
+    )
     pop = PopulationSample(
         Scenario(ScenarioId.DISCRETE), seed=split_seed(sh.seed, 32), m=10**6
     )
     theta_d = oracle_theta_star(pop)
     del pop
     targets = {
-        atom: target_ratio(policy, theta_d, CovariateVector(float(atom), 0.0, 0.0))
-        for atom in (-1, 0, 1)
+        atom: target_ratio_from_x1(cfg0.policy, theta_d, float(atom)) for atom in (-1, 0, 1)
     }
     counts = {atom: 0 for atom in targets}
     treated = {atom: 0 for atom in targets}
     base = split_seed(sh.seed, 13)
-    cfg0 = TrialConfig(
-        n_units=5000,
-        scenario=Scenario(ScenarioId.DISCRETE),
-        policy=policy,
-        weighting=Weighting.WEIGHTED,
-        mechanism=UpdateMechanism.clipped(1.0, 0.5),
-        allocation=Allocation.BALANCE,
-        keep_log=True,
-    )
     # 200 logged trials in lockstep shards of 50, so the logs stay small
     for lo in range(0, 200, 50):
         shard = [replace(cfg0, seed=split_seed(base, i)) for i in range(lo, lo + 50)]
@@ -478,8 +473,6 @@ def _criterion_11(sh: _Shared) -> CriterionResult:
 
 
 def _criterion_12(sh: _Shared) -> CriterionResult:
-    from .cli import RunSpec, emit_tables, grid_plans
-
     spec = RunSpec(
         sizes=(200,),
         scenarios=(ScenarioId.A, ScenarioId.B),
@@ -523,10 +516,8 @@ _CRITERIA: tuple[Callable[[_Shared], CriterionResult], ...] = (
 def run_acceptance(parallelism: int = 1, seed: int = _SEED) -> list[CriterionResult]:
     """Run all twelve criteria from one base seed, the pinned one unless
     given; results come back in numeric order."""
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if not (isinstance(parallelism, int) and parallelism >= 1):
-        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
+    _check_int("seed", seed, seed=True)
+    _check_int("parallelism", parallelism)
     sh = _Shared(parallelism, seed)
     results = [fn(sh) for fn in _CRITERIA]
     results.sort(key=lambda r: r.name)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .adapt import UpdateMechanism
 from .datagen import Scenario, ScenarioId
-from .engine import Allocation, TrialConfig, run_trial
+from .engine import Allocation, TrialConfig, _check_int, run_trial
 from .estimator import Weighting
 from .harness import (
     LabeledSummary,
@@ -64,7 +64,6 @@ class RunSpec:
     noise_sd: float = 0.0
     family: Family = Family.CRD
     clamp_lo: float = 0.2
-    clamp_hi: float = 0.8
     c_lambda: float = 1.0
     g_floor: float = 0.01
     mechanism: Allocation = Allocation.DIRECT
@@ -118,7 +117,6 @@ _PARSERS = {
     "noise_sd": float,
     "family": _enum_parser(Family, "family"),
     "clamp_lo": float,
-    "clamp_hi": float,
     "c_lambda": float,
     "g_floor": float,
     "mechanism": _enum_parser(Allocation, "mechanism"),
@@ -174,15 +172,11 @@ def _config_values(text: str) -> dict:
 
 def validate_spec(spec: RunSpec) -> None:
     """Range checks beyond type parsing; raises ValueError."""
-    to_policy(spec)  # clamp symmetry and bound checks live there
-    if spec.reps < 1:
-        raise ValueError("reps must be >= 1")
-    if spec.parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
-    if not 0 <= spec.seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
-    if spec.oracle_m < 1:
-        raise ValueError("oracle_m must be >= 1")
+    to_policy(spec)  # clamp and allocation-rule checks live there
+    _check_int("reps", spec.reps)
+    _check_int("parallelism", spec.parallelism)
+    _check_int("seed", spec.seed, seed=True)
+    _check_int("oracle_m", spec.oracle_m)
     Scenario(spec.scenario, spec.noise_sd)  # noise sd checks live there
     for axis in ("sizes", "scenarios", "families", "weightings"):
         values = getattr(spec, axis)
@@ -214,7 +208,6 @@ def to_policy(spec: RunSpec) -> TargetPolicy:
     return TargetPolicy(
         family=spec.family,
         clamp_lo=spec.clamp_lo,
-        clamp_hi=spec.clamp_hi,
         c_lambda=spec.c_lambda,
         g_floor=spec.g_floor,
     )

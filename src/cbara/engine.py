@@ -64,6 +64,15 @@ from .policy import (
 _BLOCK = 256
 
 
+def _check_int(name: str, value, low: int = 1, seed: bool = False) -> None:
+    """Raise a ValueError naming the field unless value is an int (a
+    bool is not) that is >= low or, for a seed, in [0, 2**64)."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not (is_int and (0 <= value < 2**64 if seed else value >= low)):
+        rule = "in [0, 2**64)" if seed else f">= {low}"
+        raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
+
+
 class Allocation(str, Enum):
     DIRECT = "direct"
     BALANCE = "balance"
@@ -99,17 +108,12 @@ class TrialConfig:
             object.__setattr__(self, "allocation", Allocation(self.allocation))
         if not isinstance(self.weighting, Weighting):
             object.__setattr__(self, "weighting", Weighting(self.weighting))
-        for name in ("n_units", "burn_in", "response_delay", "seed"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.burn_in < 2:
-            raise ValueError("burn_in must be >= 2")
+        _check_int("n_units", self.n_units)
+        _check_int("burn_in", self.burn_in, 2)
+        _check_int("response_delay", self.response_delay, 0)
+        _check_int("seed", self.seed, seed=True)
         if self.n_units <= self.burn_in:
             raise ValueError("n_units must exceed burn_in")
-        if self.response_delay < 0:
-            raise ValueError("response_delay must be >= 0")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -242,6 +246,15 @@ def _coef_dist(a: ModelCoefficients, b: ModelCoefficients) -> float:
     return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + d5 * d5)
 
 
+def _check_clip_budget(move_sum: float, bound_sum: float) -> None:
+    """Raise unless a clipped trial's parameter moved no farther in
+    total than the sum of its per-update clip budgets, up to rounding."""
+    if move_sum > bound_sum + 1e-9:
+        raise RuntimeError(
+            f"clipped updates exceeded their cumulative budget: {move_sum} > {bound_sum}"
+        )
+
+
 def run_trial(cfg: TrialConfig) -> TrialResult:
     """Play out one trial and return its log and summaries.
 
@@ -264,7 +277,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     c_lambda = pol.c_lambda
 
     theta = cfg.frozen_theta if frozen else ZERO_COEFFS
-    p_theta, c_theta, _ = derive_constants(pol, theta)
+    p_theta, c_theta = derive_constants(pol, theta)
     theta_row = tuple(theta.as_array().tolist())
 
     acc = FitAccumulator(weighting=cfg.weighting, active=active_columns(scenario))
@@ -319,7 +332,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
                         if move > 0.0:
                             theta_move_sum += move
                             theta = new_theta
-                            p_theta, c_theta, _ = derive_constants(pol, theta)
+                            p_theta, c_theta = derive_constants(pol, theta)
                             theta_row = tuple(theta.as_array().tolist())
                             norm = _coef_norm(theta)
                             if norm > theta_max_norm:
@@ -373,11 +386,8 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
                 log.extend((x1, x2, x3, rho_used, g, t, y, z, l0, l1, l2, l3, psi, *theta_row))
             i += 1
 
-    if clipped and theta_move_sum > clip_bound_sum + 1e-9:
-        raise RuntimeError(
-            "clipped updates exceeded their cumulative budget: "
-            f"{theta_move_sum} > {clip_bound_sum}"
-        )
+    if clipped:
+        _check_clip_budget(theta_move_sum, clip_bound_sum)
 
     lam = (l0, l1, l2, l3)
     return TrialResult(
@@ -548,11 +558,8 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     for r in range(reps):
         move_sum = float(theta_move_sum[r])
         bound_sum = float(clip_bound_sum[r])
-        if clipped[r] and move_sum > bound_sum + 1e-9:
-            raise RuntimeError(
-                "clipped updates exceeded their cumulative budget: "
-                f"{move_sum} > {bound_sum}"
-            )
+        if clipped[r]:
+            _check_clip_budget(move_sum, bound_sum)
         lam_r = tuple(lam[r].tolist())
         results.append(
             TrialResult(

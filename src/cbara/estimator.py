@@ -33,6 +33,15 @@ def active_columns(scenario: Scenario) -> tuple[int, ...]:
     return _ARM_COLS if scenario.id is ScenarioId.DISCRETE else _ALL_COLS
 
 
+def rank_deficient(gram: np.ndarray) -> np.ndarray:
+    """The rank test of every fit: True where a symmetric normal matrix,
+    or each of a stack of them, has no positive eigenvalue or a smallest
+    eigenvalue below _RANK_RTOL times its largest. A NaN eigenvalue
+    fails both comparisons, so it is not counted as deficient."""
+    eigs = np.linalg.eigvalsh(gram)
+    return (eigs[..., -1] <= 0.0) | (eigs[..., 0] < _RANK_RTOL * eigs[..., -1])
+
+
 class Weighting(str, Enum):
     WEIGHTED = "weighted"
     UNWEIGHTED = "unweighted"
@@ -103,8 +112,8 @@ class FitAccumulator:
         """Solve the accumulated normal equations.
 
         Falls back to the supplied coefficients with rank_ok = false
-        when the (active-column) normal matrix has a singular value
-        below 1e-8 times its largest.
+        when rank_deficient finds the (active-column) normal matrix
+        deficient.
         """
         if self.n == 0:
             raise ValueError("no rows accumulated")
@@ -112,8 +121,7 @@ class FitAccumulator:
         full = upper + upper.T - np.diag(np.diagonal(upper))
         act = self.active
         sub = full[np.ix_(act, act)]
-        eigs = np.linalg.eigvalsh(sub)
-        if eigs[-1] <= 0.0 or eigs[0] < _RANK_RTOL * eigs[-1]:
+        if rank_deficient(sub):
             return FitResult(eta=fallback, rank_ok=False, n_used=self.n)
         rhs = np.array(self._b)[list(act)]
         sol = np.linalg.solve(sub, rhs)
@@ -187,14 +195,13 @@ class FitStack:
         """Solve the normal equations of the trials marked in rows.
 
         Returns (ok, eta): ok marks the trials in rows that pass
-        FitAccumulator.fit's rank test. Row r of eta holds trial r's
+        the rank test (rank_deficient). Row r of eta holds trial r's
         coefficients (0 outside the active columns) where ok[r], and
         fallback[r] elsewhere.
         """
         act = self.active
         sym = self._u[:, self._cells]
-        eigs = np.linalg.eigvalsh(sym)
-        ok = rows & ~((eigs[:, -1] <= 0.0) | (eigs[:, 0] < _RANK_RTOL * eigs[:, -1]))
+        ok = rows & ~rank_deficient(sym)
         eta = fallback.copy()
         if ok.any():
             sol = np.zeros((int(ok.sum()), 6))

@@ -37,7 +37,15 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .datagen import true_ate
-from .engine import Lambda, TrialConfig, TrialStats, run_lockstep, run_trial, step_schedule
+from .engine import (
+    Lambda,
+    TrialConfig,
+    TrialStats,
+    _check_int,
+    run_lockstep,
+    run_trial,
+    step_schedule,
+)
 
 SHARD_MAX = 2000
 
@@ -63,10 +71,8 @@ class ReplicationPlan:
     base_seed: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_reps, int) and self.n_reps >= 1):
-            raise ValueError(f"n_reps must be an integer >= 1, got {self.n_reps!r}")
-        if not (isinstance(self.base_seed, int) and 0 <= self.base_seed < 2**64):
-            raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
+        _check_int("n_reps", self.n_reps)
+        _check_int("base_seed", self.base_seed, seed=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,8 +184,7 @@ def collect_plans(
     order."""
     if not plans:
         raise ValueError("plans must be nonempty")
-    if not (isinstance(parallelism, int) and parallelism >= 1):
-        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
+    _check_int("parallelism", parallelism)
     runs = [replication_configs(plan) for plan in plans]
     # (plan, replication) positions, per step schedule
     groups: dict[tuple, list[tuple[int, int]]] = {}

@@ -42,16 +42,14 @@ import numpy as np
 
 from .adapt import UpdateMechanism
 from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays
-from .engine import Allocation, TrialConfig, run_trial
-from .estimator import Weighting, active_columns
+from .engine import Allocation, TrialConfig, _check_int, run_trial
+from .estimator import Weighting, active_columns, rank_deficient
 from .policy import (
     ModelCoefficients,
     PolicyRows,
     TargetPolicy,
     allocation_prob_rows,
     derive_constants,
-    feature_vector,
-    target_ratio,
     target_ratio_from_x1,
 )
 
@@ -67,10 +65,8 @@ class PopulationSample:
     __slots__ = ("scenario", "seed", "x1", "x2", "x3", "y1", "y0", "zstar")
 
     def __init__(self, scenario: Scenario, seed: int, m: int = 10**6) -> None:
-        if not (isinstance(m, int) and m >= 1):
-            raise ValueError(f"m must be an integer >= 1, got {m!r}")
-        if not (isinstance(seed, int) and 0 <= seed < 2**64):
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        _check_int("m", m)
+        _check_int("seed", seed, seed=True)
         self.scenario = scenario
         self.seed = seed
         rng = np.random.default_rng(seed)
@@ -142,7 +138,7 @@ def _balance_weights(
     pop: PopulationSample,
     rho: np.ndarray,
 ) -> np.ndarray:
-    _, c_theta, _ = derive_constants(policy, theta)
+    _, c_theta = derive_constants(policy, theta)
     phi_norm = np.sqrt(1.0 + pop.x1**2 + pop.x2**2 + pop.x3**2)
     return 1.0 / np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta)
 
@@ -216,8 +212,7 @@ def _solve_active(pop: PopulationSample, gram: np.ndarray, rhs: np.ndarray) -> n
     rows of dropped coefficients are 0."""
     active = list(active_columns(pop.scenario))
     sub = _check_gram(gram[np.ix_(active, active)])
-    eigs = np.linalg.eigvalsh(sub)
-    if eigs[0] < 1e-8 * eigs[-1]:
+    if rank_deficient(sub):
         raise ValueError("population design is singular")
     out = np.zeros(rhs.shape)
     out[active] = np.linalg.solve(sub, rhs[active])
@@ -476,12 +471,12 @@ def invariant_pi_g_check(
     )
     lam = run_trial(cfg).log.lam[horizon // 10 :]
 
-    p_theta, c_theta, _ = derive_constants(policy, theta)
+    p_theta, c_theta = derive_constants(policy, theta)
     rows = PolicyRows.of([policy])
     devs: list[float] = []
     for x in probe_xs:
-        rho = target_ratio(policy, theta, x)
-        phi = np.broadcast_to(feature_vector(x), lam.shape)
+        rho = target_ratio_from_x1(policy, theta, x.x1)
+        phi = np.broadcast_to((1.0, x.x1, x.x2, x.x3), lam.shape)
         g = allocation_prob_rows(rows, rho, p_theta, c_theta, phi, lam)
         # summed left to right, as a scalar loop does
         devs.append(abs(float(np.cumsum(g)[-1]) / len(lam) - rho))

@@ -1,14 +1,22 @@
 """Targeted allocation ratios, tuning constants, and the allocation rule.
 
-The allocation probability nudges each assignment against the running
-imbalance vector: g = rho - p * <phi, lambda> / (scale * norm-guard),
-clamped to [g_floor, 1 - g_floor]. With the symmetric ratio clamp the
-pre-clamp value already lies in [0, 1].
+The targeted ratio rho is a link of the arm contrast at x1, clamped to
+the policy's band [clamp_lo, 1 - clamp_lo]. The allocation probability
+nudges each assignment against the running imbalance vector:
+g = rho - p * <phi, lambda> / (scale * norm-guard), with phi =
+(1, x1, x2, x3), clamped to [g_floor, 1 - g_floor]. With the symmetric
+ratio clamp the pre-clamp value already lies in [0, 1].
+
+Each rule is written once for one unit (target_ratio_from_x1,
+derive_constants, _allocation_prob_raw, increment_scale) and once for
+R rows at a time (the *_rows functions), which the lockstep engine
+uses and which equal the scalar forms bit for bit. allocation_prob
+composes the scalar rule for one covariate vector.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Sequence, Union
 
@@ -62,32 +70,28 @@ ZERO_COEFFS = ModelCoefficients()
 class TargetPolicy:
     """Ratio family plus clamp bounds and allocation-rule constants.
 
-    The clamp must be symmetric (clamp_lo + clamp_hi = 1); that is what
-    keeps the pre-clamp allocation probability inside [0, 1].
+    The targeted ratio is clamped to [clamp_lo, clamp_hi], where
+    clamp_lo lies in (0, 0.5] and clamp_hi is derived as 1 - clamp_lo.
+    The band is symmetric because that is what keeps the pre-clamp
+    allocation probability inside [0, 1].
     """
 
     family: Family
     clamp_lo: float = 0.2
-    clamp_hi: float = 0.8
+    clamp_hi: float = field(init=False)
     c_lambda: float = 1.0
     g_floor: float = 0.01
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(self.family))
-        if not (0.0 < self.clamp_lo <= 0.5 <= self.clamp_hi < 1.0):
-            raise ValueError("need 0 < clamp_lo <= 0.5 <= clamp_hi < 1")
-        if abs(self.clamp_lo + self.clamp_hi - 1.0) > 1e-12:
-            raise ValueError("asymmetric clamp: clamp_lo + clamp_hi must equal 1")
+        if not 0.0 < self.clamp_lo <= 0.5:
+            raise ValueError(f"need 0 < clamp_lo <= 0.5, got {self.clamp_lo!r}")
+        object.__setattr__(self, "clamp_hi", 1.0 - self.clamp_lo)
         if not (self.c_lambda > 0.0 and math.isfinite(self.c_lambda)):
             raise ValueError("c_lambda must be finite and > 0")
         if not (0.0 < self.g_floor < self.clamp_lo):
             raise ValueError("need 0 < g_floor < clamp_lo")
-
-
-def feature_vector(x: CovariateVector) -> tuple[float, float, float, float]:
-    """phi(x) = (1, x1, x2, x3)."""
-    return (1.0, x.x1, x.x2, x.x3)
 
 
 def _link(policy: TargetPolicy, delta: float) -> float:
@@ -105,7 +109,13 @@ def _link(policy: TargetPolicy, delta: float) -> float:
 
 
 def target_ratio_from_x1(policy: TargetPolicy, theta: ModelCoefficients, x1: float) -> float:
-    """target_ratio for callers that track covariates as plain scalars."""
+    """Targeted treatment probability for a unit with covariate x1 under
+    parameter theta.
+
+    Only the arm contrast matters: delta = (alpha1 - alpha0)
+    + x1 * (gamma1 - gamma0); the shared x2/x3 terms cancel, so x1 is
+    the only covariate the ratio reads.
+    """
     delta = (theta.alpha1 - theta.alpha0) + x1 * (theta.gamma1 - theta.gamma0)
     return _link(policy, delta)
 
@@ -192,21 +202,11 @@ def target_ratio_rows(policy: PolicyRows, theta: np.ndarray, x1: np.ndarray) -> 
     return _link_rows(policy, delta)
 
 
-def target_ratio(policy: TargetPolicy, theta: ModelCoefficients, x: CovariateVector) -> float:
-    """Targeted treatment probability for covariate x under parameter theta.
+def derive_constants(policy: TargetPolicy, theta: ModelCoefficients) -> tuple[float, float]:
+    """(p_theta, c_theta) for the allocation rule.
 
-    Only the arm contrast matters: delta = (alpha1 - alpha0)
-    + x1 * (gamma1 - gamma0); the shared x2/x3 terms cancel.
-    """
-    return target_ratio_from_x1(policy, theta, x.x1)
-
-
-def derive_constants(
-    policy: TargetPolicy, theta: ModelCoefficients
-) -> tuple[float, float, float]:
-    """(p_theta, c_theta, rho_max) for the allocation rule.
-
-    rho_max is attained at x1 = sign-matched +-1, so the closed form
+    rho_max, the largest targeted ratio over the covariate support, is
+    attained at x1 = sign-matched +-1, so the closed form
     link(|alpha1 - alpha0| + |gamma1 - gamma0|) is exact for the
     three-point x1 support; p_theta = 1 / rho_max and
     c_theta = 2 / (rho_max * (1 - rho_max)), 2 being the largest
@@ -216,7 +216,7 @@ def derive_constants(
     rho_max = _link(policy, delta_max)
     p_theta = 1.0 / rho_max
     c_theta = 2.0 / (rho_max * (1.0 - rho_max))
-    return p_theta, c_theta, rho_max
+    return p_theta, c_theta
 
 
 def derive_constants_rows(
@@ -285,10 +285,10 @@ def allocation_prob(
     for v in (l0, l1, l2, l3):
         if not math.isfinite(v):
             raise ValueError("imbalance vector must be finite")
-    rho = target_ratio(policy, theta, x)
-    p_theta, c_theta, _ = derive_constants(policy, theta)
+    rho = target_ratio_from_x1(policy, theta, x.x1)
+    p_theta, c_theta = derive_constants(policy, theta)
     raw = _allocation_prob_raw(
-        rho, p_theta, c_theta, policy.c_lambda, feature_vector(x), (l0, l1, l2, l3)
+        rho, p_theta, c_theta, policy.c_lambda, (1.0, x.x1, x.x2, x.x3), (l0, l1, l2, l3)
     )
     return clamp_allocation(raw, policy.g_floor)
 
@@ -296,19 +296,3 @@ def allocation_prob(
 def increment_scale(rho: float, t: int) -> float:
     """(t - rho) / (rho * (1 - rho)), the weight of one unit's imbalance step."""
     return (t - rho) / (rho * (1.0 - rho))
-
-
-def imbalance_increment(rho: float, phi, t: int):
-    """(t - rho) * phi / (rho * (1 - rho)).
-
-    phi may be the length-4 feature vector (returns an ndarray) or a
-    scalar additional covariate z (returns a float).
-    """
-    if not (0.0 < rho < 1.0):
-        raise ValueError("rho must lie strictly inside (0, 1)")
-    if t not in (0, 1):
-        raise ValueError("t must be 0 or 1")
-    scale = increment_scale(rho, t)
-    if np.isscalar(phi):
-        return scale * float(phi)
-    return scale * np.asarray(phi, dtype=float)

@@ -86,6 +86,8 @@ def test_seed_keys_are_distinct():
     ({"seed": -1}, "seed must be an integer in"),
     ({"parallelism": 0}, "parallelism must be an integer >= 1"),
     ({"parallelism": 2.7}, "parallelism must be an integer >= 1"),
+    ({"seed": True}, "seed must be an integer in"),
+    ({"parallelism": True}, "parallelism must be an integer >= 1"),
 ])
 def test_bad_input_is_rejected_before_any_population_is_drawn(monkeypatch, kwargs, message):
     def no_oracle(seed):

@@ -82,10 +82,15 @@ def test_parse_errors_carry_line_numbers():
         parse_config("family = cauchy")
 
 
-def test_asymmetric_clamp_rejected():
-    with pytest.raises(ValueError):
-        parse_config("clamp_lo = 0.3")
-    parse_config("clamp_lo = 0.3\nclamp_hi = 0.7")
+def test_asymmetric_clamp_rejected(tmp_path, capsys):
+    # the upper clamp follows from the lower one and cannot be set
+    assert to_trial_config(parse_config("clamp_lo = 0.3")).policy.clamp_hi == 0.7
+    cfg = tmp_path / "clamp.cfg"
+    cfg.write_text("clamp_lo = 0.3\nclamp_hi = 0.7\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cbara-error: line 2: unknown key 'clamp_hi'\n"
 
 
 def test_update_pairing_follows_allocation():

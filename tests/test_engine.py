@@ -21,8 +21,8 @@ from cbara.policy import (
     _link,
     _link_rows,
     allocation_prob,
-    imbalance_increment,
-    target_ratio,
+    increment_scale,
+    target_ratio_from_x1,
 )
 
 
@@ -67,16 +67,16 @@ def _steps(log: StepLog):
 
 
 def test_log_replays_the_imbalance_recursion():
-    # the engine and imbalance_increment share increment_scale: exact
+    # the engine steps by increment_scale times phi and z: exact
     for cfg in _every_family_and_scenario():
         result = run_trial(cfg)
         lam = (0.0, 0.0, 0.0, 0.0)
         psi = 0.0
         for x, rho, _, t, _, zstar, lam_after, psi_after, _ in _steps(result.log):
+            scale = increment_scale(rho, t)
             phi = (1.0, x.x1, x.x2, x.x3)
-            step = imbalance_increment(rho, phi, t)
-            lam = tuple(a + b for a, b in zip(lam, step))
-            psi += imbalance_increment(rho, zstar, t)
+            lam = tuple(a + scale * b for a, b in zip(lam, phi))
+            psi += scale * zstar
             assert lam_after == lam
             assert psi_after == psi
         assert result.lam == lam
@@ -100,7 +100,7 @@ def test_logged_g_matches_allocation_rule():
         lam = (0.0, 0.0, 0.0, 0.0)
         for n, (x, rho, g, _, _, _, lam_after, _, theta) in enumerate(_steps(result.log), 1):
             if n > cfg.burn_in:  # steps are 1-based
-                assert rho == target_ratio(cfg.policy, theta, x)
+                assert rho == target_ratio_from_x1(cfg.policy, theta, x.x1)
                 assert g == allocation_prob(cfg.policy, theta, lam, x)
             lam = lam_after
 
@@ -118,7 +118,7 @@ def test_frozen_parameter_never_moves():
     assert (result.log.theta == theta.as_array()).all()
     # no burn-in under a frozen parameter: step 0 already targets
     x, rho = _steps(result.log)[0][:2]
-    assert rho == pytest.approx(target_ratio(_cfg().policy, theta, x), abs=1e-12)
+    assert rho == pytest.approx(target_ratio_from_x1(_cfg().policy, theta, x.x1), abs=1e-12)
 
 
 def test_full_delay_disables_fitting():
@@ -198,8 +198,10 @@ def test_config_validation():
         _cfg(seed=-1)
     with pytest.raises(ValueError):
         _cfg(response_delay=-1)
+    # a bool is not an integer here, though Python counts it as one
     for field, value in (("n_units", 100.5), ("burn_in", 5.5), ("response_delay", 1.5),
-                         ("seed", 1.5)):
+                         ("seed", 1.5), ("n_units", True), ("burn_in", True),
+                         ("response_delay", False), ("seed", False), ("seed", True)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             _cfg(**{field: value})
 
@@ -283,14 +285,12 @@ def test_lockstep_equals_run_trial_in_a_mixed_batch():
     cfgs += [
         _cfg(
             n_units=70,
-            policy=TargetPolicy(Family.LOGISTIC, lo, hi, c_lambda=c_lambda, g_floor=g_floor),
+            policy=TargetPolicy(Family.LOGISTIC, lo, c_lambda=c_lambda, g_floor=g_floor),
             mechanism=UpdateMechanism.clipped(c0, exponent),
             seed=split_seed(8, k),
         )
-        for k, ((lo, hi), c_lambda, g_floor, (c0, exponent)) in enumerate(
-            itertools.product(
-                ((0.2, 0.8), (0.3, 0.7)), (1.0, 5.0), (0.01, 0.15), ((0.5, 1.0), (3.0, 0.3))
-            )
+        for k, (lo, c_lambda, g_floor, (c0, exponent)) in enumerate(
+            itertools.product((0.2, 0.3), (1.0, 5.0), (0.01, 0.15), ((0.5, 1.0), (3.0, 0.3)))
         )
     ]
     assert len(cfgs) == 88
@@ -322,13 +322,11 @@ def test_link_rows_is_the_scalar_link(family, clamp_lo):
     delta = np.concatenate(
         (rng.normal(0.0, 3.0, 5000), rng.normal(0.0, 200.0, 500), [0.0, -0.0, 1e300, -1e300])
     )
-    policy = TargetPolicy(family=family, clamp_lo=clamp_lo, clamp_hi=1.0 - clamp_lo,
-                          g_floor=clamp_lo / 2)
+    policy = TargetPolicy(family=family, clamp_lo=clamp_lo, g_floor=clamp_lo / 2)
     want = np.array([_link(policy, d) for d in delta.tolist()])
     assert _link_rows(PolicyRows.of([policy] * len(delta)), delta).tobytes() == want.tobytes()
     # the same rows mixed with the other families and the other clamps
-    others = [TargetPolicy(family=f, clamp_lo=lo, clamp_hi=1.0 - lo)
-              for f in Family for lo in (0.2, 0.3)]
+    others = [TargetPolicy(family=f, clamp_lo=lo) for f in Family for lo in (0.2, 0.3)]
     policies = [policy if r % 2 else others[r % len(others)] for r in range(len(delta))]
     want = np.array([_link(p, d) for p, d in zip(policies, delta.tolist())])
     assert _link_rows(PolicyRows.of(policies), delta).tobytes() == want.tobytes()
@@ -352,7 +350,6 @@ def trial_configs(draw):
         policy=TargetPolicy(
             family=draw(st.sampled_from(list(Family))),
             clamp_lo=clamp_lo,
-            clamp_hi=1.0 - clamp_lo,
             c_lambda=draw(st.floats(0.1, 10)),
             g_floor=g_floor,
         ),
@@ -372,7 +369,6 @@ def _edge(family, clamp_lo, scenario, **kw):
         policy=TargetPolicy(
             family=family,
             clamp_lo=clamp_lo,
-            clamp_hi=1.0 - clamp_lo,
             g_floor=math.nextafter(clamp_lo, 0.0),
         ),
         allocation=Allocation.BALANCE,

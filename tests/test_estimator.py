@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from cbara.datagen import Scenario, ScenarioId, draw_unit_arrays
-from cbara.estimator import FitAccumulator, Weighting, fit_working_model, ipw_ate
+from cbara.estimator import (
+    FitAccumulator,
+    FitStack,
+    Weighting,
+    active_columns,
+    fit_working_model,
+    ipw_ate,
+)
 from cbara.policy import ModelCoefficients
 
 TRUTH = ModelCoefficients(4.5, 4.7, 7.5, 1.7, 2.9, 1.4)
@@ -89,6 +96,51 @@ def test_active_columns_zero_fill():
         (4.5, 4.7, 7.5, 1.7),
         atol=1e-10,
     )
+
+
+def _nearly_collinear(scenario, eps, n=40, seed=3):
+    """(x1, x2, x3, t, y, rho) columns whose active normal matrix is
+    nearly singular: x3 = x2 + eps * noise, or on DiscreteTest (x2 =
+    x3 = 0) a treated x1 of 1 + eps * noise. Its smallest to largest
+    eigenvalue ratio grows as eps**2."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.choice([-1.0, 0.0, 1.0], n)
+    t = np.arange(n) % 2
+    noise = rng.standard_normal(n)
+    if scenario is ScenarioId.DISCRETE:
+        x2 = x3 = np.zeros(n)
+        x1 = np.where(t == 1, 1.0 + eps * noise, x1)
+    else:
+        x2 = rng.uniform(-1.0, 1.0, n)
+        x3 = x2 + eps * noise
+    return x1, x2, x3, t, 3.0 + rng.standard_normal(n), 0.2 + 0.6 * rng.random(n)
+
+
+@pytest.mark.parametrize("scenario, eps_below, eps_above", [
+    # eigenvalue ratios of about 4.7e-9 and 2.3e-8
+    (ScenarioId.A, 9e-5, 2e-4),
+    # about 4.5e-9 and 2.4e-8, on the four-column sub-Gram
+    (ScenarioId.DISCRETE, 1.3e-4, 3e-4),
+])
+def test_rank_test_near_its_threshold_is_one_verdict(scenario, eps_below, eps_above):
+    # the same rows on each side of the 1e-8 eigenvalue ratio, fed to
+    # FitAccumulator and as the two rows of one FitStack, give the same
+    # verdict and the same coefficient bits
+    active = active_columns(Scenario(scenario))
+    fallback = ModelCoefficients(9.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    trials = [_nearly_collinear(scenario, eps) for eps in (eps_below, eps_above)]
+    stack = FitStack([Weighting.WEIGHTED] * 2, active)
+    for step in range(len(trials[0][0])):
+        stack.add(*(np.array([cols[c][step] for cols in trials], dtype=float) for c in range(6)))
+    ok, eta = stack.fit(np.array([True, True]), np.tile(fallback.as_array(), (2, 1)))
+    assert ok.tolist() == [False, True]
+    for r, cols in enumerate(trials):
+        acc = FitAccumulator(Weighting.WEIGHTED, active)
+        for row in zip(*(c.tolist() for c in cols)):
+            acc.add(*row)
+        fit = acc.fit(fallback)
+        assert fit.rank_ok == ok[r]
+        assert fit.eta.as_array().tobytes() == eta[r].tobytes()
 
 
 def test_ipw_hand_example():

@@ -365,6 +365,8 @@ def test_plan_validation(monkeypatch):
     for kw, field in [
         ({"reps": 2.5}, "n_reps"),
         ({"seed": 1.5}, "base_seed"),
+        ({"reps": True}, "n_reps"),
+        ({"seed": True}, "base_seed"),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             _plan(**kw)
@@ -374,7 +376,7 @@ def test_plan_validation(monkeypatch):
     monkeypatch.setattr(harness, "run_lockstep", _no_trials)
     monkeypatch.setattr(harness, "run_trial", _no_trials)
     plan = _plan(reps=2)
-    for parallelism in (0, 2.5):
+    for parallelism in (0, 2.5, True):
         with pytest.raises(ValueError, match="^parallelism must be an integer >= 1, got "):
             collect_plans([plan], parallelism)
     assert opened == []

@@ -26,7 +26,6 @@ from cbara.policy import (
     ModelCoefficients,
     TargetPolicy,
     allocation_prob,
-    target_ratio,
     target_ratio_from_x1,
 )
 
@@ -117,8 +116,7 @@ def test_ipw_variance_is_effect_variance_plus_balanced_z(request, scenario, fami
     pop = request.getfixturevalue(f"pop_{scenario}")
     theta = request.getfixturevalue(f"theta_{scenario}")
     policy = TargetPolicy(family=family)
-    rho_of_x1 = {x1: target_ratio(policy, theta, CovariateVector(x1, 0.0, 0.0))
-                 for x1 in (-1.0, 0.0, 1.0)}
+    rho_of_x1 = {x1: target_ratio_from_x1(policy, theta, x1) for x1 in (-1.0, 0.0, 1.0)}
 
     def z_ipw(pop):
         rho = np.vectorize(rho_of_x1.__getitem__)(pop.x1)
@@ -173,7 +171,7 @@ def test_discrete_target_ratios():
     for family_name, key in (("logistic", "rho_star_logistic"), ("probit", "rho_star_probit")):
         pol = TargetPolicy(family=Family(family_name))
         for atom, want in FIXTURES["discrete"][key].items():
-            got = target_ratio(pol, theta, CovariateVector(float(atom), 0.0, 0.0))
+            got = target_ratio_from_x1(pol, theta, float(atom))
             assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -249,6 +247,8 @@ def test_balanced_ipw_pair_is_the_public_functions(pop_b, theta_b):
         ({"seed": -1}, "seed must be an integer in [0, 2**64), got -1"),
         ({"seed": 2**64}, "seed must be an integer in [0, 2**64), got 18446744073709551616"),
         ({"seed": "3"}, "seed must be an integer in [0, 2**64), got '3'"),
+        ({"m": True}, "m must be an integer >= 1, got True"),
+        ({"seed": True}, "seed must be an integer in [0, 2**64), got True"),
     ],
 )
 def test_population_sample_rejects_bad_fields_before_any_draw(monkeypatch, kwargs, message):
@@ -290,7 +290,7 @@ def test_invariant_check_is_the_scalar_probe_loop(monkeypatch):
         total = 0.0
         for lam in states:
             total += allocation_prob(pol, theta, lam, x)
-        assert dev == abs(total / len(states) - target_ratio(pol, theta, x))
+        assert dev == abs(total / len(states) - target_ratio_from_x1(pol, theta, x.x1))
 
 
 def test_invariant_check_rejects_short_horizons():

@@ -12,9 +12,7 @@ from cbara.policy import (
     ZERO_COEFFS,
     allocation_prob,
     derive_constants,
-    feature_vector,
-    imbalance_increment,
-    target_ratio,
+    increment_scale,
     target_ratio_from_x1,
 )
 
@@ -27,7 +25,14 @@ coeff_st = st.builds(
 
 
 def test_feature_vector():
-    assert feature_vector(CovariateVector(1.0, -0.25, 0.5)) == (1.0, 1.0, -0.25, 0.5)
+    # the rule pushes against <phi(x), lambda> with phi(x) = (1, x1, x2,
+    # x3): under CRD at theta = 0 and the unit imbalance e_k,
+    # g = 0.5 - phi_k / 4 exactly, since max(|phi| / 0.25, 8) = 8 here
+    pol = TargetPolicy(family=Family.CRD)
+    x = CovariateVector(1.0, -0.25, 0.5)
+    units = [tuple(float(j == k) for j in range(4)) for k in range(4)]
+    phi = [4.0 * (0.5 - allocation_prob(pol, ZERO_COEFFS, e, x)) for e in units]
+    assert phi == [1.0, 1.0, -0.25, 0.5]
 
 
 def test_constant_family_ignores_theta():
@@ -59,18 +64,24 @@ def test_probit_ratio_matches_normal_cdf():
 
 
 def test_target_ratio_uses_only_x1():
+    # neither x2, x3 nor their shared coefficients move the ratio that
+    # the allocation rule targets
     pol = TargetPolicy(family=Family.LOGISTIC)
     theta = ModelCoefficients(1.0, 2.0, 0.5, -1.0, 3.0, 3.0)
-    a = target_ratio(pol, theta, CovariateVector(1.0, 0.9, -0.9))
     b = target_ratio_from_x1(pol, theta, 1.0)
-    assert a == b
+    assert target_ratio_from_x1(pol, ModelCoefficients(1.0, 2.0, 0.5, -1.0, -4.0, 0.0), 1.0) == b
+    assert allocation_prob(pol, theta, (0.0, 0.0, 0.0, 0.0), CovariateVector(1.0, 0.9, -0.9)) == b
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        TargetPolicy(family=Family.CRD, clamp_lo=0.3, clamp_hi=0.8)
-    with pytest.raises(ValueError):
-        TargetPolicy(family=Family.CRD, clamp_lo=0.0, clamp_hi=1.0)
+    # the upper clamp is derived, never given
+    assert TargetPolicy(Family.CRD, clamp_lo=0.3).clamp_hi == 0.7
+    assert TargetPolicy(Family.CRD, clamp_lo=0.5).clamp_hi == 0.5
+    with pytest.raises(TypeError):
+        TargetPolicy(family=Family.CRD, clamp_lo=0.3, clamp_hi=0.7)
+    for clamp_lo in (0.0, -0.1, 0.5000001, 0.8, math.nan):
+        with pytest.raises(ValueError, match="need 0 < clamp_lo <= 0.5"):
+            TargetPolicy(family=Family.CRD, clamp_lo=clamp_lo)
     with pytest.raises(ValueError):
         TargetPolicy(family=Family.CRD, g_floor=0.25)  # must stay below clamp_lo
     with pytest.raises(ValueError):
@@ -89,15 +100,15 @@ def test_coefficients_validation_and_round_trip():
 
 def test_derive_constants_constant_family():
     pol = TargetPolicy(family=Family.CRD)
-    assert derive_constants(pol, ZERO_COEFFS) == (2.0, 8.0, 0.5)
+    assert derive_constants(pol, ZERO_COEFFS) == (2.0, 8.0)
 
 
 def test_derive_constants_logistic():
     pol = TargetPolicy(family=Family.LOGISTIC)
     theta = ModelCoefficients(2.0, 1.0, 0.0, -1.0, 0.0, 0.0)
-    p, c, rho_max = derive_constants(pol, theta)
+    p, c = derive_constants(pol, theta)
     # widest ratio at contrast |2| + |2| = 4, clamped to 0.8
-    assert rho_max == 0.8
+    assert target_ratio_from_x1(pol, theta, 1.0) == 0.8
     assert p == pytest.approx(1.25)
     assert c == pytest.approx(2.0 / (0.8 * 0.2))
 
@@ -113,7 +124,7 @@ def test_allocation_with_zero_imbalance_is_the_ratio():
     theta = ModelCoefficients(1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
     x = CovariateVector(1.0, 0.3, -0.2)
     g = allocation_prob(pol, theta, (0.0, 0.0, 0.0, 0.0), x)
-    assert g == pytest.approx(target_ratio(pol, theta, x))
+    assert g == pytest.approx(target_ratio_from_x1(pol, theta, x.x1))
 
 
 def test_allocation_clamp_engages_at_support_corner():
@@ -159,9 +170,11 @@ def test_target_ratio_respects_clamps(theta, x1, family):
 
 
 def test_imbalance_increment_vector_and_scalar():
+    # a unit moves the imbalance by increment_scale times its feature
+    # vector phi, or times its scalar covariate z
     phi = (1.0, -1.0, 0.5, 0.0)
-    up = imbalance_increment(0.5, phi, 1)
+    up = [increment_scale(0.5, 1) * v for v in phi]
     assert up == pytest.approx((2.0, -2.0, 1.0, 0.0))
-    down = imbalance_increment(0.25, 2.0, 0)
+    down = increment_scale(0.25, 0) * 2.0
     # scalar feature: (t - rho) * z / (rho (1 - rho))
     assert down == pytest.approx(-0.25 * 2.0 / 0.1875)

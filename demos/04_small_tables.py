@@ -27,8 +27,8 @@ spec = RunSpec(
 
 plans = grid_plans(spec)
 print(f"{len(plans)} grid cells, {spec.reps} replications each")
-rows = aggregate_grid(plans, spec.parallelism)  # the worker count is per call
+summaries = aggregate_grid(plans, spec.parallelism)  # one summary per plan; workers per call
 print()
-print(emit_tables(rows, fmt="csv"))
+print(emit_tables(plans, summaries, fmt="csv"))
 print("each output row merges the direct and balance runs of one cell;")
 print("value columns come in (metric, metric_se) pairs per allocation.")

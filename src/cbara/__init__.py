@@ -24,7 +24,6 @@ from .estimator import (
     ipw_ate,
 )
 from .harness import (
-    LabeledSummary,
     MetricsSummary,
     ReplicationPlan,
     aggregate_grid,

@@ -47,7 +47,6 @@ from .harness import (
 )
 from .oracle import (
     PopulationSample,
-    _balanced_ipw,
     balance_coeff_a,
     invariant_pi_g_check,
     ipw_asym_var,
@@ -135,11 +134,9 @@ def _oracle(seed: int) -> dict:
     theta1 = oracle_theta_star(pop1)
     bundle["v_direct_s"] = ipw_asym_var(pop1, theta1, policy, balance=False)
     # the z that the IPW error carries, (1 - rho) Y(1) + rho Y(0),
-    # with rho = 1/2 under CRD; its a is the one inside v_balance_s,
-    # and one balance system gives both
-    bundle["a_ipw_s"], bundle["v_balance_s"] = _balanced_ipw(
-        pop1, theta1, policy, lambda pop: 0.5 * (pop.y1 + pop.y0)
-    )
+    # with rho = 1/2 under CRD; its a is the one inside v_balance_s
+    bundle["a_ipw_s"] = balance_coeff_a(pop1, theta1, policy, lambda pop: 0.5 * (pop.y1 + pop.y0))
+    bundle["v_balance_s"] = ipw_asym_var(pop1, theta1, policy)
     return bundle
 
 
@@ -182,7 +179,7 @@ class _Shared:
         ]
         self.runs: dict[str, _Run] = {}
         for name, plan, (stats, lams) in zip(table, plans, collect_plans(plans, parallelism)):
-            summary = summarize(stats, true_ate(plan.base_config.scenario))
+            summary = summarize(stats, plan.base_config.scenario)
             self._track_clip(plan.base_config, summary.n_reps, summary.max_clip_excess)
             self.runs[name] = _Run(stats, lams, summary)
 
@@ -484,10 +481,10 @@ def _criterion_12(sh: _Shared) -> CriterionResult:
     plans = grid_plans(spec)
     outputs = []
     for parallelism in (1, 1, 4, 8):
-        rows = aggregate_grid(plans, parallelism)
-        for plan, row in zip(plans, rows):
-            sh._track_clip(plan.base_config, row.summary.n_reps, row.summary.max_clip_excess)
-        outputs.append(emit_tables(rows, "csv"))
+        summaries = aggregate_grid(plans, parallelism)
+        for plan, summary in zip(plans, summaries):
+            sh._track_clip(plan.base_config, summary.n_reps, summary.max_clip_excess)
+        outputs.append(emit_tables(plans, summaries, "csv"))
     ok = all(text == outputs[0] for text in outputs[1:])
     detail = (
         f"grid csv bytes: rerun identical={outputs[1] == outputs[0]},"

@@ -39,7 +39,6 @@ from .datagen import Scenario, ScenarioId
 from .engine import Allocation, TrialConfig, _check_int, run_trial
 from .estimator import Weighting
 from .harness import (
-    LabeledSummary,
     MetricsSummary,
     ReplicationPlan,
     aggregate_grid,
@@ -283,27 +282,45 @@ _TABLE_METRICS = (
 )
 
 
-def emit_tables(rows: Sequence[LabeledSummary], fmt: str = "csv", raw: bool = False) -> str:
-    """Merge direct/balance cell pairs into the fixed-order table.
+_PROCEDURE_LABELS = {Family.CRD: "CRD", Family.LOGISTIC: "Logistic", Family.PROBIT: "Probit"}
 
-    Columns: Size, Model, Procedure, Estimation, then metric pairs
-    (Response, Lambda, Psi, TargetSD, MSE_W) each as _D and _B, then
-    the matching _SE columns. Three-decimal rendering unless raw.
+
+def _cell(cfg: TrialConfig) -> tuple:
+    """The grid cell a config belongs to: size, scenario, family, weighting."""
+    return cfg.n_units, cfg.scenario.id, cfg.policy.family, cfg.weighting
+
+
+def emit_tables(
+    plans: Sequence[ReplicationPlan],
+    summaries: Sequence[MetricsSummary],
+    fmt: str = "csv",
+    raw: bool = False,
+) -> str:
+    """One table row per adjacent (direct, balance) pair of plans, in
+    the order grid_plans lists them, from the plans' summaries.
+
+    Columns: Size, Model, Procedure, Estimation, read from the plan's
+    config, then metric pairs (Response, Lambda, Psi, TargetSD, MSE_W)
+    each as _D and _B, then the matching _SE columns. Three-decimal
+    rendering unless raw. Raises ValueError for a format other than
+    csv or tsv, and when plans and summaries do not line up as
+    direct/balance pairs of one cell.
     """
-    if not rows:
-        raise ValueError("rows must be nonempty")
+    if fmt not in _FORMAT_CHOICES:
+        raise ValueError(f"format must be one of {list(_FORMAT_CHOICES)}, got {fmt!r}")
+    cfgs = [plan.base_config for plan in plans]
+    if (
+        not cfgs
+        or len(cfgs) % 2
+        or len(summaries) != len(cfgs)
+        or any(
+            (d.allocation, b.allocation) != (Allocation.DIRECT, Allocation.BALANCE)
+            or _cell(d) != _cell(b)
+            for d, b in zip(cfgs[::2], cfgs[1::2])
+        )
+    ):
+        raise ValueError("plans and summaries must line up as (direct, balance) pairs of one cell")
     sep = "," if fmt == "csv" else "\t"
-    groups: dict[tuple, dict[str, MetricsSummary]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        key = (row.size, row.model, row.procedure, row.estimation)
-        if key not in groups:
-            groups[key] = {}
-            order.append(key)
-        if row.mechanism in groups[key]:
-            raise ValueError(f"duplicate {row.mechanism} cell for {key}")
-        groups[key][row.mechanism] = row.summary
-
     header = ["Size", "Model", "Procedure", "Estimation"]
     for name, _ in _TABLE_METRICS:
         header += [f"{name}_D", f"{name}_B"]
@@ -311,13 +328,13 @@ def emit_tables(rows: Sequence[LabeledSummary], fmt: str = "csv", raw: bool = Fa
         header += [f"{name}_D_SE", f"{name}_B_SE"]
 
     lines = [sep.join(header)]
-    for key in order:
-        pair = groups[key]
-        missing = {"Direct", "Balance"} - set(pair)
-        if missing:
-            raise ValueError(f"cell {key} lacks {sorted(missing)} runs")
-        d, b = pair["Direct"], pair["Balance"]
-        cells = [str(key[0]), key[1], key[2], key[3]]
+    for cfg, d, b in zip(cfgs[::2], summaries[::2], summaries[1::2]):
+        cells = [
+            str(cfg.n_units),
+            cfg.scenario.id.value,
+            _PROCEDURE_LABELS[cfg.policy.family],
+            cfg.weighting.value.capitalize(),
+        ]
         for _, attr in _TABLE_METRICS:
             cells.append(_fmt_value(getattr(d, attr), raw))
             cells.append(_fmt_value(getattr(b, attr), raw))
@@ -457,8 +474,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             plan = ReplicationPlan(to_trial_config(spec), spec.reps, spec.seed)
             text = _emit_run(run_replications(plan, spec.parallelism), spec.format, args.raw)
         elif args.command in ("table1", "table2"):
-            rows = aggregate_grid(grid_plans(spec), spec.parallelism)
-            text = emit_tables(rows, spec.format, args.raw)
+            plans = grid_plans(spec)
+            summaries = aggregate_grid(plans, spec.parallelism)
+            text = emit_tables(plans, summaries, spec.format, args.raw)
         elif args.command == "oracle":
             text = _emit_oracle(spec)
         elif args.command == "trace":

@@ -214,7 +214,7 @@ def _trial_stats(lam, psi, n, sum_y, sum_rho, sum_rho_sq, ipw_sum, clip_excess, 
     over n steps, its worst clip excess and largest parameter norm."""
     rho_var = sum_rho_sq / n - (sum_rho / n) ** 2
     return TrialStats(
-        lambda_norm=math.sqrt(sum(v * v for v in lam)),
+        lambda_norm=_norm(lam),
         psi=psi,
         psi_abs=abs(psi),
         mean_response=sum_y / n,
@@ -225,25 +225,9 @@ def _trial_stats(lam, psi, n, sum_y, sum_rho, sum_rho_sq, ipw_sum, clip_excess, 
     )
 
 
-def _coef_norm(c: ModelCoefficients) -> float:
-    return math.sqrt(
-        c.alpha1 * c.alpha1
-        + c.gamma1 * c.gamma1
-        + c.alpha0 * c.alpha0
-        + c.gamma0 * c.gamma0
-        + c.beta2 * c.beta2
-        + c.beta3 * c.beta3
-    )
-
-
-def _coef_dist(a: ModelCoefficients, b: ModelCoefficients) -> float:
-    d0 = a.alpha1 - b.alpha1
-    d1 = a.gamma1 - b.gamma1
-    d2 = a.alpha0 - b.alpha0
-    d3 = a.gamma0 - b.gamma0
-    d4 = a.beta2 - b.beta2
-    d5 = a.beta3 - b.beta3
-    return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + d5 * d5)
+def _norm(values) -> float:
+    """Euclidean norm, summed left to right."""
+    return math.sqrt(sum(v * v for v in values))
 
 
 def _check_clip_budget(move_sum: float, bound_sum: float) -> None:
@@ -290,7 +274,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     sum_rho = 0.0
     sum_rho_sq = 0.0
     ipw_sum = 0.0
-    theta_max_norm = _coef_norm(theta)
+    theta_max_norm = _norm(theta_row)
     theta_move_sum = 0.0
     clip_bound_sum = 0.0
     clip_step_excess = 0.0
@@ -328,13 +312,14 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
                     n_fit_steps += 1
                     if fit.rank_ok:
                         new_theta = next_theta(mech, acc.n, theta, fit.eta)
-                        move = _coef_dist(new_theta, theta)
+                        new_row = tuple(new_theta.as_array().tolist())
+                        move = _norm([a - b for a, b in zip(new_row, theta_row)])
                         if move > 0.0:
                             theta_move_sum += move
                             theta = new_theta
                             p_theta, c_theta = derive_constants(pol, theta)
-                            theta_row = tuple(theta.as_array().tolist())
-                            norm = _coef_norm(theta)
+                            theta_row = new_row
+                            norm = _norm(theta_row)
                             if norm > theta_max_norm:
                                 theta_max_norm = norm
                         if clipped:
@@ -468,7 +453,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     sum_rho = np.zeros(reps)
     sum_rho_sq = np.zeros(reps)
     ipw_sum = np.zeros(reps)
-    theta_max_norm = np.full(reps, _coef_norm(theta0))
+    theta_max_norm = np.full(reps, _norm(theta0.as_array().tolist()))
     theta_move_sum = np.zeros(reps)
     clip_bound_sum = np.zeros(reps)
     clip_step_excess = np.zeros(reps)

@@ -27,7 +27,11 @@ block of draws), so a shard of SHARD_MAX rows needs about 56 MB.
 Aggregation sums per-replication statistics with math.fsum, which is
 exactly rounded and therefore independent of completion order; together
 with index-ordered result collection this makes summaries bit-identical
-across parallelism levels and reruns.
+across parallelism levels and reruns. `summarize` takes bias and MSE
+against the scenario's true effect, so no caller pairs the two. The
+harness knows nothing of table layout: `aggregate_grid` returns one
+summary per plan, and `cli.emit_tables` reads each cell's labels from
+the plan's config.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import multiprocessing
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .datagen import true_ate
+from .datagen import Scenario, true_ate
 from .engine import (
     Lambda,
     TrialConfig,
@@ -100,18 +104,6 @@ class MetricsSummary:
     mean_target_sd_se: Optional[float]
     ipw_bias_se: Optional[float]
     ipw_mse_se: Optional[float]
-
-
-@dataclass(frozen=True, slots=True)
-class LabeledSummary:
-    """A summary tagged with the grid cell that produced it."""
-
-    size: int
-    model: str
-    procedure: str
-    estimation: str
-    mechanism: str
-    summary: MetricsSummary
 
 
 class _Failure(NamedTuple):
@@ -227,10 +219,12 @@ def _mean_se(values: Sequence[float]) -> tuple[float, Optional[float]]:
     return mean, math.sqrt(var / r)
 
 
-def summarize(stats: Sequence[TrialStats], true_effect: float) -> MetricsSummary:
-    """Aggregate per-trial statistics into the reported metrics."""
+def summarize(stats: Sequence[TrialStats], scenario: Scenario) -> MetricsSummary:
+    """Aggregate per-trial statistics of runs on `scenario` into the
+    reported metrics, with bias and MSE against its true effect."""
     if not stats:
         raise ValueError("no trial statistics to summarize")
+    true_effect = true_ate(scenario)
     errors = [s.ipw - true_effect for s in stats]
     sq_errors = [e * e for e in errors]
     mean_ln, se_ln = _mean_se([s.lambda_norm for s in stats])
@@ -258,38 +252,18 @@ def summarize(stats: Sequence[TrialStats], true_effect: float) -> MetricsSummary
 
 
 def run_replications(plan: ReplicationPlan, parallelism: int = 1) -> MetricsSummary:
-    """Execute a plan on `parallelism` workers and aggregate its metrics.
-
-    The MSE is taken against the scenario's true average treatment
-    effect. Any trial failure aborts the whole plan with the failing
-    replication's seed in the error message.
-    """
-    stats = collect(plan, parallelism)
-    return summarize(stats, true_ate(plan.base_config.scenario))
-
-
-_FAMILY_LABELS = {"crd": "CRD", "logistic": "Logistic", "probit": "Probit"}
-
-
-def labeled_summary(plan: ReplicationPlan, stats: Sequence[TrialStats]) -> LabeledSummary:
-    """Summarize a plan's trial statistics and tag the summary with the
-    grid cell the plan belongs to."""
-    cfg = plan.base_config
-    return LabeledSummary(
-        size=cfg.n_units,
-        model=cfg.scenario.id.value,
-        procedure=_FAMILY_LABELS[cfg.policy.family.value],
-        estimation=cfg.weighting.value.capitalize(),
-        mechanism=cfg.allocation.value.capitalize(),
-        summary=summarize(stats, true_ate(cfg.scenario)),
-    )
+    """Execute a plan on `parallelism` workers and aggregate its metrics;
+    aggregate_grid of the one plan. Any trial failure aborts the whole
+    plan with the failing replication's seed in the error message."""
+    return aggregate_grid([plan], parallelism)[0]
 
 
 def aggregate_grid(
     plans: Sequence[ReplicationPlan], parallelism: int = 1
-) -> list[LabeledSummary]:
+) -> list[MetricsSummary]:
     """Run a sequence of plans on one scheduler call with `parallelism`
-    workers and label each summary with its grid cell, preserving input
-    order."""
+    workers and return one summary per plan, in input order."""
     collected = collect_plans(plans, parallelism)
-    return [labeled_summary(plan, stats) for plan, (stats, _) in zip(plans, collected)]
+    return [
+        summarize(stats, plan.base_config.scenario) for plan, (stats, _) in zip(plans, collected)
+    ]

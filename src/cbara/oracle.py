@@ -423,23 +423,6 @@ def mest_covariance(
     return mest.covariance(g, len(pop))
 
 
-def _balanced_ipw(
-    pop: PopulationSample,
-    theta_star: ModelCoefficients,
-    policy: TargetPolicy,
-    z_def: Callable,
-) -> tuple[np.ndarray, float]:
-    """balance_coeff_a(pop, theta_star, policy, z_def) and
-    ipw_asym_var(pop, theta_star, policy), bit for bit, from one
-    balance pass: both solve the same G."""
-    z = _eval_z(pop, z_def)
-    rho = _rho_star(policy, theta_star, pop.x1)
-    w = _balance_weights(policy, theta_star, pop, rho)
-    g, z_rhs, h_rhs = _balance_pass(pop, rho, w, z=z, ipw=True)
-    s_ipw = _residual_pass(pop, rho, a_ipw=_solve_gram(g, h_rhs))[1]
-    return _solve_gram(g, z_rhs), _ipw_var(pop, s_ipw)
-
-
 def invariant_pi_g_check(
     policy: TargetPolicy,
     theta: ModelCoefficients,

@@ -7,7 +7,7 @@ import pytest
 
 import cbara.acceptance as acceptance
 from cbara.acceptance import _SEED, CRITERION_NAMES, _run_table, run_acceptance
-from cbara.harness import TrialStats, labeled_summary, split_seed
+from cbara.harness import TrialStats, split_seed, summarize
 from cbara.policy import ModelCoefficients
 
 _THETA = ModelCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -59,7 +59,7 @@ def test_determinism_runs_the_table_path_on_one_plan_list(monkeypatch):
     def spy(plans, parallelism):
         calls.append((plans, parallelism))
         stats = [TrialStats(1.0, 0.5, 0.5, 6.0, 0.1, -3.0, 1e-16, 1.0)]
-        return [labeled_summary(plan, stats) for plan in plans]
+        return [summarize(stats, plan.base_config.scenario) for plan in plans]
 
     shared = types.SimpleNamespace(
         _track_clip=lambda cfg, trials, worst: audited.append((cfg, trials, worst))

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -19,11 +20,11 @@ from cbara.cli import (
     update_mechanism_for,
 )
 from cbara.adapt import MechanismKind
-from cbara.datagen import ScenarioId
+from cbara.datagen import Scenario, ScenarioId
 from cbara.engine import Allocation
 from cbara.estimator import Weighting
-from cbara.harness import LabeledSummary, MetricsSummary, split_seed
-from cbara.policy import Family
+from cbara.harness import MetricsSummary, split_seed
+from cbara.policy import Family, TargetPolicy
 
 
 def test_empty_config_is_all_defaults():
@@ -149,19 +150,20 @@ def _fake_summary(v: float, se=0.01) -> MetricsSummary:
 
 
 def _pair(size=200):
-    mk = lambda mech, v: LabeledSummary(
-        size=size,
-        model="A",
-        procedure="CRD",
-        estimation="Unweighted",
-        mechanism=mech,
-        summary=_fake_summary(v),
+    """The direct and balance plans of one grid cell, and fake summaries."""
+    spec = RunSpec(
+        sizes=(size,),
+        scenarios=(ScenarioId.A,),
+        families=(Family.CRD,),
+        weightings=(Weighting.UNWEIGHTED,),
+        reps=2,
     )
-    return [mk("Direct", 37.0), mk("Balance", 8.0)]
+    return grid_plans(spec), [_fake_summary(37.0), _fake_summary(8.0)]
 
 
 def test_emit_tables_golden_row():
-    text = emit_tables(_pair(), fmt="csv")
+    # the row's labels come from the plans' configs
+    text = emit_tables(*_pair(), fmt="csv")
     lines = text.splitlines()
     assert lines[0].startswith("Size,Model,Procedure,Estimation,Response_D,Response_B,")
     assert lines[0].count(",") == 23
@@ -175,18 +177,35 @@ def test_emit_tables_golden_row():
 
 
 def test_emit_tables_tsv_and_raw():
-    text = emit_tables(_pair(), fmt="tsv", raw=True)
+    text = emit_tables(*_pair(), fmt="tsv", raw=True)
     assert "\t" in text and "," not in text.splitlines()[0]
     assert "37.0" in text
 
 
+def _with_balance(plans, **cfg_kw):
+    """The direct plan of a pair and its balance plan with cfg_kw set."""
+    direct, balance = plans
+    return [direct, replace(balance, base_config=replace(balance.base_config, **cfg_kw))]
+
+
 def test_emit_tables_requires_complete_pairs():
-    with pytest.raises(ValueError, match="lacks"):
-        emit_tables(_pair()[:1])
-    with pytest.raises(ValueError, match="duplicate"):
-        emit_tables(_pair() + _pair()[:1])
-    with pytest.raises(ValueError):
-        emit_tables([])
+    plans, summaries = _pair()
+    for bad_plans, bad_summaries in [
+        ([], []),
+        (plans[:1], summaries[:1]),
+        (plans, summaries[:1]),
+        (plans[::-1], summaries),
+        (plans + plans[:1], summaries + summaries[:1]),
+        (_with_balance(plans, n_units=300), summaries),
+        (_with_balance(plans, scenario=Scenario(ScenarioId.B)), summaries),
+        (_with_balance(plans, policy=TargetPolicy(family=Family.PROBIT)), summaries),
+        (_with_balance(plans, weighting=Weighting.WEIGHTED), summaries),
+    ]:
+        with pytest.raises(ValueError, match=r"line up as \(direct, balance\) pairs of one cell"):
+            emit_tables(bad_plans, bad_summaries)
+    # any format but csv and tsv is refused, as --format refuses it
+    with pytest.raises(ValueError, match="format must be one of \\['csv', 'tsv'\\], got 'xml'"):
+        emit_tables(plans, summaries, fmt="xml")
 
 
 def _run_cli(args, env_extra=None, cwd=None):
@@ -281,7 +300,7 @@ def test_run_and_table_hand_their_worker_count_to_the_call(monkeypatch, tmp_path
 
     def aggregate_grid(plans, parallelism):
         widths.append(("table1", parallelism))
-        return _pair()
+        return [_fake_summary(1.0)] * len(plans)
 
     monkeypatch.setattr("cbara.cli.run_replications", run_replications)
     monkeypatch.setattr("cbara.cli.aggregate_grid", aggregate_grid)
@@ -309,6 +328,21 @@ def test_cli_table_grid(tmp_path):
     tsv = _run_cli(["table2", "--config", str(cfg), "--format", "tsv"])
     assert tsv.returncode == 0
     assert "\t" in tsv.stdout
+
+
+def test_cli_table_rows_follow_the_grid_order(tmp_path, capsys):
+    # 2 sizes x 2 scenarios x 2 families x 2 weightings: 16 rows, one per
+    # direct/balance pair, size varying slowest and weighting fastest
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "reps = 2\nsizes = 40, 60\nscenarios = A, B\nfamilies = crd, probit\n"
+        "weightings = weighted, unweighted\n"
+    )
+    assert main(["table1", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = itertools.product(["40", "60"], ["A", "B"], ["CRD", "Probit"],
+                                 ["Weighted", "Unweighted"])
+    assert [line.split(",")[:4] for line in lines[1:]] == [list(cell) for cell in expected]
 
 
 def test_cli_trace_rows(tmp_path):

@@ -18,7 +18,6 @@ from cbara.harness import (
     aggregate_grid,
     collect,
     collect_plans,
-    labeled_summary,
     replication_configs,
     run_replications,
     split_seed,
@@ -156,9 +155,9 @@ def test_a_grid_opens_at_most_one_pool(monkeypatch, plans, pools):
     # processes, and for one worker when it expects no pool
     parallelism = pools[0][0] if pools else 1
     opened = _open_pools(monkeypatch)
-    rows = aggregate_grid(plans, parallelism)
+    summaries = aggregate_grid(plans, parallelism)
     assert [(p.processes, p.shard_sizes) for p in opened] == pools
-    assert rows == [labeled_summary(plan, collect(plan)) for plan in plans]
+    assert summaries == [run_replications(plan) for plan in plans]
 
 
 def _two_schedule_grid():
@@ -248,7 +247,7 @@ def test_summarize_moment_identities():
         TrialStats(2.0, -0.5, 0.5, 6.2, 0.2, -3.5, 4e-16, 1.0),
         TrialStats(3.0, 1.5, 1.5, 5.8, 0.0, -3.0, 0.0, 1.0),
     ]
-    s = summarize(stats, true_effect=-3.0)
+    s = summarize(stats, Scenario(ScenarioId.A))  # true effect -3.0
     assert s.n_reps == 3
     assert s.mean_lambda_norm == pytest.approx(2.0)
     assert s.ipw_bias == pytest.approx(0.0)
@@ -265,7 +264,7 @@ def test_summarize_moment_identities():
 
 
 def test_single_rep_has_no_standard_errors():
-    s = summarize([TrialStats(1.0, 0.0, 0.0, 6.0, 0.1, -3.0, 0.0, 1.0)], -3.0)
+    s = summarize([TrialStats(1.0, 0.0, 0.0, 6.0, 0.1, -3.0, 0.0, 1.0)], Scenario(ScenarioId.A))
     assert s.n_reps == 1
     assert s.mean_lambda_norm_se is None
     assert s.ipw_mse_se is None
@@ -273,7 +272,7 @@ def test_single_rep_has_no_standard_errors():
 
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
-        summarize([], -3.0)
+        summarize([], Scenario(ScenarioId.A))
 
 
 def test_run_replications_deterministic():
@@ -341,15 +340,6 @@ def test_lockstep_only_failure_is_reported(monkeypatch):
     monkeypatch.setattr(harness, "run_lockstep", batch_failure)
     with pytest.raises(RuntimeError, match="failed together but each runs alone: Singular"):
         collect(_plan(reps=3))
-
-
-def test_aggregate_grid_labels():
-    rows = aggregate_grid([_plan(reps=2), _plan(reps=2, allocation=Allocation.BALANCE)])
-    assert [r.mechanism for r in rows] == ["Direct", "Balance"]
-    assert rows[0].size == 60
-    assert rows[0].model == "A"
-    assert rows[0].procedure == "CRD"
-    assert rows[0].estimation == "Unweighted"
 
 
 def _no_trials(*_):

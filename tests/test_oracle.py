@@ -227,15 +227,6 @@ def test_report_pieces_agree_on_a_ragged_last_chunk():
     _assert_report_is_the_public_functions(pop, TargetPolicy(family=Family.PROBIT))
 
 
-def test_balanced_ipw_pair_is_the_public_functions(pop_b, theta_b):
-    def z_ipw(pop):
-        return 0.5 * (pop.y1 + pop.y0)
-
-    a, v = oracle._balanced_ipw(pop_b, theta_b, POLICY, z_ipw)
-    assert np.array_equal(a, balance_coeff_a(pop_b, theta_b, POLICY, z_ipw))
-    assert v == ipw_asym_var(pop_b, theta_b, POLICY, balance=True)
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [

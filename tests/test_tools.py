@@ -1,6 +1,5 @@
-"""The layer instruments under tools/ still run against the package:
-each exits 0 and prints its CSV header, its rows and a closing machine
-line."""
+"""The tools under tools/ still run against the package: each exits 0
+and prints its CSV header, its rows and a closing machine line."""
 import os
 import pathlib
 import subprocess
@@ -22,6 +21,7 @@ def _assert_tool_runs(tool, args, header):
     assert lines[0] == header
     assert len(lines) > 2
     assert lines[-1].startswith("# machine: ")
+    return lines
 
 
 def test_lockstep_cost_runs(tmp_path):
@@ -36,3 +36,16 @@ def test_lockstep_cost_runs(tmp_path):
 
 def test_oracle_cost_runs():
     _assert_tool_runs("oracle_cost.py", ["--m", "2000", "--repeats", "1"], "call,m,seconds")
+
+
+def test_output_digest_runs():
+    lines = _assert_tool_runs("output_digest.py", [], "command,sha256")
+    digests = dict(line.rsplit(",", 1) for line in lines[1:-1])
+    # 2 table1, 3 run, 1 trace and 9 oracle commands
+    assert len(digests) == 15
+    grid = "--config perfbench/table_grid.cfg"
+    run = "--config [family = logistic; mechanism = balance; n = 200; reps = 9]"
+    # the bytes do not depend on the worker count
+    for prefix, config in [("table1 --raw", grid), ("run --raw", run)]:
+        one, two = (digests[f"{prefix} --parallelism {p} {config}"] for p in (1, 2))
+        assert one == two

@@ -8,6 +8,7 @@ import pytest
 import cbara.engine as engine
 import cbara.harness as harness
 from cbara.adapt import UpdateMechanism
+from cbara.cli import emit_tables
 from cbara.datagen import Scenario, ScenarioId
 from cbara.engine import Allocation, TrialConfig, run_trial
 from cbara.estimator import Weighting
@@ -340,6 +341,18 @@ def test_lockstep_only_failure_is_reported(monkeypatch):
     monkeypatch.setattr(harness, "run_lockstep", batch_failure)
     with pytest.raises(RuntimeError, match="failed together but each runs alone: Singular"):
         collect(_plan(reps=3))
+
+
+def test_aggregate_grid_labels():
+    # one summary per plan, in input order, and the table labels the
+    # pair from the plans' configs
+    plans = [_plan(reps=2), _plan(reps=2, allocation=Allocation.BALANCE)]
+    rows = aggregate_grid(plans)
+    assert rows == [run_replications(plan) for plan in plans]
+    assert rows[0] != rows[1]
+    lines = emit_tables(plans, rows).splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[:4] == ["60", "A", "CRD", "Unweighted"]
 
 
 def _no_trials(*_):

@@ -19,10 +19,13 @@ therefore splits into `parallelism` shards, and a grid whose cells
 share one schedule, as a `cbara table1` grid of one size does, runs as
 `parallelism` shards that each mix many plans. A shard of several
 replications runs through engine.run_lockstep and a shard of one
-through engine.run_trial; both build the same engine.TrialStats bit
-for bit, so neither the split nor the shard size changes any result. A
-lockstep row holds about 28 KB of state at its peak (mostly a 256-unit
-block of draws), so a shard of SHARD_MAX rows needs about 56 MB.
+through engine.run_trial; both build the same engine.TrialResult bit
+for bit, so neither the split nor the shard size changes any result.
+That record, with the log off, is what the scheduler returns: one per
+replication, holding TrialStats, Lambda_N, theta_N and the update
+totals. `collect` alone projects it to TrialStats. A lockstep row holds
+about 28 KB of state at its peak (mostly a 256-unit block of draws), so
+a shard of SHARD_MAX rows needs about 56 MB.
 
 Aggregation sums per-replication statistics with math.fsum, which is
 exactly rounded and therefore independent of completion order; together
@@ -42,8 +45,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .datagen import Scenario, true_ate
 from .engine import (
-    Lambda,
     TrialConfig,
+    TrialResult,
     TrialStats,
     _check_int,
     run_lockstep,
@@ -116,7 +119,7 @@ class _Failure(NamedTuple):
 
 def _run_shard(
     configs: list[TrialConfig],
-) -> Union[list[tuple[TrialStats, Lambda]], _Failure]:
+) -> Union[list[TrialResult], _Failure]:
     """Run a contiguous shard of replications, in order, or say which
     one failed first.
 
@@ -125,7 +128,7 @@ def _run_shard(
     of the first replication that fails on its own.
     """
     try:
-        results = run_lockstep(configs) if len(configs) > 1 else [run_trial(configs[0])]
+        return run_lockstep(configs) if len(configs) > 1 else [run_trial(configs[0])]
     except Exception as exc:
         if len(configs) == 1:
             return _Failure(0, f"replication failed at seed {configs[0].seed}: {exc}")
@@ -139,7 +142,6 @@ def _run_shard(
             f"replications at seeds {configs[0].seed}..{configs[-1].seed} "
             f"failed together but each runs alone: {exc}",
         )
-    return [(r.stats, r.lam) for r in results]
 
 
 def _shards(items: list, count: int) -> list[list]:
@@ -161,19 +163,18 @@ def replication_configs(plan: ReplicationPlan) -> list[TrialConfig]:
 def collect(plan: ReplicationPlan, parallelism: int = 1) -> list[TrialStats]:
     """Run every replication and return per-trial statistics in
     replication order; see collect_plans."""
-    return collect_plans([plan], parallelism)[0][0]
+    return [r.stats for r in collect_plans([plan], parallelism)[0]]
 
 
 def collect_plans(
     plans: Sequence[ReplicationPlan], parallelism: int = 1
-) -> list[tuple[list[TrialStats], list[Lambda]]]:
+) -> list[list[TrialResult]]:
     """Run every plan's replications on `parallelism` workers and
-    return, per plan in input order, the statistics and final Lambda_N
-    of each replication in replication order. The shards of all plans
-    share one process pool (see the module docstring), and the output
-    is identical at any parallelism level. A failure names the seed of
-    the first failing replication in plan order, then replication
-    order."""
+    return, per plan in input order, each replication's engine record
+    (log off) in replication order. The shards of all plans share one
+    process pool (see the module docstring), and the output is
+    identical at any parallelism level. A failure names the seed of the
+    first failing replication in plan order, then replication order."""
     if not plans:
         raise ValueError("plans must be nonempty")
     _check_int("parallelism", parallelism)
@@ -202,11 +203,10 @@ def collect_plans(
     ]
     if failures:
         raise RuntimeError(min(failures)[1])
-    out = [([None] * len(configs), [None] * len(configs)) for configs in runs]
+    out = [[None] * len(configs) for configs in runs]
     for shard, part in zip(shards, parts):
-        for (p, k), (stats, lam) in zip(shard, part):
-            out[p][0][k] = stats
-            out[p][1][k] = lam
+        for (p, k), result in zip(shard, part):
+            out[p][k] = result
     return out
 
 
@@ -265,5 +265,6 @@ def aggregate_grid(
     workers and return one summary per plan, in input order."""
     collected = collect_plans(plans, parallelism)
     return [
-        summarize(stats, plan.base_config.scenario) for plan, (stats, _) in zip(plans, collected)
+        summarize([r.stats for r in results], plan.base_config.scenario)
+        for plan, results in zip(plans, collected)
     ]

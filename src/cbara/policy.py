@@ -266,9 +266,11 @@ def allocation_prob_rows(
     dot = sum_columns(phi * lam)
     phi_norm = np.sqrt(sum_columns(phi * phi))
     lam_norm = np.sqrt(sum_columns(lam * lam))
-    denom = np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta) * np.maximum(
-        lam_norm, policy.c_lambda
-    )
+    # a huge c_lambda overflows to inf, as in the scalar rule: raw = rho, its limit
+    with np.errstate(over="ignore"):
+        denom = np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta) * np.maximum(
+            lam_norm, policy.c_lambda
+        )
     raw = rho - p_theta * dot / denom
     return np.minimum(np.maximum(raw, policy.g_floor), 1.0 - policy.g_floor)
 

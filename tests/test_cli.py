@@ -417,6 +417,19 @@ def test_repeated_grid_value_is_rejected_before_any_trial(monkeypatch, tmp_path,
     assert err.count("\n") == 1
 
 
+def test_a_huge_c_lambda_runs_without_warnings(tmp_path):
+    # the lockstep norm guard overflows to inf at c_lambda = 1e308, which
+    # gives the rule's limit rho, as c_lambda = 1e300 does on these units
+    out = {}
+    for c_lambda in ("1e308", "1e300"):
+        cfg = tmp_path / f"{c_lambda}.cfg"
+        cfg.write_text(f"c_lambda = {c_lambda}\nmechanism = balance\nn = 60\nreps = 2\n")
+        proc = _run_cli(["run", "--config", str(cfg)], env_extra={"PYTHONWARNINGS": "error"})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out[c_lambda] = proc.stdout
+    assert out["1e308"] == out["1e300"]
+
+
 @pytest.mark.parametrize("line, message", [
     ("c_lambda = inf", "c_lambda must be finite"),
     ("clip_c0 = inf", "clip_c0 must be finite"),

@@ -254,9 +254,13 @@ def test_lockstep_equals_run_trial(family, mechanism):
         dict(scenario=Scenario(ScenarioId.B, outcome_noise_sd=1.0)),
         dict(frozen_theta=_TRUTH_A, mechanism=UpdateMechanism.direct()),
         dict(n_units=600),  # crosses two unit-block boundaries
+        # the norm guard's product overflows to inf, so raw = rho
+        dict(policy=TargetPolicy(family=Family.LOGISTIC, c_lambda=1e308)),
     ],
-    ids=["delay-3", "delay-30-burn-5", "delay-past-end", "noise", "frozen", "three-blocks"],
+    ids=["delay-3", "delay-30-burn-5", "delay-past-end", "noise", "frozen", "three-blocks",
+         "c-lambda-1e308"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lockstep_equals_run_trial_in_special_cases(kw):
     for allocation in Allocation:
         _assert_lockstep_is_run_trial(_cfg(**{"n_units": 120, **kw}, allocation=allocation))

@@ -6,24 +6,23 @@ population oracle, with pinned tolerances. `run_acceptance` executes
 all twelve and returns one result per criterion; nothing is cached
 across processes, so a run is reproducible from the seeds below.
 
-Every replication plan that criteria 1-7 read is declared once, in
+Every replication plan that criteria 1-8 read is declared once, in
 `_run_table`, by name, with its seed key, config and replication count.
-Its configs and criterion 8's are the ones `cbara run` builds,
-`cli.to_trial_config` of a `RunSpec`, so the update mechanism paired
-with each allocation comes from `cli.update_mechanism_for` alone; a
-frozen-parameter plan carries that mechanism too but never updates.
-`_Shared` builds the population oracle first, since the frozen-theta
-plans need theta*, then runs the whole table through one
-`collect_plans` call, with the run's worker count, before any criterion
-reads it. A run is its records, one engine.TrialResult per replication,
-and their summary; criteria 6 and 7 read Psi_N and Lambda_N from the
-records. Where criteria overlap they read the same run: the imbalance
-table cells feed criteria 1-4, the efficiency runs feed 5 and 7.
-Criteria 8 and 12 run their own trials; criterion 12 runs the calls
-`cbara table1` makes, `aggregate_grid` then `emit_tables`, on one plan
-list at several worker counts. Every run's worst per-step
-clipped-update violation goes through one method,
-`_Shared._track_clip`, into criterion 11.
+Its configs are the ones `cbara run` builds, `cli.to_trial_config` of a
+`RunSpec`, so the update mechanism paired with each allocation comes
+from `cli.update_mechanism_for` alone; a frozen-parameter plan carries
+that mechanism too but never updates. `_Shared` builds the population
+oracle first, since the frozen-theta plans need theta*, then runs the
+whole table through one `collect_plans` call, with the run's worker
+count, before any criterion reads it. A run is its records, one
+engine.TrialResult per replication, and their summary; criteria 6, 7
+and 8 read Psi_N, Lambda_N and the per-atom counts from the records.
+Where criteria overlap they read the same run: the imbalance table
+cells feed criteria 1-4, the efficiency runs feed 5 and 7. Only
+criterion 12 runs its own trials: the calls `cbara table1` makes,
+`aggregate_grid` then `emit_tables`, on one plan list at several worker
+counts. Every run's worst per-step clipped-update violation goes
+through one method, `_Shared._track_clip`, into criterion 11.
 """
 from __future__ import annotations
 
@@ -36,8 +35,8 @@ import numpy as np
 
 from .adapt import MechanismKind, perfect_squares
 from .cli import RunSpec, emit_tables, grid_plans, to_trial_config
-from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays, true_ate
-from .engine import Allocation, TrialConfig, TrialResult, _check_int, run_lockstep
+from .datagen import X1_ATOMS, CovariateVector, Scenario, ScenarioId, draw_unit_arrays, true_ate
+from .engine import Allocation, TrialConfig, TrialResult, _check_int
 from .estimator import Weighting, fit_working_model, ipw_ate
 from .harness import (
     MetricsSummary,
@@ -118,6 +117,19 @@ def _config(
     return replace(to_trial_config(spec), frozen_theta=frozen_theta, keep_log=False)
 
 
+# criterion 8's trials: the weighted logistic balance procedure on the
+# scenario where x1 is the only covariate
+_ATOM_CONFIG = to_trial_config(
+    RunSpec(
+        n=5000,
+        scenario=ScenarioId.DISCRETE,
+        family=Family.LOGISTIC,
+        mechanism=Allocation.BALANCE,
+        weighting=Weighting.WEIGHTED,
+    )
+)
+
+
 def _oracle(seed: int) -> dict:
     """The population quantities the criteria compare against."""
     policy = TargetPolicy(family=Family.CRD)
@@ -139,11 +151,14 @@ def _oracle(seed: int) -> dict:
     # with rho = 1/2 under CRD; its a is the one inside v_balance_s
     bundle["a_ipw_s"] = balance_coeff_a(pop1, theta1, policy, lambda pop: 0.5 * (pop.y1 + pop.y0))
     bundle["v_balance_s"] = ipw_asym_var(pop1, theta1, policy)
+    del pop1
+    pop2 = PopulationSample(Scenario(ScenarioId.DISCRETE), seed=split_seed(seed, 32), m=10**6)
+    bundle["theta_discrete"] = oracle_theta_star(pop2)
     return bundle
 
 
 def _run_table(theta_star: ModelCoefficients) -> dict[str, tuple[int, TrialConfig, int]]:
-    """Every replication plan criteria 1-7 read: name -> (seed key,
+    """Every replication plan criteria 1-8 read: name -> (seed key,
     config, replications)."""
     direct, balance = Allocation.DIRECT, Allocation.BALANCE
     return {
@@ -157,6 +172,7 @@ def _run_table(theta_star: ModelCoefficients) -> dict[str, tuple[int, TrialConfi
         "mse-balance": (9, _config(200, balance, noise_sd=_NOISE_SD), 2000),
         "clt-direct": (11, _config(800, direct, frozen_theta=theta_star), 4000),
         "clt-balance": (12, _config(800, balance, frozen_theta=theta_star), 4000),
+        "atoms-discrete": (13, _ATOM_CONFIG, 200),
     }
 
 
@@ -166,8 +182,9 @@ class _Run(NamedTuple):
 
 
 class _Shared:
-    """The oracle bundle and every run of the table, computed up front,
-    and criterion 11's clip audit, which criteria 8 and 12 add to."""
+    """The oracle bundle and every run of the table, computed up front
+    through one `collect_plans` call, and criterion 11's clip audit,
+    which criterion 12 adds to."""
 
     def __init__(self, parallelism: int, seed: int) -> None:
         self.seed = seed
@@ -326,42 +343,15 @@ def _criterion_7(sh: _Shared) -> CriterionResult:
 
 
 def _criterion_8(sh: _Shared) -> CriterionResult:
-    cfg0 = to_trial_config(
-        RunSpec(
-            n=5000,
-            scenario=ScenarioId.DISCRETE,
-            family=Family.LOGISTIC,
-            mechanism=Allocation.BALANCE,
-            weighting=Weighting.WEIGHTED,
-        )
-    )
-    pop = PopulationSample(
-        Scenario(ScenarioId.DISCRETE), seed=split_seed(sh.seed, 32), m=10**6
-    )
-    theta_d = oracle_theta_star(pop)
-    del pop
-    targets = {
-        atom: target_ratio_from_x1(cfg0.policy, theta_d, float(atom)) for atom in (-1, 0, 1)
-    }
-    counts = {atom: 0 for atom in targets}
-    treated = {atom: 0 for atom in targets}
-    base = split_seed(sh.seed, 13)
-    # 200 logged trials in lockstep shards of 50, so the logs stay small
-    for lo in range(0, 200, 50):
-        shard = [replace(cfg0, seed=split_seed(base, i)) for i in range(lo, lo + 50)]
-        results = run_lockstep(shard)
-        sh._track_clip(cfg0, len(results), max(r.stats.clip_excess for r in results))
-        for result in results:
-            for atom in targets:
-                at = result.log.x1 == atom
-                counts[atom] += int(at.sum())
-                treated[atom] += int(result.log.t[at].sum())
+    results = sh.runs["atoms-discrete"].results
+    theta = sh.oracle["theta_discrete"]
     parts, ok = [], True
-    for atom in (-1, 0, 1):
-        frac = treated[atom] / counts[atom]
-        hit = abs(frac - targets[atom]) <= 0.03
+    for a, atom in enumerate(X1_ATOMS):
+        target = target_ratio_from_x1(_ATOM_CONFIG.policy, theta, atom)
+        frac = sum(r.atom_treated[a] for r in results) / sum(r.atom_units[a] for r in results)
+        hit = abs(frac - target) <= 0.03
         ok = ok and hit
-        parts.append(f"atom {atom:+d}: frac={frac:.4f} vs ratio {targets[atom]:.4f}")
+        parts.append(f"atom {atom:+.0f}: frac={frac:.4f} vs ratio {target:.4f}")
     return CriterionResult(CRITERION_NAMES[7], ok, "; ".join(parts) + " (tol 0.03)")
 
 

@@ -33,6 +33,9 @@ _ARM_COEFFS = {
 _CORR = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.4], [0.2, 0.4, 1.0]])
 _CHOL = np.linalg.cholesky(_CORR)
 
+# the support of x1, in order; draw_unit_arrays yields these and no other
+X1_ATOMS = (-1.0, 0.0, 1.0)
+
 # quantile thresholds putting mass 0.25 / 0.5 / 0.25 on x1 = -1 / 0 / 1
 _Q25 = statistics.NormalDist().inv_cdf(0.25)
 _Q75 = -_Q25
@@ -76,7 +79,7 @@ class CovariateVector:
     x3: float
 
     def __post_init__(self) -> None:
-        if self.x1 not in (-1.0, 0.0, 1.0):
+        if self.x1 not in X1_ATOMS:
             raise ValueError(f"x1 must be one of -1, 0, 1, got {self.x1}")
         if not (abs(self.x2) <= 1.0 and abs(self.x3) <= 1.0):
             raise ValueError("x2 and x3 must lie in [-1, 1]")

@@ -29,7 +29,9 @@ skipped: an all-direct batch never computes the balance rule, and a
 batch without clipped rows keeps no clip budget.
 
 Both paths build the trial's TrialStats record, and the step log as
-one StepLog of columns, once when the trial ends.
+one StepLog of columns, once when the trial ends. Both count the units
+and the treated units at each x1 atom: run_trial per step, run_lockstep
+once per unit block, from the block's treatment rows.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .adapt import MechanismKind, UpdateMechanism, clip_bound, next_theta, next_theta_rows
-from .datagen import Scenario, draw_unit_arrays
+from .datagen import X1_ATOMS, Scenario, draw_unit_arrays
 from .estimator import FitAccumulator, FitStack, Weighting, active_columns
 from .policy import (
     ModelCoefficients,
@@ -62,6 +64,8 @@ from .policy import (
 )
 
 _BLOCK = 256
+# position of each x1 atom in a trial's per-atom counts
+_ATOM_INDEX = {atom: a for a, atom in enumerate(X1_ATOMS)}
 
 
 def _check_int(name: str, value, low: int = 1, seed: bool = False) -> None:
@@ -123,7 +127,8 @@ class StepLog:
     x1..zstar, psi and t (0 or 1) have shape (N,), lam (N, 4) and theta
     (N, 6). lam and psi are the imbalance after the step; theta is the
     allocation parameter the step was allocated under. An unlogged
-    trial has N = 0.
+    trial has N = 0. Two logs are equal when every column has the same
+    dtype, shape and bytes, so -0.0 and 0.0 differ.
     """
 
     x1: np.ndarray
@@ -143,6 +148,14 @@ class StepLog:
 
     def __repr__(self) -> str:
         return f"StepLog({len(self)} steps)"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepLog):
+            return NotImplemented
+        return all(
+            (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            for x, y in ((getattr(self, f), getattr(other, f)) for f in self.__slots__)
+        )
 
 
 # a logged step as one row, in StepLog's field order: x1, x2, x3, rho,
@@ -194,8 +207,9 @@ Lambda = tuple[float, float, float, float]
 @dataclass(frozen=True, slots=True)
 class TrialResult:
     """One trial's statistics, its final Lambda_N, the adaptation
-    trajectory's totals (parameter movement, clip budget, fitted steps)
-    and (optionally) the step log.
+    trajectory's totals (parameter movement, clip budget, fitted steps),
+    its units and treated units at each x1 atom (in X1_ATOMS order) and
+    (optionally) the step log.
 
     Every statistic is recomputable from the log when it is kept.
     """
@@ -207,6 +221,8 @@ class TrialResult:
     theta_move_sum: float
     clip_bound_sum: float
     n_fit_steps: int
+    atom_units: tuple[int, int, int]
+    atom_treated: tuple[int, int, int]
 
 
 def _trial_stats(lam, psi, n, sum_y, sum_rho, sum_rho_sq, ipw_sum, clip_excess, theta_max_norm):
@@ -279,6 +295,8 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     clip_bound_sum = 0.0
     clip_step_excess = 0.0
     n_fit_steps = 0
+    atom_units = [0] * len(X1_ATOMS)
+    atom_treated = [0] * len(X1_ATOMS)
     log = array("d")
 
     i = 0
@@ -357,6 +375,9 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             l3 += scale * x3
             psi += scale * z
 
+            atom = _ATOM_INDEX[x1]
+            atom_units[atom] += 1
+            atom_treated[atom] += t
             sum_y += y
             sum_rho += rho_used
             sum_rho_sq += rho_used * rho_used
@@ -386,6 +407,8 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
         theta_move_sum=theta_move_sum,
         clip_bound_sum=clip_bound_sum,
         n_fit_steps=n_fit_steps,
+        atom_units=tuple(atom_units),
+        atom_treated=tuple(atom_treated),
     )
 
 
@@ -458,6 +481,8 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     clip_bound_sum = np.zeros(reps)
     clip_step_excess = np.zeros(reps)
     n_fit_steps = np.zeros(reps, dtype=np.int64)
+    atom_units = np.zeros((reps, len(X1_ATOMS)), dtype=np.int64)
+    atom_treated = np.zeros((reps, len(X1_ATOMS)), dtype=np.int64)
     half = np.full(reps, 0.5)
     log = np.empty((n_units if keep_log else 0, _LOG_WIDTH, reps))
 
@@ -472,6 +497,8 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
             draws[6, :, r] = rng.random(bn)
         ax1, ax2, ax3, ay1, ay0, az, au = draws
         aphi = np.stack((np.ones_like(ax1), ax1, ax2, ax3), axis=2)
+        # step k's treatment of each row, counted per atom after the block
+        block_treated = np.empty((bn, reps), dtype=bool)
 
         for k in range(bn):
             x1 = ax1[k]
@@ -513,7 +540,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                 else:
                     g = rho
 
-            treated = au[k] < g
+            treated = np.less(au[k], g, out=block_treated[k])
             t = treated.astype(np.float64)
             y = np.where(treated, ay1[k], ay0[k])
 
@@ -538,6 +565,11 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                     pending[i % lag] = (x1, ax2[k], ax3[k], t, y, rho)
             i += 1
 
+        for a, atom in enumerate(X1_ATOMS):
+            at = ax1 == atom
+            atom_units[:, a] += np.count_nonzero(at, axis=0)
+            atom_treated[:, a] += np.count_nonzero(at & block_treated, axis=0)
+
     n = float(n_units)
     results = []
     for r in range(reps):
@@ -559,6 +591,8 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                 theta_move_sum=move_sum,
                 clip_bound_sum=bound_sum,
                 n_fit_steps=int(n_fit_steps[r]),
+                atom_units=tuple(atom_units[r].tolist()),
+                atom_treated=tuple(atom_treated[r].tolist()),
             )
         )
     return results

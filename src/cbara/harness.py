@@ -22,10 +22,10 @@ replications runs through engine.run_lockstep and a shard of one
 through engine.run_trial; both build the same engine.TrialResult bit
 for bit, so neither the split nor the shard size changes any result.
 That record, with the log off, is what the scheduler returns: one per
-replication, holding TrialStats, Lambda_N, theta_N and the update
-totals. `collect` alone projects it to TrialStats. A lockstep row holds
-about 28 KB of state at its peak (mostly a 256-unit block of draws), so
-a shard of SHARD_MAX rows needs about 56 MB.
+replication, holding TrialStats, Lambda_N, theta_N, the update totals
+and the per-atom counts. `collect` alone projects it to TrialStats. A
+lockstep row holds about 28 KB of state at its peak (mostly a 256-unit
+block of draws), so a shard of SHARD_MAX rows needs about 56 MB.
 
 Aggregation sums per-replication statistics with math.fsum, which is
 exactly rounded and therefore independent of completion order; together

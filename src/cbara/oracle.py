@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .adapt import UpdateMechanism
-from .datagen import CovariateVector, Scenario, ScenarioId, draw_unit_arrays
+from .datagen import X1_ATOMS, CovariateVector, Scenario, ScenarioId, draw_unit_arrays
 from .engine import Allocation, TrialConfig, _check_int, run_trial
 from .estimator import Weighting, active_columns, rank_deficient
 from .policy import (
@@ -55,8 +55,6 @@ from .policy import (
 
 _CHUNK = 200_000
 _PINV_COND = 1e12
-
-_X1_ATOMS = (-1.0, 0.0, 1.0)
 
 
 class PopulationSample:
@@ -128,7 +126,7 @@ def _solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _rho_star(policy: TargetPolicy, theta: ModelCoefficients, x1: np.ndarray) -> np.ndarray:
     """Per-unit targeted ratio: the engine's link at the three x1 atoms,
     looked up by each unit's x1 (draw_unit_arrays only yields -1, 0, 1)."""
-    atoms = np.array([target_ratio_from_x1(policy, theta, a) for a in _X1_ATOMS])
+    atoms = np.array([target_ratio_from_x1(policy, theta, a) for a in X1_ATOMS])
     return atoms[x1.astype(np.intp) + 1]
 
 

@@ -2,11 +2,14 @@
 hold. The full battery runs once per session (a few minutes); see the
 package acceptance module for what each criterion measures."""
 import types
+from dataclasses import replace
 
 import pytest
 
 import cbara.acceptance as acceptance
+from cbara import engine, harness
 from cbara.acceptance import _SEED, CRITERION_NAMES, _run_table, run_acceptance
+from cbara.engine import run_trial
 from cbara.harness import TrialStats, split_seed, summarize
 from cbara.policy import ModelCoefficients
 
@@ -73,10 +76,37 @@ def test_determinism_runs_the_table_path_on_one_plan_list(monkeypatch):
     assert audited == [(plan.base_config, 1, 1e-16) for plan in plans] * 4
 
 
+def test_atom_criterion_reads_the_table_records(monkeypatch):
+    # criterion 8 sums the per-atom counts of the table's records and
+    # runs no trial of its own
+    record = run_trial(replace(acceptance._ATOM_CONFIG, n_units=30))
+    records = [
+        replace(record, atom_units=(100, 200, 100), atom_treated=(20, 41, 50)),
+        replace(record, atom_units=(300, 600, 300), atom_treated=(60, 127, 150)),
+    ]
+
+    def no_trials(*args):
+        raise AssertionError("a trial was run")
+
+    for module in (engine, harness):
+        monkeypatch.setattr(module, "run_trial", no_trials)
+        monkeypatch.setattr(module, "run_lockstep", no_trials)
+    shared = types.SimpleNamespace(
+        runs={"atoms-discrete": acceptance._Run(records, None)},
+        oracle={"theta_discrete": _THETA},
+    )
+    result = acceptance._criterion_8(shared)
+    assert result.detail == (
+        "atom -1: frac=0.2000 vs ratio 0.5000; atom +0: frac=0.2100 vs ratio 0.5000;"
+        " atom +1: frac=0.5000 vs ratio 0.5000 (tol 0.03)"
+    )
+    assert not result.passed
+
+
 def test_seed_keys_are_distinct():
-    # the table's keys, then the ones criteria 8-10 and the oracle derive
+    # the table's keys, then the ones criteria 9-10 and the oracle derive
     keys = [k for k, _, _ in _run_table(_THETA).values()]
-    keys += [13, 14, 15, 17, 18, 19, 30, 31, 32]
+    keys += [14, 15, 17, 18, 19, 30, 31, 32]
     assert len(set(keys)) == len(keys)
     assert len({split_seed(_SEED, k) for k in keys}) == len(keys)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cbara.adapt import UpdateMechanism, perfect_squares
 from cbara.datagen import CovariateVector, Scenario, ScenarioId, true_ate
-from cbara.engine import Allocation, StepLog, TrialConfig, run_lockstep, run_trial
+from cbara.engine import Allocation, StepLog, TrialConfig, _step_log, run_lockstep, run_trial
 from cbara.estimator import Weighting, ipw_ate
 from cbara.harness import split_seed
 from cbara.policy import (
@@ -216,12 +216,10 @@ _TRUTH_A = ModelCoefficients(4.5, 4.7, 7.5, 1.7, 2.9, 1.4)
 
 def _assert_same_results(got, want):
     # repr tells every summary float apart bit for bit, -0.0 from 0.0
-    # included; an array's repr rounds, so log columns compare as bytes
+    # included; an array's repr rounds, and StepLog equality compares
+    # the log columns as bytes
     assert repr(got) == repr(want)
-    for a, b in zip(got, want):
-        for name in StepLog.__slots__:
-            x, y = getattr(a.log, name), getattr(b.log, name)
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert got == want
 
 
 def _assert_lockstep_is_run_trial(cfg, reps=3):
@@ -299,6 +297,35 @@ def test_lockstep_equals_run_trial_in_a_mixed_batch():
     ]
     assert len(cfgs) == 88
     _assert_same_results(run_lockstep(cfgs), [run_trial(c) for c in cfgs])
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(scenario=Scenario(ScenarioId.DISCRETE)),
+        dict(burn_in=40),
+        dict(frozen_theta=_TRUTH_A, mechanism=UpdateMechanism.direct()),
+        dict(n_units=600),  # crosses two unit-block boundaries
+    ],
+    ids=["discrete", "burn-in-40", "frozen", "three-blocks"],
+)
+def test_atom_counts_match_the_log(kw):
+    cfgs = [_cfg(**{"n_units": 120, **kw}, seed=split_seed(5, k)) for k in range(3)]
+    for result in [run_trial(c) for c in cfgs] + run_lockstep(cfgs):
+        x1, t = result.log.x1, result.log.t
+        assert result.atom_units == tuple(int((x1 == a).sum()) for a in (-1.0, 0.0, 1.0))
+        assert result.atom_treated == tuple(int(t[x1 == a].sum()) for a in (-1.0, 0.0, 1.0))
+        assert sum(result.atom_units) == len(result.log)
+
+
+def test_steplog_equality_is_bitwise():
+    rows = np.zeros((2, 19))
+    log = _step_log(rows)
+    assert log == _step_log(rows.copy())
+    rows[1, 12] = -0.0  # step 2's psi
+    assert log != _step_log(rows)
+    assert log != _step_log(np.zeros((1, 19)))
+    assert log != "log"
 
 
 def test_lockstep_rejects_configs_of_different_plans():

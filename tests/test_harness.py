@@ -84,13 +84,13 @@ def test_collect_parallel_equals_serial(reps, parallelism):
     serial = collect_plans([_plan(**kw)], 1)
     pooled = collect_plans([_plan(**kw)], parallelism)
     assert repr(serial) == repr(pooled)
+    assert serial == pooled
 
 
 def test_collect_plans_returns_run_trials_records():
-    # the records, theta_N and the update totals included, are
-    # run_trial's, whether they cross a process pool or not; repr
-    # compares them bit for bit, since an unpickled empty StepLog is a
-    # new object and StepLog compares by identity
+    # the records, theta_N, the update totals and the atom counts
+    # included, are run_trial's, whether they cross a process pool or
+    # not; repr compares them bit for bit, -0.0 from 0.0 included
     plan = _plan(reps=8, allocation=Allocation.BALANCE,
                  policy=TargetPolicy(family=Family.LOGISTIC),
                  mechanism=UpdateMechanism.clipped())
@@ -99,6 +99,7 @@ def test_collect_plans_returns_run_trials_records():
     assert repr(results) == want
     [pooled] = collect_plans([plan], 2)
     assert repr(pooled) == want
+    assert pooled == results
     assert [r.stats for r in results] == collect(plan)
 
 

@@ -11,18 +11,18 @@ Every replication plan that criteria 1-8 read is declared once, in
 Its configs are the ones `cbara run` builds, `cli.to_trial_config` of a
 `RunSpec`, so the update mechanism paired with each allocation comes
 from `cli.update_mechanism_for` alone; a frozen-parameter plan carries
-that mechanism too but never updates. `_Shared` builds the population
-oracle first, since the frozen-theta plans need theta*, then runs the
-whole table through one `collect_plans` call, with the run's worker
-count, before any criterion reads it. A run is its records, one
-engine.TrialResult per replication, and their summary; criteria 6, 7
-and 8 read Psi_N, Lambda_N and the per-atom counts from the records.
-Where criteria overlap they read the same run: the imbalance table
-cells feed criteria 1-4, the efficiency runs feed 5 and 7. Only
-criterion 12 runs its own trials: the calls `cbara table1` makes,
-`aggregate_grid` then `emit_tables`, on one plan list at several worker
-counts. Every run's worst per-step clipped-update violation goes
-through one method, `_Shared._track_clip`, into criterion 11.
+that mechanism too but never updates. `_Shared` runs every simulation
+the criteria read, before any criterion runs: the population oracle
+first, since the frozen-theta plans need theta*; the whole table
+through one `collect_plans` call, with the run's worker count;
+criterion 9's frozen chains; and criterion 12's grid, the calls `cbara
+table1` makes on one plan list at several worker counts. A run is its
+records, one engine.TrialResult per replication, and their summary;
+criteria 6, 7 and 8 read Psi_N, Lambda_N and the per-atom counts from
+the records. Where criteria overlap they read the same run: the
+imbalance table cells feed criteria 1-4, the efficiency runs feed 5 and
+7. Criterion 11's clip audit is folded once, from the summaries of the
+table and the grid, so every criterion only reads.
 """
 from __future__ import annotations
 
@@ -182,31 +182,60 @@ class _Run(NamedTuple):
 
 
 class _Shared:
-    """The oracle bundle and every run of the table, computed up front
-    through one `collect_plans` call, and criterion 11's clip audit,
-    which criterion 12 adds to."""
+    """Every simulation the criteria read, run up front: the oracle
+    bundle, the table's runs, criterion 9's chains and criterion 12's
+    grid csv at each worker count; and criterion 11's clip audit over
+    the summaries of the table and of the grid."""
 
     def __init__(self, parallelism: int, seed: int) -> None:
         self.seed = seed
-        self.clip_trials = 0
-        self.max_clip_excess = 0.0
         self.oracle = _oracle(seed)
         table = _run_table(self.oracle["theta_star"])
         plans = [
             ReplicationPlan(cfg, reps, split_seed(seed, k)) for k, cfg, reps in table.values()
         ]
-        self.runs: dict[str, _Run] = {}
-        for name, plan, results in zip(table, plans, collect_plans(plans, parallelism)):
-            summary = summarize([r.stats for r in results], plan.base_config.scenario)
-            self._track_clip(plan.base_config, summary.n_reps, summary.max_clip_excess)
-            self.runs[name] = _Run(results, summary)
-
-    def _track_clip(self, cfg: TrialConfig, trials: int, worst: float) -> None:
-        """Fold `trials` runs of cfg, whose worst per-step clip excess
-        is `worst`, into criterion 11's audit."""
-        if cfg.mechanism.kind is MechanismKind.CLIPPED and cfg.frozen_theta is None:
-            self.clip_trials += trials
-        self.max_clip_excess = max(self.max_clip_excess, worst)
+        self.runs = {
+            name: _Run(results, summarize([r.stats for r in results], plan.base_config.scenario))
+            for name, plan, results in zip(table, plans, collect_plans(plans, parallelism))
+        }
+        audited = [(plan, run.summary) for plan, run in zip(plans, self.runs.values())]
+        # criterion 9: each frozen chain's deviations at three probe covariates
+        policy = TargetPolicy(family=Family.LOGISTIC)
+        probes = [
+            CovariateVector(-1.0, -0.5, 0.3),
+            CovariateVector(0.0, 0.0, 0.0),
+            CovariateVector(1.0, 0.7, -0.6),
+        ]
+        thetas = {
+            "zero": ModelCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            "limit": self.oracle["theta_star"],
+            "tilted": ModelCoefficients(2.0, 1.0, 0.0, -1.0, 0.5, -0.5),
+        }
+        self.chain_devs = {
+            name: invariant_pi_g_check(
+                policy, theta, probes, horizon=200_000, seed=split_seed(seed, k)
+            )
+            for k, (name, theta) in enumerate(thetas.items(), start=17)
+        }
+        # criterion 12: one grid's csv at worker counts 1, 1, 4 and 8
+        grid = grid_plans(RunSpec(
+            sizes=(200,), scenarios=(ScenarioId.A, ScenarioId.B), families=(Family.CRD,),
+            weightings=(Weighting.WEIGHTED, Weighting.UNWEIGHTED), reps=8, seed=977,
+        ))
+        self.grid_csv = []
+        for width in (1, 1, 4, 8):
+            summaries = aggregate_grid(grid, width)
+            audited += zip(grid, summaries)
+            self.grid_csv.append(emit_tables(grid, summaries, "csv"))
+        # criterion 11: the worst clip excess of every run, and the trials
+        # that clip and update (a frozen plan never updates)
+        self.max_clip_excess = max([0.0] + [s.max_clip_excess for _, s in audited])
+        self.clip_trials = sum(
+            s.n_reps
+            for p, s in audited
+            if p.base_config.mechanism.kind is MechanismKind.CLIPPED
+            and p.base_config.frozen_theta is None
+        )
 
 
 def _imbalance_remainder(results: list[TrialResult], a: np.ndarray, n: int) -> float:
@@ -356,22 +385,8 @@ def _criterion_8(sh: _Shared) -> CriterionResult:
 
 
 def _criterion_9(sh: _Shared) -> CriterionResult:
-    policy = TargetPolicy(family=Family.LOGISTIC)
-    probes = [
-        CovariateVector(-1.0, -0.5, 0.3),
-        CovariateVector(0.0, 0.0, 0.0),
-        CovariateVector(1.0, 0.7, -0.6),
-    ]
-    thetas = {
-        "zero": ModelCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        "limit": sh.oracle["theta_star"],
-        "tilted": ModelCoefficients(2.0, 1.0, 0.0, -1.0, 0.5, -0.5),
-    }
     parts, ok = [], True
-    for k, (name, theta) in enumerate(thetas.items(), start=17):
-        devs = invariant_pi_g_check(
-            policy, theta, probes, horizon=200_000, seed=split_seed(sh.seed, k)
-        )
+    for name, devs in sh.chain_devs.items():
         worst = max(devs)
         hit = worst < 0.01
         ok = ok and hit
@@ -456,21 +471,7 @@ def _criterion_11(sh: _Shared) -> CriterionResult:
 
 
 def _criterion_12(sh: _Shared) -> CriterionResult:
-    spec = RunSpec(
-        sizes=(200,),
-        scenarios=(ScenarioId.A, ScenarioId.B),
-        families=(Family.CRD,),
-        weightings=(Weighting.WEIGHTED, Weighting.UNWEIGHTED),
-        reps=8,
-        seed=977,
-    )
-    plans = grid_plans(spec)
-    outputs = []
-    for parallelism in (1, 1, 4, 8):
-        summaries = aggregate_grid(plans, parallelism)
-        for plan, summary in zip(plans, summaries):
-            sh._track_clip(plan.base_config, summary.n_reps, summary.max_clip_excess)
-        outputs.append(emit_tables(plans, summaries, "csv"))
+    outputs = sh.grid_csv
     ok = all(text == outputs[0] for text in outputs[1:])
     detail = (
         f"grid csv bytes: rerun identical={outputs[1] == outputs[0]},"
@@ -491,8 +492,8 @@ _CRITERIA: tuple[Callable[[_Shared], CriterionResult], ...] = (
     _criterion_8,
     _criterion_9,
     _criterion_10,
+    _criterion_11,
     _criterion_12,
-    _criterion_11,  # last: audits clipping across every run above
 )
 
 
@@ -502,6 +503,4 @@ def run_acceptance(parallelism: int = 1, seed: int = _SEED) -> list[CriterionRes
     _check_int("seed", seed, seed=True)
     _check_int("parallelism", parallelism)
     sh = _Shared(parallelism, seed)
-    results = [fn(sh) for fn in _CRITERIA]
-    results.sort(key=lambda r: r.name)
-    return results
+    return [fn(sh) for fn in _CRITERIA]

@@ -17,16 +17,16 @@ several, so the harness sends shards of two or more trials to it and a
 single trial to run_trial.
 
 A lockstep batch may hold any configs that share a step schedule
-(step_schedule): the same n_units, burn_in, response_delay,
-frozen_theta, keep_log and fitted columns (active_columns of the
-scenario, so DiscreteTest runs apart from A and B). Everything else is
+(step_schedule): the same n_units, burn_in, response_delay, keep_log,
+fitted columns (active_columns of the scenario, so DiscreteTest runs
+apart from A and B) and whether theta is frozen. Everything else is
 per row: seed, scenario (outcome noise included), policy (family,
-clamps, c_lambda, g_floor), weighting, update mechanism and
-allocation. Each knob is held one way, as one entry per row, also when
-every row has the same value. Rows that share a family or a mechanism
-are served by one call per step (row_groups). Work that no row needs is
-skipped: an all-direct batch never computes the balance rule, and a
-batch without clipped rows keeps no clip budget.
+clamps, c_lambda, g_floor), weighting, update mechanism, allocation
+and frozen theta. Each knob is held one way, as one entry per row,
+also when every row has the same value. Rows that share a family or a
+mechanism are served by one call per step (row_groups). Work that no
+row needs is skipped: an all-direct batch never computes the balance
+rule, and a batch without clipped rows keeps no clip budget.
 
 Both paths build the trial's TrialStats record, and the step log as
 one StepLog of columns, once when the trial ends. Both count the units
@@ -169,7 +169,7 @@ def step_schedule(cfg: TrialConfig) -> tuple:
         cfg.n_units,
         cfg.burn_in,
         cfg.response_delay,
-        cfg.frozen_theta,
+        cfg.frozen_theta is not None,
         cfg.keep_log,
         active_columns(cfg.scenario),
     )
@@ -437,9 +437,9 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
 
     Row r keeps its own generator, consumed as in run_trial (a block of
     units, then one uniform per unit), and its own scenario, policy,
-    weighting, mechanism and allocation; every formula is evaluated
-    elementwise in run_trial's order, so result r has the summary
-    fields of run_trial(configs[r]) bit for bit, step log included.
+    weighting, mechanism, allocation and frozen theta; every formula is
+    evaluated elementwise in run_trial's order, so result r equals
+    run_trial(configs[r]) bit for bit, step log included.
     """
     if not configs:
         raise ValueError("configs must be nonempty")
@@ -464,8 +464,9 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     # ones wait in a ring of lag slots
     lag = max(cfg.response_delay, 1)
 
-    theta0 = cfg.frozen_theta if frozen else ZERO_COEFFS
-    theta = np.tile(theta0.as_array(), (reps, 1))
+    theta = np.zeros((reps, 6))
+    if frozen:
+        theta[:] = [c.frozen_theta.as_array() for c in configs]
     p_theta, c_theta = derive_constants_rows(pol, theta)
     acc = FitStack([c.weighting for c in configs], active_columns(cfg.scenario))
     pending: list[tuple[np.ndarray, ...]] = [()] * min(lag, n_units)
@@ -476,7 +477,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     sum_rho = np.zeros(reps)
     sum_rho_sq = np.zeros(reps)
     ipw_sum = np.zeros(reps)
-    theta_max_norm = np.full(reps, _norm(theta0.as_array().tolist()))
+    theta_max_norm = np.sqrt(sum_columns(theta * theta))
     theta_move_sum = np.zeros(reps)
     clip_bound_sum = np.zeros(reps)
     clip_step_excess = np.zeros(reps)
@@ -587,7 +588,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                     float(theta_max_norm[r]),
                 ),
                 lam=lam_r,
-                theta_final=theta0 if frozen else ModelCoefficients.from_array(theta[r]),
+                theta_final=ModelCoefficients.from_array(theta[r]),
                 theta_move_sum=move_sum,
                 clip_bound_sum=bound_sum,
                 n_fit_steps=int(n_fit_steps[r]),

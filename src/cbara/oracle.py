@@ -54,7 +54,6 @@ from .policy import (
 )
 
 _CHUNK = 200_000
-_PINV_COND = 1e12
 
 
 class PopulationSample:
@@ -114,11 +113,11 @@ def _check_gram(g: np.ndarray) -> np.ndarray:
 
 
 def _solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve g x = rhs, falling back to the least-norm solution when g
-    is ill-conditioned (the balance coefficient is only identified on
-    the Gram's row space)."""
+    """Solve g x = rhs, falling back to the least-norm solution where
+    rank_deficient finds g singular (the balance coefficient is only
+    identified on the Gram's row space)."""
     g = _check_gram(g)
-    if np.linalg.cond(g) > _PINV_COND:
+    if rank_deficient(g):
         return np.linalg.pinv(g) @ rhs
     return np.linalg.solve(g, rhs)
 

@@ -329,7 +329,8 @@ def test_steplog_equality_is_bitwise():
 
 
 def test_lockstep_rejects_configs_of_different_plans():
-    # configs of different plans share a batch only on one step schedule
+    # configs of different plans share a batch only on one step schedule;
+    # a frozen row and an adaptive one never do
     base = _cfg()
     for field, other in [
         ("n_units", 170),
@@ -437,20 +438,23 @@ def test_trial_properties_over_valid_configs(cfg):
 @st.composite
 def batches_of_one_schedule(draw):
     """2-4 valid configs that share a step schedule and differ in
-    everything else."""
+    everything else, frozen theta included when the first is frozen."""
     first = draw(trial_configs())
     discrete = first.scenario.id is ScenarioId.DISCRETE
     ids = [ScenarioId.DISCRETE] if discrete else [ScenarioId.A, ScenarioId.B]
     rows = [first]
     for _ in range(draw(st.integers(1, 3))):
         other = draw(trial_configs())
+        theta = first.frozen_theta
+        if theta is not None and other.frozen_theta is not None:
+            theta = other.frozen_theta
         rows.append(
             replace(
                 other,
                 n_units=first.n_units,
                 burn_in=first.burn_in,
                 response_delay=first.response_delay,
-                frozen_theta=first.frozen_theta,
+                frozen_theta=theta,
                 keep_log=first.keep_log,
                 scenario=Scenario(draw(st.sampled_from(ids)), other.scenario.outcome_noise_sd),
             )
@@ -458,7 +462,32 @@ def batches_of_one_schedule(draw):
     return rows
 
 
+# frozen theta is per row, like every other knob: one batch holds a
+# grid of them (a -0.0 coefficient included) under both allocations
+_FROZEN_GRID = [
+    _cfg(
+        n_units=300,
+        frozen_theta=theta,
+        mechanism=UpdateMechanism.direct(),
+        allocation=allocation,
+        seed=split_seed(9, k),
+    )
+    for k, (theta, allocation) in enumerate(
+        itertools.product(
+            [
+                _TRUTH_A,
+                ModelCoefficients(0.3, -0.0, 0.1, 0.0, -1.0, 0.2),
+                ModelCoefficients(),
+                ModelCoefficients(-2.0, 1.0, 0.5, -0.5, 0.25, 3.0),
+            ],
+            Allocation,
+        )
+    )
+]
+
+
 @settings(max_examples=40)
 @given(batches_of_one_schedule())
+@example(_FROZEN_GRID)
 def test_lockstep_equals_run_trial_on_any_shared_schedule(cfgs):
     _assert_same_results(run_lockstep(cfgs), [run_trial(c) for c in cfgs])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cbara.datagen import CovariateVector, Scenario, ScenarioId
+from cbara.estimator import rank_deficient
 from cbara import oracle
 from cbara.oracle import (
     PopulationSample,
@@ -288,3 +289,19 @@ def test_invariant_check_rejects_short_horizons():
     pol = TargetPolicy(family=Family.LOGISTIC)
     with pytest.raises(ValueError):
         invariant_pi_g_check(pol, ModelCoefficients(), [CovariateVector(0, 0, 0)], 10**4)
+
+
+@pytest.mark.parametrize("smallest", [1e-2, 1e-7, 1e-9, 1e-10, 1e-14])
+def test_balance_solve_takes_pinv_where_the_rank_test_says(smallest):
+    # a PSD 4x4 Gram with eigenvalues 1, 0.5, 0.1 and `smallest`: the
+    # solve falls back to pinv exactly where rank_deficient finds the
+    # matrix singular, so the oracle and every fit share one rank rule
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    g = (q * [1.0, 0.5, 0.1, smallest]) @ q.T
+    g = (g + g.T) / 2.0
+    rhs = np.array([0.3, -1.2, 0.7, 2.0])
+    deficient = bool(rank_deficient(g))
+    # eigenvalue ratios below 1e-8 are deficient: cond 1e10 takes pinv
+    assert deficient == (smallest < 1e-8)
+    want = np.linalg.pinv(g) @ rhs if deficient else np.linalg.solve(g, rhs)
+    assert oracle._solve_gram(g, rhs).tobytes() == want.tobytes()

@@ -21,7 +21,8 @@ Every failure, be it a bad flag, a bad config value or an error during
 the run, prints one machine-readable line `cbara-error: <message>` to
 stderr and no traceback. The exit status is 2 for a bad value, 1 for
 any other failure, and 0 only when all requested work completed (for
-`check`: when every criterion passed).
+`check`: when every criterion passed). An output path that cannot be
+opened for writing fails before any work starts.
 """
 from __future__ import annotations
 
@@ -400,6 +401,18 @@ def _emit_oracle(spec: RunSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(out: str) -> None:
+    """Fail now, before any work, if the output path cannot be opened
+    for writing. Opening for append leaves an existing file as it is,
+    and a file this check creates is removed again."""
+    if out:
+        existed = os.path.lexists(out)
+        with open(out, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(out)
+
+
 def _write_out(text: str, out: str) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -469,6 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         spec, seed_given = _load_spec(args)
+        _check_out(spec.out)
         code = 0
         if args.command == "run":
             plan = ReplicationPlan(to_trial_config(spec), spec.reps, spec.seed)

@@ -4,6 +4,15 @@ Units are i.i.d. draws of (covariates, both potential outcomes, an
 additional covariate z*). Covariates come from a correlated trivariate
 Gaussian pushed through three monotone transforms so that x1 is a
 three-point discrete variable and x2, x3 are bounded in [-1, 1].
+
+x3 is 2*ndtr(g) - 1 with scipy's ndtr, the package's one use of scipy.
+Importing this module does not load scipy: _load_ndtr imports
+scipy.special at a process's first draw of a scenario with x3 (A or
+B), so a process that never draws such units, as on a config error or
+a DiscreteTest-only run, never pays that import. A process that draws
+pays it once, at its first draw; the bits are the same ufunc's. The
+harness calls _load_ndtr before it forks a pool, so that the workers
+inherit the loaded module.
 """
 from __future__ import annotations
 
@@ -13,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class ScenarioId(str, Enum):
@@ -85,6 +93,13 @@ class CovariateVector:
             raise ValueError("x2 and x3 must lie in [-1, 1]")
 
 
+def _load_ndtr():
+    """scipy's normal cdf; the first call imports scipy.special."""
+    from scipy.special import ndtr
+
+    return ndtr
+
+
 def draw_unit_arrays(
     scenario: Scenario, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -101,7 +116,7 @@ def draw_unit_arrays(
         x3 = np.zeros(n)
     else:
         x2 = np.clip(g[:, 1], -2.0, 2.0) / 2.0
-        x3 = 2.0 * ndtr(g[:, 2]) - 1.0
+        x3 = 2.0 * _load_ndtr()(g[:, 2]) - 1.0
     eps_z = _ZSTAR_NOISE_SD * rng.standard_normal(n)
     zstar = np.tanh(0.8 * x1 + 0.5 * x2 * x2 - 0.3 * x3 + 0.1 * x1 * x3) + eps_z
 

@@ -27,6 +27,15 @@ and the per-atom counts. `collect` alone projects it to TrialStats. A
 lockstep row holds about 28 KB of state at its peak (mostly a 256-unit
 block of draws), so a shard of SHARD_MAX rows needs about 56 MB.
 
+The parent loads scipy.special (datagen._load_ndtr) just before it
+opens a pool. datagen loads that module only at a process's first draw
+(see there), so without this each worker of each pool would pay it,
+which more than doubles the wall time of a small `cbara table1` grid
+at two workers. Forked workers inherit the parent's loaded modules, so they
+pay nothing. Under a spawn or forkserver start method (the default on
+Linux from Python 3.14) workers do not inherit it, and each imports
+scipy.special at its first draw.
+
 Aggregation sums per-replication statistics with math.fsum, which is
 exactly rounded and therefore independent of completion order; together
 with index-ordered result collection this makes summaries bit-identical
@@ -43,7 +52,7 @@ import multiprocessing
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .datagen import Scenario, true_ate
+from .datagen import Scenario, _load_ndtr, true_ate
 from .engine import (
     TrialConfig,
     TrialResult,
@@ -194,6 +203,7 @@ def collect_plans(
     if parallelism == 1 or len(tasks) == 1:
         parts = [_run_shard(task) for task in tasks]
     else:
+        _load_ndtr()  # forked workers inherit scipy.special (module docstring)
         with multiprocessing.Pool(processes=min(parallelism, len(tasks))) as pool:
             parts = list(pool.imap(_run_shard, tasks))
     failures = [

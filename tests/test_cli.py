@@ -510,3 +510,43 @@ def test_run_failure_is_one_error_line(monkeypatch, capsys):
         assert err.startswith("cbara-error:") and err.count("\n") == 1, err
         assert message in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "table1", "oracle", "check", "trace"])
+def test_an_unwritable_out_fails_before_any_work(monkeypatch, tmp_path, capsys, command):
+    # main turns any exception into an error line, so the calls are counted
+    started = []
+
+    def no_work(*_, **__):
+        started.append(command)
+        raise AssertionError("work started")
+
+    for name in ("cbara.harness.collect_plans", "cbara.acceptance.run_acceptance",
+                 "cbara.cli.PopulationSample", "cbara.cli.run_trial"):
+        monkeypatch.setattr(name, no_work)
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(f"out = {missing}\n")
+    # the path from the flag, from the config, and a directory
+    for argv in (["--out", str(missing)], ["--config", str(cfg)], ["--out", str(tmp_path)]):
+        assert main([command, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cbara-error: [Errno") and err.count("\n") == 1, err
+    assert started == []
+    assert not missing.parent.exists()
+
+
+def test_a_failed_run_leaves_the_out_file_as_it_was(monkeypatch, tmp_path, capsys):
+    def failing(*_, **__):
+        raise RuntimeError("injected scheduler failure")
+
+    monkeypatch.setattr("cbara.harness.collect_plans", failing)
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"earlier,output\r\n")
+    new = tmp_path / "new.csv"
+    for path in (old, new):
+        assert main(["run", "--reps", "2", "--out", str(path)]) == 1
+        assert capsys.readouterr().err == "cbara-error: injected scheduler failure\n"
+    assert old.read_bytes() == b"earlier,output\r\n"
+    assert not new.exists()

@@ -49,3 +49,11 @@ def test_output_digest_runs():
     for prefix, config in [("table1 --raw", grid), ("run --raw", run)]:
         one, two = (digests[f"{prefix} --parallelism {p} {config}"] for p in (1, 2))
         assert one == two
+
+
+def test_startup_cost_runs():
+    lines = _assert_tool_runs("startup_cost.py", ["--repeats", "1"], "phase,seconds")
+    assert [line.split(",")[0] for line in lines[1:-1]] == [
+        "import_numpy", "import_cbara", "first_draw_A_256", "second_draw_A_256",
+        "cli_error_exit",
+    ]

@@ -23,6 +23,12 @@ the records. Where criteria overlap they read the same run: the
 imbalance table cells feed criteria 1-4, the efficiency runs feed 5 and
 7. Criterion 11's clip audit is folded once, from the summaries of the
 table and the grid, so every criterion only reads.
+
+Each number a criterion decides on is held once, and its comparison and
+detail line both read it: bounds, bands and criterion 12's worker counts
+are the module constants below, a run's N is its plan's `n_units`, and
+`_SEED_KEYS` keys every draw outside the run table. Each criterion's name
+is written once, beside its function in `_CRITERIA`.
 """
 from __future__ import annotations
 
@@ -72,25 +78,36 @@ _MSE_REF = {"direct": (0.970, 0.20), "balance": (0.071, 0.25)}
 # arms; see criterion 5 for why it is 1.
 _NOISE_SD = 1.0
 
+# The imbalance table's two trial sizes (criteria 1-4), and the inclusive
+# bands on a mean's growth from the first to the second: about 2 for an
+# O(sqrt N) quantity (criteria 2 and 3), about 1 for a bounded one.
+_TABLE_SIZES = (200, 800)
+_ROOT_N_GROWTH = (1.7, 2.3)
+_BOUNDED_GROWTH = (0.8, 1.2)
+_PSI_TOL = 0.15  # criterion 3, relative to _PSI_REF
+_RESPONSE_TOL = 0.10  # criterion 4, absolute
+_CLT_TOL = 0.12  # criterion 6, relative
+_IPW_VAR_TOL = 0.15  # criterion 7, relative
+_ATOM_TOL = 0.03  # criterion 8, absolute
+_CHAIN_TOL = 0.01  # criterion 9, strict
+# criterion 10: strict bounds on the recovery error, the objective gain
+# and the bias, that one in standard errors
+_RECOVERY_TOL, _GAIN_FLOOR, _BIAS_SES = 1e-8, -1e-9, 3
+# criterion 11: the density audit's horizon and the clip excess allowed
+_IRU_HORIZON, _CLIP_EXCESS_TOL = 10**6, 1e-12
+_GRID_WIDTHS = (1, 1, 4, 8)  # criterion 12: a run, its rerun, two wider
+
+# Keys, split from the base seed, of every draw outside _run_table.
+_SEED_KEYS = {
+    "criterion-10-units": 14, "criterion-10-perturbations": 15,
+    "chain-zero": 17, "chain-limit": 18, "chain-tilted": 19,
+    "population-A": 30, "population-A-noisy": 31, "population-discrete": 32,
+}
+
 # Outcome coefficients shared by both arms of the continuous scenario;
 # the working model is exactly specified there, so a noiseless fit
 # must recover them to solver precision.
 _TRUTH_A = ModelCoefficients(4.5, 4.7, 7.5, 1.7, 2.9, 1.4)
-
-CRITERION_NAMES = (
-    "criterion-01-imbalance-table",
-    "criterion-02-imbalance-scaling",
-    "criterion-03-spillover-imbalance",
-    "criterion-04-response-uplift",
-    "criterion-05-ipw-efficiency",
-    "criterion-06-clt-variance",
-    "criterion-07-ipw-asymptotic-variance",
-    "criterion-08-atom-allocation",
-    "criterion-09-invariant-probability",
-    "criterion-10-estimator-oracle",
-    "criterion-11-update-mechanism-bounds",
-    "criterion-12-determinism",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,33 +124,31 @@ def _config(
     weighting: Weighting = Weighting.UNWEIGHTED,
     noise_sd: float = 0.0,
     frozen_theta: Optional[ModelCoefficients] = None,
+    scenario: ScenarioId = ScenarioId.A,
 ) -> TrialConfig:
-    """The config `cbara run` builds for these settings on scenario A,
-    update mechanism included, with the step log off and the parameter
-    pinned at frozen_theta when one is given."""
-    spec = RunSpec(
-        n=n, noise_sd=noise_sd, family=family, mechanism=allocation, weighting=weighting
-    )
+    """The config `cbara run` builds for these settings, update mechanism
+    included, with the step log off and the parameter pinned at
+    frozen_theta when one is given."""
+    spec = RunSpec(n=n, scenario=scenario, noise_sd=noise_sd, family=family,
+                   mechanism=allocation, weighting=weighting)
     return replace(to_trial_config(spec), frozen_theta=frozen_theta, keep_log=False)
 
 
 # criterion 8's trials: the weighted logistic balance procedure on the
 # scenario where x1 is the only covariate
-_ATOM_CONFIG = to_trial_config(
-    RunSpec(
-        n=5000,
-        scenario=ScenarioId.DISCRETE,
-        family=Family.LOGISTIC,
-        mechanism=Allocation.BALANCE,
-        weighting=Weighting.WEIGHTED,
-    )
+_ATOM_CONFIG = _config(
+    5000, Allocation.BALANCE, Family.LOGISTIC, Weighting.WEIGHTED, scenario=ScenarioId.DISCRETE
 )
+
+
+def _population(seed: int, key: str, scenario: Scenario) -> PopulationSample:
+    return PopulationSample(scenario, seed=split_seed(seed, _SEED_KEYS[key]), m=10**6)
 
 
 def _oracle(seed: int) -> dict:
     """The population quantities the criteria compare against."""
     policy = TargetPolicy(family=Family.CRD)
-    pop0 = PopulationSample(Scenario(ScenarioId.A), seed=split_seed(seed, 30), m=10**6)
+    pop0 = _population(seed, "population-A", Scenario(ScenarioId.A))
     theta = oracle_theta_star(pop0)
     a_opt = balance_coeff_a(pop0, theta, policy)
     bundle = {
@@ -142,9 +157,7 @@ def _oracle(seed: int) -> dict:
         "s2_direct": sigma_z_sq(pop0, theta, policy, np.zeros(4)),
     }
     del pop0
-    pop1 = PopulationSample(
-        Scenario(ScenarioId.A, _NOISE_SD), seed=split_seed(seed, 31), m=10**6
-    )
+    pop1 = _population(seed, "population-A-noisy", Scenario(ScenarioId.A, _NOISE_SD))
     theta1 = oracle_theta_star(pop1)
     bundle["v_direct_s"] = ipw_asym_var(pop1, theta1, policy, balance=False)
     # the z that the IPW error carries, (1 - rho) Y(1) + rho Y(0),
@@ -152,7 +165,7 @@ def _oracle(seed: int) -> dict:
     bundle["a_ipw_s"] = balance_coeff_a(pop1, theta1, policy, lambda pop: 0.5 * (pop.y1 + pop.y0))
     bundle["v_balance_s"] = ipw_asym_var(pop1, theta1, policy)
     del pop1
-    pop2 = PopulationSample(Scenario(ScenarioId.DISCRETE), seed=split_seed(seed, 32), m=10**6)
+    pop2 = _population(seed, "population-discrete", Scenario(ScenarioId.DISCRETE))
     bundle["theta_discrete"] = oracle_theta_star(pop2)
     return bundle
 
@@ -161,13 +174,14 @@ def _run_table(theta_star: ModelCoefficients) -> dict[str, tuple[int, TrialConfi
     """Every replication plan criteria 1-8 read: name -> (seed key,
     config, replications)."""
     direct, balance = Allocation.DIRECT, Allocation.BALANCE
+    small, large = _TABLE_SIZES
     return {
-        "table-200-direct": (1, _config(200, direct), 500),
-        "table-200-balance": (2, _config(200, balance), 500),
-        "table-800-direct": (3, _config(800, direct), 500),
-        "table-800-balance": (4, _config(800, balance), 500),
-        "response-logistic": (5, _config(200, direct, family=Family.LOGISTIC), 500),
-        "response-probit": (6, _config(200, direct, family=Family.PROBIT), 500),
+        f"table-{small}-direct": (1, _config(small, direct), 500),
+        f"table-{small}-balance": (2, _config(small, balance), 500),
+        f"table-{large}-direct": (3, _config(large, direct), 500),
+        f"table-{large}-balance": (4, _config(large, balance), 500),
+        "response-logistic": (5, _config(small, direct, family=Family.LOGISTIC), 500),
+        "response-probit": (6, _config(small, direct, family=Family.PROBIT), 500),
         "mse-direct": (21, _config(200, direct, noise_sd=_NOISE_SD), 2000),
         "mse-balance": (9, _config(200, balance, noise_sd=_NOISE_SD), 2000),
         "clt-direct": (11, _config(800, direct, frozen_theta=theta_star), 4000),
@@ -177,6 +191,7 @@ def _run_table(theta_star: ModelCoefficients) -> dict[str, tuple[int, TrialConfi
 
 
 class _Run(NamedTuple):
+    plan: ReplicationPlan
     results: list[TrialResult]
     summary: MetricsSummary
 
@@ -195,10 +210,10 @@ class _Shared:
             ReplicationPlan(cfg, reps, split_seed(seed, k)) for k, cfg, reps in table.values()
         ]
         self.runs = {
-            name: _Run(results, summarize([r.stats for r in results], plan.base_config.scenario))
-            for name, plan, results in zip(table, plans, collect_plans(plans, parallelism))
+            name: _Run(plan, res, summarize([r.stats for r in res], plan.base_config.scenario))
+            for name, plan, res in zip(table, plans, collect_plans(plans, parallelism))
         }
-        audited = [(plan, run.summary) for plan, run in zip(plans, self.runs.values())]
+        audited = [(run.plan, run.summary) for run in self.runs.values()]
         # criterion 9: each frozen chain's deviations at three probe covariates
         policy = TargetPolicy(family=Family.LOGISTIC)
         probes = [
@@ -213,17 +228,18 @@ class _Shared:
         }
         self.chain_devs = {
             name: invariant_pi_g_check(
-                policy, theta, probes, horizon=200_000, seed=split_seed(seed, k)
+                policy, theta, probes, horizon=200_000,
+                seed=split_seed(seed, _SEED_KEYS[f"chain-{name}"]),
             )
-            for k, (name, theta) in enumerate(thetas.items(), start=17)
+            for name, theta in thetas.items()
         }
-        # criterion 12: one grid's csv at worker counts 1, 1, 4 and 8
+        # criterion 12: one grid's csv at each of its worker counts
         grid = grid_plans(RunSpec(
             sizes=(200,), scenarios=(ScenarioId.A, ScenarioId.B), families=(Family.CRD,),
             weightings=(Weighting.WEIGHTED, Weighting.UNWEIGHTED), reps=8, seed=977,
         ))
         self.grid_csv = []
-        for width in (1, 1, 4, 8):
+        for width in _GRID_WIDTHS:
             summaries = aggregate_grid(grid, width)
             audited += zip(grid, summaries)
             self.grid_csv.append(emit_tables(grid, summaries, "csv"))
@@ -238,84 +254,76 @@ class _Shared:
         )
 
 
-def _imbalance_remainder(results: list[TrialResult], a: np.ndarray, n: int) -> float:
+def _imbalance_remainder(run: _Run, a: np.ndarray) -> float:
     """Replication mean of (a' Lambda_N)^2 / N."""
     return math.fsum(
-        math.fsum(ai * li for ai, li in zip(a, r.lam)) ** 2 for r in results
-    ) / (len(results) * n)
+        math.fsum(ai * li for ai, li in zip(a, r.lam)) ** 2 for r in run.results
+    ) / (len(run.results) * run.plan.base_config.n_units)
 
 
 def _in_band(value: float, center: float, rel: float) -> bool:
     return center * (1 - rel) <= value <= center * (1 + rel)
 
 
-def _criterion_1(sh: _Shared) -> CriterionResult:
+def _criterion_1(sh: _Shared) -> tuple[bool, str]:
     parts, ok = [], True
-    for n in (200, 800):
+    for n in _TABLE_SIZES:
         for alloc in ("direct", "balance"):
             cell = sh.runs[f"table-{n}-{alloc}"].summary
             ref = _LAMBDA_REF[(n, alloc)]
             tol = _LAMBDA_TOL[(n, alloc)]
-            hit = _in_band(cell.mean_lambda_norm, ref, tol)
-            ok = ok and hit
-            parts.append(
-                f"lam[{n},{alloc}]={cell.mean_lambda_norm:.3f}"
-                f" (ref {ref} +-{tol:.0%})"
-            )
-    return CriterionResult(CRITERION_NAMES[0], ok, "; ".join(parts))
+            ok = ok and _in_band(cell.mean_lambda_norm, ref, tol)
+            parts.append(f"lam[{n},{alloc}]={cell.mean_lambda_norm:.3f} (ref {ref} +-{tol:.0%})")
+    return ok, "; ".join(parts)
 
 
-def _criterion_2(sh: _Shared) -> CriterionResult:
-    ratios = {}
-    for alloc in ("direct", "balance"):
-        m200 = sh.runs[f"table-200-{alloc}"].summary.mean_lambda_norm
-        m800 = sh.runs[f"table-800-{alloc}"].summary.mean_lambda_norm
-        ratios[alloc] = m800 / m200
-    ok = 1.7 <= ratios["direct"] <= 2.3 and 0.8 <= ratios["balance"] <= 1.2
-    detail = (
-        f"lam growth 800/200: direct={ratios['direct']:.3f} (want [1.7,2.3]),"
-        f" balance={ratios['balance']:.3f} (want [0.8,1.2])"
-    )
-    return CriterionResult(CRITERION_NAMES[1], ok, detail)
+def _criterion_2(sh: _Shared) -> tuple[bool, str]:
+    small, large = _TABLE_SIZES
+    parts, ok = [], True
+    for alloc, (lo, hi) in (("direct", _ROOT_N_GROWTH), ("balance", _BOUNDED_GROWTH)):
+        m_small = sh.runs[f"table-{small}-{alloc}"].summary.mean_lambda_norm
+        m_large = sh.runs[f"table-{large}-{alloc}"].summary.mean_lambda_norm
+        ratio = m_large / m_small
+        ok = ok and lo <= ratio <= hi
+        parts.append(f"{alloc}={ratio:.3f} (want [{lo},{hi}])")
+    return ok, f"lam growth {large}/{small}: " + ", ".join(parts)
 
 
-def _criterion_3(sh: _Shared) -> CriterionResult:
+def _criterion_3(sh: _Shared) -> tuple[bool, str]:
+    small, large = _TABLE_SIZES
+    lo, hi = _ROOT_N_GROWTH
     parts, ok = [], True
     for alloc in ("direct", "balance"):
-        m200 = sh.runs[f"table-200-{alloc}"].summary.mean_psi_abs
-        m800 = sh.runs[f"table-800-{alloc}"].summary.mean_psi_abs
+        m_small = sh.runs[f"table-{small}-{alloc}"].summary.mean_psi_abs
+        m_large = sh.runs[f"table-{large}-{alloc}"].summary.mean_psi_abs
         ref = _PSI_REF[alloc]
-        level_ok = _in_band(m200, ref, 0.15)
-        ratio = m800 / m200
-        ratio_ok = 1.7 <= ratio <= 2.3
-        ok = ok and level_ok and ratio_ok
+        ratio = m_large / m_small
+        ok = ok and _in_band(m_small, ref, _PSI_TOL) and lo <= ratio <= hi
         parts.append(
-            f"psi[{alloc}]: m200={m200:.3f} (ref {ref} +-15%),"
-            f" ratio={ratio:.3f} (want [1.7,2.3])"
+            f"psi[{alloc}]: m{small}={m_small:.3f} (ref {ref} +-{_PSI_TOL:.0%}),"
+            f" ratio={ratio:.3f} (want [{lo},{hi}])"
         )
-    return CriterionResult(CRITERION_NAMES[2], ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def _criterion_4(sh: _Shared) -> CriterionResult:
-    flat = sh.runs["table-200-direct"].summary.mean_response
+def _criterion_4(sh: _Shared) -> tuple[bool, str]:
+    flat = sh.runs[f"table-{_TABLE_SIZES[0]}-direct"].summary.mean_response
     adaptive = {
         fam: sh.runs[f"response-{fam}"].summary.mean_response
         for fam in ("logistic", "probit")
     }
-    ok = (
-        abs(flat - _RESPONSE_FLAT) <= 0.10
-        and abs(adaptive["logistic"] - _RESPONSE_ADAPTIVE) <= 0.10
-        and abs(adaptive["probit"] - _RESPONSE_ADAPTIVE) <= 0.10
+    ok = abs(flat - _RESPONSE_FLAT) <= _RESPONSE_TOL and all(
+        abs(mean - _RESPONSE_ADAPTIVE) <= _RESPONSE_TOL for mean in adaptive.values()
     )
     detail = (
-        f"mean response: flat={flat:.3f} (ref {_RESPONSE_FLAT}+-0.10),"
+        f"mean response: flat={flat:.3f} (ref {_RESPONSE_FLAT}+-{_RESPONSE_TOL:.2f}),"
         f" logistic={adaptive['logistic']:.3f},"
-        f" probit={adaptive['probit']:.3f} (ref {_RESPONSE_ADAPTIVE}+-0.10)"
+        f" probit={adaptive['probit']:.3f} (ref {_RESPONSE_ADAPTIVE}+-{_RESPONSE_TOL:.2f})"
     )
-    return CriterionResult(CRITERION_NAMES[3], ok, detail)
+    return ok, detail
 
 
-def _criterion_5(sh: _Shared) -> CriterionResult:
+def _criterion_5(sh: _Shared) -> tuple[bool, str]:
     # One outcome noise level, sd 1, for both arms here and in criterion
     # 7. Only there do both arms match the published N*MSE references:
     # 201.7 against 194 (+4%) for direct and 14.3 against 14.2 for
@@ -327,22 +335,22 @@ def _criterion_5(sh: _Shared) -> CriterionResult:
         mse = sh.runs[f"mse-{alloc}"].summary.ipw_mse
         ok = ok and _in_band(mse, ref, tol)
         parts.append(f"mse[{alloc}, sigma={_NOISE_SD}]={mse:.4f} (ref {ref} +-{tol:.0%})")
-    return CriterionResult(CRITERION_NAMES[4], ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def _criterion_6(sh: _Shared) -> CriterionResult:
+def _criterion_6(sh: _Shared) -> tuple[bool, str]:
     parts, ok = [], True
     for alloc in ("direct", "balance"):
-        results = sh.runs[f"clt-{alloc}"].results
-        var = statistics.variance(r.stats.psi / math.sqrt(800) for r in results)
+        run = sh.runs[f"clt-{alloc}"]
+        root_n = math.sqrt(run.plan.base_config.n_units)
+        var = statistics.variance(r.stats.psi / root_n for r in run.results)
         target = sh.oracle[f"s2_{alloc}"]
-        hit = abs(var / target - 1.0) <= 0.12
-        ok = ok and hit
+        ok = ok and abs(var / target - 1.0) <= _CLT_TOL
         parts.append(f"var[{alloc}]={var:.4f} vs oracle {target:.4f}")
-    return CriterionResult(CRITERION_NAMES[5], ok, "; ".join(parts) + " (tol 12%)")
+    return ok, "; ".join(parts) + f" (tol {_CLT_TOL:.0%})"
 
 
-def _criterion_7(sh: _Shared) -> CriterionResult:
+def _criterion_7(sh: _Shared) -> tuple[bool, str]:
     # With z = (1 - rho) Y(1) + rho Y(0) and d = Y(1) - Y(0), the IPW
     # error splits exactly: N (tau_hat - tau) = sum(d - tau) + a' Lambda_N
     # + sum_i s_i (z_i - a' phi_i), s_i = (t_i - rho_i) / (rho_i (1 - rho_i)).
@@ -359,60 +367,52 @@ def _criterion_7(sh: _Shared) -> CriterionResult:
     parts, ok = [], True
     for alloc, a, target in arms:
         run = sh.runs[f"mse-{alloc}"]
-        nmse = 200 * run.summary.ipw_mse
-        rem = _imbalance_remainder(run.results, a, 200)
+        nmse = run.plan.base_config.n_units * run.summary.ipw_mse
+        rem = _imbalance_remainder(run, a)
         ratio = (nmse - rem) / target
-        hit = abs(ratio - 1.0) <= 0.15
-        ok = ok and hit
+        ok = ok and abs(ratio - 1.0) <= _IPW_VAR_TOL
         parts.append(
             f"N*mse[{alloc}, sigma={_NOISE_SD}]={nmse:.3f} - R={rem:.3f}"
             f" vs asymptotic {target:.3f} (ratio {ratio:.3f})"
         )
-    return CriterionResult(CRITERION_NAMES[6], ok, "; ".join(parts) + " (tol 15%)")
+    return ok, "; ".join(parts) + f" (tol {_IPW_VAR_TOL:.0%})"
 
 
-def _criterion_8(sh: _Shared) -> CriterionResult:
+def _criterion_8(sh: _Shared) -> tuple[bool, str]:
     results = sh.runs["atoms-discrete"].results
     theta = sh.oracle["theta_discrete"]
     parts, ok = [], True
     for a, atom in enumerate(X1_ATOMS):
         target = target_ratio_from_x1(_ATOM_CONFIG.policy, theta, atom)
         frac = sum(r.atom_treated[a] for r in results) / sum(r.atom_units[a] for r in results)
-        hit = abs(frac - target) <= 0.03
-        ok = ok and hit
+        ok = ok and abs(frac - target) <= _ATOM_TOL
         parts.append(f"atom {atom:+.0f}: frac={frac:.4f} vs ratio {target:.4f}")
-    return CriterionResult(CRITERION_NAMES[7], ok, "; ".join(parts) + " (tol 0.03)")
+    return ok, "; ".join(parts) + f" (tol {_ATOM_TOL})"
 
 
-def _criterion_9(sh: _Shared) -> CriterionResult:
+def _criterion_9(sh: _Shared) -> tuple[bool, str]:
     parts, ok = [], True
     for name, devs in sh.chain_devs.items():
         worst = max(devs)
-        hit = worst < 0.01
-        ok = ok and hit
+        ok = ok and worst < _CHAIN_TOL
         parts.append(f"{name}: max dev={worst:.5f}")
-    return CriterionResult(CRITERION_NAMES[8], ok, "; ".join(parts) + " (tol 0.01)")
+    return ok, "; ".join(parts) + f" (tol {_CHAIN_TOL})"
 
 
-def _criterion_10(sh: _Shared) -> CriterionResult:
-    parts, ok = [], True
-    rng = np.random.default_rng(split_seed(sh.seed, 14))
+def _criterion_10(sh: _Shared) -> tuple[bool, str]:
+    parts = []
+    rng = np.random.default_rng(split_seed(sh.seed, _SEED_KEYS["criterion-10-units"]))
 
     x1, x2, x3, y1, y0, _ = draw_unit_arrays(Scenario(ScenarioId.A), 400, rng)
     t = (rng.random(400) < 0.5).astype(int)
     cols = (x1, x2, x3, t, np.where(t == 1, y1, y0), np.full(400, 0.5))
     fit_w = fit_working_model(*cols, Weighting.WEIGHTED)
     fit_u = fit_working_model(*cols, Weighting.UNWEIGHTED)
-    err = max(
-        abs(a - b)
-        for a, b in zip(fit_w.eta.as_array(), _TRUTH_A.as_array())
-    )
-    rec_ok = fit_w.rank_ok and err < 1e-8
-    ok = ok and rec_ok
-    parts.append(f"noiseless recovery err={err:.2e} (want <1e-8)")
+    err = max(abs(a - b) for a, b in zip(fit_w.eta.as_array(), _TRUTH_A.as_array()))
+    rec_ok = fit_w.rank_ok and err < _RECOVERY_TOL
+    parts.append(f"noiseless recovery err={err:.2e} (want <{_RECOVERY_TOL})")
 
     eq_ok = fit_w.eta == fit_u.eta
-    ok = ok and eq_ok
     parts.append(f"weighted==unweighted at half ratio: {eq_ok}")
 
     x1, x2, x3, y1, y0, _ = draw_unit_arrays(Scenario(ScenarioId.A, 1.0), 400, rng)
@@ -427,14 +427,13 @@ def _criterion_10(sh: _Shared) -> CriterionResult:
     resid = y_vec - d_mat @ eta_hat
     gram = d_mat.T @ (w_vec[:, None] * d_mat)
     grad = d_mat.T @ (w_vec * resid)
-    pert_rng = np.random.default_rng(split_seed(sh.seed, 15))
+    pert_rng = np.random.default_rng(split_seed(sh.seed, _SEED_KEYS["criterion-10-perturbations"]))
     pert = pert_rng.standard_normal((10**6, 6))
     pert *= 10.0 ** pert_rng.uniform(-3, 0, size=(10**6, 1))
     delta_q = np.einsum("ij,jk,ik->i", pert, gram, pert) - 2.0 * pert @ grad
     min_gain = float(delta_q.min())
-    opt_ok = min_gain > -1e-9
-    ok = ok and opt_ok
-    parts.append(f"perturbation min objective gain={min_gain:.3e} (want >-1e-9)")
+    opt_ok = min_gain > _GAIN_FLOOR
+    parts.append(f"perturbation min objective gain={min_gain:.3e} (want >{_GAIN_FLOOR})")
 
     reps, n = 3000, 60
     errs = []
@@ -445,56 +444,56 @@ def _criterion_10(sh: _Shared) -> CriterionResult:
         errs.append(est - true_ate(Scenario(ScenarioId.A)))
     bias = sum(errs) / reps
     se = statistics.stdev(errs) / math.sqrt(reps)
-    bias_ok = abs(bias) < 3 * se
-    ok = ok and bias_ok
-    parts.append(f"ipw bias={bias:.4f} (3*SE={3 * se:.4f})")
-    return CriterionResult(CRITERION_NAMES[9], ok, "; ".join(parts))
+    bias_ok = abs(bias) < _BIAS_SES * se
+    parts.append(f"ipw bias={bias:.4f} ({_BIAS_SES}*SE={_BIAS_SES * se:.4f})")
+    return rec_ok and eq_ok and opt_ok and bias_ok, "; ".join(parts)
 
 
-def _criterion_11(sh: _Shared) -> CriterionResult:
+def _criterion_11(sh: _Shared) -> tuple[bool, str]:
     count = 0
     worst_margin = math.inf
-    for n in range(1, 10**6 + 1):
+    for n in range(1, _IRU_HORIZON + 1):
         if perfect_squares(n):
             count += 1
         worst_margin = min(worst_margin, n - count * count)
         if count * count > n:
             break
     density_ok = worst_margin >= 0
-    clip_ok = sh.clip_trials > 0 and sh.max_clip_excess <= 1e-12
+    clip_ok = sh.clip_trials > 0 and sh.max_clip_excess <= _CLIP_EXCESS_TOL
     detail = (
-        f"iru density: count^2<=N held to 1e6 (min margin {worst_margin});"
+        f"iru density: count^2<=N held to {_IRU_HORIZON:g} (min margin {worst_margin});"
         f" clipped per-step excess max={sh.max_clip_excess:.2e}"
         f" over {sh.clip_trials} adaptive trials"
     )
-    return CriterionResult(CRITERION_NAMES[10], density_ok and clip_ok, detail)
+    return density_ok and clip_ok, detail
 
 
-def _criterion_12(sh: _Shared) -> CriterionResult:
-    outputs = sh.grid_csv
-    ok = all(text == outputs[0] for text in outputs[1:])
+def _criterion_12(sh: _Shared) -> tuple[bool, str]:
+    first, *others = sh.grid_csv
+    same = [text == first for text in others]
+    _, _, wide, wider = _GRID_WIDTHS
     detail = (
-        f"grid csv bytes: rerun identical={outputs[1] == outputs[0]},"
-        f" parallelism 4 identical={outputs[2] == outputs[0]},"
-        f" 8 identical={outputs[3] == outputs[0]}"
+        f"grid csv bytes: rerun identical={same[0]},"
+        f" parallelism {wide} identical={same[1]}, {wider} identical={same[2]}"
     )
-    return CriterionResult(CRITERION_NAMES[11], ok, detail)
+    return all(same), detail
 
 
-_CRITERIA: tuple[Callable[[_Shared], CriterionResult], ...] = (
-    _criterion_1,
-    _criterion_2,
-    _criterion_3,
-    _criterion_4,
-    _criterion_5,
-    _criterion_6,
-    _criterion_7,
-    _criterion_8,
-    _criterion_9,
-    _criterion_10,
-    _criterion_11,
-    _criterion_12,
+_CRITERIA: tuple[tuple[str, Callable[[_Shared], tuple[bool, str]]], ...] = (
+    ("criterion-01-imbalance-table", _criterion_1),
+    ("criterion-02-imbalance-scaling", _criterion_2),
+    ("criterion-03-spillover-imbalance", _criterion_3),
+    ("criterion-04-response-uplift", _criterion_4),
+    ("criterion-05-ipw-efficiency", _criterion_5),
+    ("criterion-06-clt-variance", _criterion_6),
+    ("criterion-07-ipw-asymptotic-variance", _criterion_7),
+    ("criterion-08-atom-allocation", _criterion_8),
+    ("criterion-09-invariant-probability", _criterion_9),
+    ("criterion-10-estimator-oracle", _criterion_10),
+    ("criterion-11-update-mechanism-bounds", _criterion_11),
+    ("criterion-12-determinism", _criterion_12),
 )
+CRITERION_NAMES = tuple(name for name, _ in _CRITERIA)
 
 
 def run_acceptance(parallelism: int = 1, seed: int = _SEED) -> list[CriterionResult]:
@@ -503,4 +502,4 @@ def run_acceptance(parallelism: int = 1, seed: int = _SEED) -> list[CriterionRes
     _check_int("seed", seed, seed=True)
     _check_int("parallelism", parallelism)
     sh = _Shared(parallelism, seed)
-    return [fn(sh) for fn in _CRITERIA]
+    return [CriterionResult(name, *criterion(sh)) for name, criterion in _CRITERIA]

@@ -321,14 +321,11 @@ def emit_tables(
         )
     ):
         raise ValueError("plans and summaries must line up as (direct, balance) pairs of one cell")
-    sep = "," if fmt == "csv" else "\t"
     header = ["Size", "Model", "Procedure", "Estimation"]
-    for name, _ in _TABLE_METRICS:
-        header += [f"{name}_D", f"{name}_B"]
-    for name, _ in _TABLE_METRICS:
-        header += [f"{name}_D_SE", f"{name}_B_SE"]
+    for suffix in ("", "_SE"):
+        header += [f"{name}_{arm}{suffix}" for name, _ in _TABLE_METRICS for arm in "DB"]
 
-    lines = [sep.join(header)]
+    rows = []
     for cfg, d, b in zip(cfgs[::2], summaries[::2], summaries[1::2]):
         cells = [
             str(cfg.n_units),
@@ -336,69 +333,67 @@ def emit_tables(
             _PROCEDURE_LABELS[cfg.policy.family],
             cfg.weighting.value.capitalize(),
         ]
-        for _, attr in _TABLE_METRICS:
-            cells.append(_fmt_value(getattr(d, attr), raw))
-            cells.append(_fmt_value(getattr(b, attr), raw))
-        for _, attr in _TABLE_METRICS:
-            cells.append(_fmt_value(getattr(d, attr + "_se"), raw))
-            cells.append(_fmt_value(getattr(b, attr + "_se"), raw))
-        lines.append(sep.join(cells))
-    return "\n".join(lines) + "\n"
+        for suffix in ("", "_se"):
+            cells += [
+                _fmt_value(getattr(arm, attr + suffix), raw)
+                for _, attr in _TABLE_METRICS
+                for arm in (d, b)
+            ]
+        rows.append(cells)
+    return _render(header, rows, fmt)
+
+
+def _render(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
+    """The header line, then one line per row, cells joined by fmt's separator."""
+    sep = "," if fmt == "csv" else "\t"
+    return "".join(sep.join(cells) + "\n" for cells in (header, *rows))
 
 
 def _emit_run(summary: MetricsSummary, fmt: str, raw: bool) -> str:
-    sep = "," if fmt == "csv" else "\t"
-    lines = [sep.join(("Metric", "Value", "SE"))]
-    for name, attr in _TABLE_METRICS + (("Bias", "ipw_bias"),):
-        value = _fmt_value(getattr(summary, attr), raw)
-        se = _fmt_value(getattr(summary, attr + "_se"), raw)
-        lines.append(sep.join((name, value, se)))
-    return "\n".join(lines) + "\n"
+    rows = [
+        [name] + [_fmt_value(getattr(summary, attr + suffix), raw) for suffix in ("", "_se")]
+        for name, attr in _TABLE_METRICS + (("Bias", "ipw_bias"),)
+    ]
+    return _render(("Metric", "Value", "SE"), rows, fmt)
 
 
 def _emit_trace(cfg: TrialConfig, fmt: str, raw: bool) -> str:
-    sep = "," if fmt == "csv" else "\t"
     log = run_trial(cfg).log
     header = (
         "Step,X1,X2,X3,Rho,G,T,Y,ZStar,Lam1,Lam2,Lam3,Lam4,Psi,"
         "Alpha1,Gamma1,Alpha0,Gamma0,Beta2,Beta3"
     ).split(",")
-    lines = [sep.join(header)]
     # the trace columns after Step, in order; T is printed as an integer
     table = np.column_stack(
         (log.x1, log.x2, log.x3, log.rho, log.g, log.t, log.y, log.zstar, log.lam, log.psi,
          log.theta)
     )
+    rows = []
     for step, (row, t) in enumerate(zip(table.tolist(), log.t.tolist()), start=1):
         cells = [str(step)] + [_fmt_value(v, raw) for v in row]
         cells[6] = str(t)
-        lines.append(sep.join(cells))
-    return "\n".join(lines) + "\n"
+        rows.append(cells)
+    return _render(header, rows, fmt)
 
 
 def _emit_oracle(spec: RunSpec) -> str:
-    sep = "," if spec.format == "csv" else "\t"
     pop = PopulationSample(
         Scenario(spec.scenario, spec.noise_sd), seed=spec.seed, m=spec.oracle_m
     )
     report = asymptotic_report(pop, to_policy(spec))
-    key = [spec.scenario.value, spec.family.value, "zstar"]
-    lines = [sep.join(("Scenario", "Family", "Z", "Quantity", "Value"))]
-
-    def add(quantity: str, value: float) -> None:
-        lines.append(sep.join(key + [quantity, repr(float(value))]))
-
     theta = report.theta_star
-    for name in ("alpha1", "gamma1", "alpha0", "gamma0", "beta2", "beta3"):
-        add(f"theta_star.{name}", getattr(theta, name))
-    for i, v in enumerate(report.a_vec, start=1):
-        add(f"a_vec.{i}", v)
-    add("sigma_z_sq", report.sigma_z_sq)
-    add("ipw_var", report.ipw_var)
-    for i in range(6):
-        for j in range(i, 6):
-            add(f"mest_cov.{i + 1}.{j + 1}", report.mest_cov[i, j])
-    return "\n".join(lines) + "\n"
+    values = [
+        (f"theta_star.{name}", getattr(theta, name))
+        for name in ("alpha1", "gamma1", "alpha0", "gamma0", "beta2", "beta3")
+    ]
+    values += [(f"a_vec.{i}", v) for i, v in enumerate(report.a_vec, start=1)]
+    values += [("sigma_z_sq", report.sigma_z_sq), ("ipw_var", report.ipw_var)]
+    values += [
+        (f"mest_cov.{i + 1}.{j + 1}", report.mest_cov[i, j]) for i in range(6) for j in range(i, 6)
+    ]
+    key = [spec.scenario.value, spec.family.value, "zstar"]
+    rows = [key + [quantity, repr(float(value))] for quantity, value in values]
+    return _render(("Scenario", "Family", "Z", "Quantity", "Value"), rows, spec.format)
 
 
 def _check_out(out: str) -> None:
@@ -429,21 +424,22 @@ def _load_spec(args: argparse.Namespace) -> tuple[RunSpec, bool]:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    spec = parse_config(text)
-    overrides = {
-        key: getattr(args, key)
+    values = _config_values(text)
+    validate_spec(RunSpec(**values))
+    values.update(
+        (key, getattr(args, key))
         for key in ("reps", "seed", "parallelism", "format", "out")
         if getattr(args, key) is not None
-    }
+    )
     env_seed = os.environ.get("CBARA_SEED")
     if env_seed is not None:
         try:
-            overrides["seed"] = int(env_seed)
+            values["seed"] = int(env_seed)
         except ValueError:
             raise ValueError(f"CBARA_SEED must be an integer, got {env_seed!r}") from None
-    spec = replace(spec, **overrides)
+    spec = RunSpec(**values)
     validate_spec(spec)
-    return spec, "seed" in overrides or "seed" in _config_values(text)
+    return spec, "seed" in values
 
 
 class _ArgumentParser(argparse.ArgumentParser):

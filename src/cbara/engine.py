@@ -526,7 +526,9 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                     if clips:
                         budget = _clip_budgets(clips, acc.n, reps)
                         live = ok & clipped
-                        clip_bound_sum += np.where(live, budget, 0.0)
+                        # a huge clip_c0 sums to inf, as Python floats do in run_trial
+                        with np.errstate(over="ignore"):
+                            np.add(clip_bound_sum, budget, out=clip_bound_sum, where=live)
                         clip_step_excess = np.where(
                             live, np.maximum(clip_step_excess, move - budget), clip_step_excess
                         )

@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion prints one PASS/FAIL line and must
 hold. The full battery runs once per session (a few minutes); see the
 package acceptance module for what each criterion measures."""
+import re
 import types
 from dataclasses import replace
 
@@ -96,32 +97,36 @@ def _stub_shared(monkeypatch):
 
 def test_determinism_runs_the_table_path_on_one_plan_list(monkeypatch):
     # _Shared runs every simulation the criteria read: the table in one
-    # scheduler call, criterion 9's three chains, and criterion 12's
-    # grid through the calls `cbara table1` makes, on one plan list at
-    # widths 1, 1, 4 and 8; criterion 11's audit is folded from them all
+    # scheduler call, criterion 9's three chains, each seeded by its own
+    # key, and criterion 12's grid through the calls `cbara table1`
+    # makes, on one plan list at each of its widths; criterion 11's audit
+    # is folded from them all
     sh, asked = _stub_shared(monkeypatch)
     assert len(asked["collect"]) == 1
+    key = acceptance._SEED_KEYS
     assert asked["chains"] == [
-        (ModelCoefficients(), 200_000, split_seed(5, 17)),
-        (_TRUTH, 200_000, split_seed(5, 18)),
-        (ModelCoefficients(2.0, 1.0, 0.0, -1.0, 0.5, -0.5), 200_000, split_seed(5, 19)),
+        (ModelCoefficients(), 200_000, split_seed(5, key["chain-zero"])),
+        (_TRUTH, 200_000, split_seed(5, key["chain-limit"])),
+        (ModelCoefficients(2.0, 1.0, 0.0, -1.0, 0.5, -0.5), 200_000,
+         split_seed(5, key["chain-tilted"])),
     ]
-    assert [width for _, width in asked["grid"]] == [1, 1, 4, 8]
+    assert tuple(width for _, width in asked["grid"]) == acceptance._GRID_WIDTHS
     plans = asked["grid"][0][0]
     assert all(got is plans for got, _ in asked["grid"])
-    assert acceptance._criterion_12(sh).passed
+    passed, _ = acceptance._criterion_12(sh)
+    assert passed
     # the table's clipped adaptive plans (200- and 800-balance,
     # mse-balance and atoms-discrete) hold 2 trials each and the grid's
     # 4 balance cells 1 each, per call; clt-balance clips too, but its
     # theta is frozen, so its trials do not count
-    assert sh.clip_trials == 4 * 2 + 4 * 4
+    assert sh.clip_trials == 4 * 2 + 4 * len(acceptance._GRID_WIDTHS)
     # the worst excess of any run, the frozen ones included
     assert sh.max_clip_excess == 2e-13
 
 
 def test_criteria_only_read_the_shared_runs(monkeypatch):
     # with every simulation entry point raising, all twelve criteria
-    # still run on the bundle, in numeric order
+    # still run on the bundle, in numeric order, each beside its name
     sh, _ = _stub_shared(monkeypatch)
 
     def no_runs(*args, **kwargs):
@@ -133,12 +138,52 @@ def test_criteria_only_read_the_shared_runs(monkeypatch):
         (acceptance, "aggregate_grid"), (acceptance, "invariant_pi_g_check"),
     ]:
         monkeypatch.setattr(module, name, no_runs)
-    results = [criterion(sh) for criterion in acceptance._CRITERIA]
-    assert tuple(r.name for r in results) == CRITERION_NAMES
-    assert results[8].detail == (
-        "zero: max dev=0.00500; limit: max dev=0.00500; tilted: max dev=0.00500 (tol 0.01)"
+    results = [criterion(sh) for _, criterion in acceptance._CRITERIA]
+    assert [name[:12] for name in CRITERION_NAMES] == [f"criterion-{k:02d}" for k in range(1, 13)]
+    assert [criterion.__name__ for _, criterion in acceptance._CRITERIA] == [
+        f"_criterion_{k}" for k in range(1, 13)
+    ]
+    assert results[8][1] == (
+        "zero: max dev=0.00500; limit: max dev=0.00500; tilted: max dev=0.00500"
+        f" (tol {acceptance._CHAIN_TOL})"
     )
-    assert results[10].detail.endswith("max=2.00e-13 over 24 adaptive trials")
+    assert results[10][1].endswith("max=2.00e-13 over 24 adaptive trials")
+
+
+def test_criteria_6_and_7_take_n_from_the_plan(monkeypatch):
+    # the CLT and MSE plans resized to 50 units: each stub run holds two
+    # records, with psi 1 and 3, so the variance of psi / sqrt(N) is 2/N
+    n = 50
+    table = acceptance._run_table
+
+    def resized(theta):
+        return {
+            name: (k, replace(cfg, n_units=n) if name[:4] in ("clt-", "mse-") else cfg, reps)
+            for name, (k, cfg, reps) in table(theta).items()
+        }
+
+    monkeypatch.setattr(acceptance, "_run_table", resized)
+    sh, _ = _stub_shared(monkeypatch)
+    sh.oracle["a_ipw_s"] = np.ones(4)
+    _, detail = acceptance._criterion_6(sh)
+    assert f"var[direct]={2 / n:.4f}" in detail
+    _, detail = acceptance._criterion_7(sh)
+    run = sh.runs["mse-balance"]
+    got = re.search(r"\[balance[^]]*\]=(\S+) - R=(\S+) ", detail).groups()
+    want = (n * run.summary.ipw_mse, sum(run.results[0].lam) ** 2 / n)
+    assert [float(v) for v in got] == pytest.approx(want, abs=1e-3)
+
+
+def test_a_bound_is_decided_and_printed_from_one_constant(monkeypatch):
+    # every stub table cell has the same mean |Lambda|, so its growth
+    # ratio is 1: outside the sqrt(N) band, inside one moved around 1
+    sh, _ = _stub_shared(monkeypatch)
+    passed, _ = acceptance._criterion_2(sh)
+    assert not passed
+    monkeypatch.setattr(acceptance, "_ROOT_N_GROWTH", (0.9, 1.1))
+    passed, detail = acceptance._criterion_2(sh)
+    assert passed
+    assert "direct=1.000 (want [0.9,1.1])" in detail
 
 
 def test_atom_criterion_reads_the_table_records(monkeypatch):
@@ -157,21 +202,27 @@ def test_atom_criterion_reads_the_table_records(monkeypatch):
         monkeypatch.setattr(module, "run_trial", no_trials)
         monkeypatch.setattr(module, "run_lockstep", no_trials)
     shared = types.SimpleNamespace(
-        runs={"atoms-discrete": acceptance._Run(records, None)},
+        runs={"atoms-discrete": acceptance._Run(None, records, None)},
         oracle={"theta_discrete": _THETA},
     )
-    result = acceptance._criterion_8(shared)
-    assert result.detail == (
+    passed, detail = acceptance._criterion_8(shared)
+    assert detail == (
         "atom -1: frac=0.2000 vs ratio 0.5000; atom +0: frac=0.2100 vs ratio 0.5000;"
-        " atom +1: frac=0.5000 vs ratio 0.5000 (tol 0.03)"
+        f" atom +1: frac=0.5000 vs ratio 0.5000 (tol {acceptance._ATOM_TOL})"
     )
-    assert not result.passed
+    assert not passed
+    # the widest deviation is 0.3 (atom -1): a tolerance above it passes,
+    # and the detail prints the tolerance the verdict used
+    monkeypatch.setattr(acceptance, "_ATOM_TOL", 0.31)
+    passed, detail = acceptance._criterion_8(shared)
+    assert passed
+    assert detail.endswith("(tol 0.31)")
 
 
 def test_seed_keys_are_distinct():
     # the table's keys, then the ones criteria 9-10 and the oracle derive
     keys = [k for k, _, _ in _run_table(_THETA).values()]
-    keys += [14, 15, 17, 18, 19, 30, 31, 32]
+    keys += acceptance._SEED_KEYS.values()
     assert len(set(keys)) == len(keys)
     assert len({split_seed(_SEED, k) for k in keys}) == len(keys)
 

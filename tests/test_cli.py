@@ -417,17 +417,30 @@ def test_repeated_grid_value_is_rejected_before_any_trial(monkeypatch, tmp_path,
     assert err.count("\n") == 1
 
 
+def _quiet_run_stdout(tmp_path, text):
+    """`cbara run` on a config text with warnings turned into errors: it
+    exits 0 with nothing on stderr, and its stdout is returned."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    proc = _run_cli(["run", "--config", str(cfg)], env_extra={"PYTHONWARNINGS": "error"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
 def test_a_huge_c_lambda_runs_without_warnings(tmp_path):
     # the lockstep norm guard overflows to inf at c_lambda = 1e308, which
     # gives the rule's limit rho, as c_lambda = 1e300 does on these units
-    out = {}
-    for c_lambda in ("1e308", "1e300"):
-        cfg = tmp_path / f"{c_lambda}.cfg"
-        cfg.write_text(f"c_lambda = {c_lambda}\nmechanism = balance\nn = 60\nreps = 2\n")
-        proc = _run_cli(["run", "--config", str(cfg)], env_extra={"PYTHONWARNINGS": "error"})
-        assert (proc.returncode, proc.stderr) == (0, "")
-        out[c_lambda] = proc.stdout
-    assert out["1e308"] == out["1e300"]
+    config = "c_lambda = {}\nmechanism = balance\nn = 60\nreps = 2\n"
+    huge, large = (_quiet_run_stdout(tmp_path, config.format(v)) for v in ("1e308", "1e300"))
+    assert huge == large
+
+
+def test_a_huge_clip_c0_runs_without_warnings(tmp_path):
+    # the lockstep sum of clip budgets overflows to inf at clip_c0 =
+    # 1e308, as run_trial's does; no budget binds there or at 1e300
+    config = "clip_c0 = {}\nmechanism = balance\nfamily = logistic\nn = 80\nreps = 3\n"
+    huge, large = (_quiet_run_stdout(tmp_path, config.format(v)) for v in ("1e308", "1e300"))
+    assert huge == large
 
 
 @pytest.mark.parametrize("line, message", [

@@ -254,9 +254,12 @@ def test_lockstep_equals_run_trial(family, mechanism):
         dict(n_units=600),  # crosses two unit-block boundaries
         # the norm guard's product overflows to inf, so raw = rho
         dict(policy=TargetPolicy(family=Family.LOGISTIC, c_lambda=1e308)),
+        # the clip budgets sum to inf, as Python floats do in run_trial
+        dict(policy=TargetPolicy(family=Family.LOGISTIC),
+             mechanism=UpdateMechanism.clipped(1e308, 0.5)),
     ],
     ids=["delay-3", "delay-30-burn-5", "delay-past-end", "noise", "frozen", "three-blocks",
-         "c-lambda-1e308"],
+         "c-lambda-1e308", "clip-c0-1e308"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lockstep_equals_run_trial_in_special_cases(kw):

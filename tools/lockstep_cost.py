@@ -18,16 +18,13 @@ It only reads the config and writes nothing.
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
-import platform
 import time
-
-import numpy as np
 
 from cbara.cli import grid_plans, parse_config
 from cbara.engine import run_lockstep, step_schedule
 from cbara.harness import replication_configs
+from machine import machine_line
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -42,17 +39,6 @@ def us_per_step(configs, repeats: int) -> float:
         best = min(best, time.perf_counter() - start)
     steps = sum(c.n_units for c in configs)
     return best / steps * 1e6
-
-
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown cpu"
 
 
 def main() -> None:
@@ -80,10 +66,7 @@ def main() -> None:
     for k, batch in enumerate(batches.values(), start=1):
         cost = us_per_step(batch, args.repeats)
         print(f"grid {k}/{len(batches)},{len(batch)},{batch[0].n_units},{cost:.2f}")
-    print(
-        f"# machine: {cpu_model()} ({platform.machine()}), {os.cpu_count()} cpus, "
-        f"python {platform.python_version()}, numpy {np.__version__}"
-    )
+    print(machine_line())
 
 
 if __name__ == "__main__":

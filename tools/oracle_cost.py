@@ -17,11 +17,7 @@ It writes nothing.
 from __future__ import annotations
 
 import argparse
-import os
-import platform
 import time
-
-import numpy as np
 
 from cbara.datagen import Scenario, ScenarioId
 from cbara.oracle import (
@@ -34,7 +30,7 @@ from cbara.oracle import (
     sigma_z_sq,
 )
 from cbara.policy import Family, TargetPolicy
-from lockstep_cost import cpu_model
+from machine import machine_line
 
 
 def best_seconds(fn, repeats: int) -> float:
@@ -70,10 +66,7 @@ def main() -> None:
     print("call,m,seconds")
     for name, fn in calls.items():
         print(f"{name},{args.m},{best_seconds(fn, args.repeats):.4f}")
-    print(
-        f"# machine: {cpu_model()} ({platform.machine()}), {os.cpu_count()} cpus, "
-        f"python {platform.python_version()}, numpy {np.__version__}"
-    )
+    print(machine_line())
 
 
 if __name__ == "__main__":

@@ -26,13 +26,10 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
-import platform
 import tempfile
 
-import numpy as np
-
 from cbara import cli
-from lockstep_cost import cpu_model
+from machine import machine_line
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TABLE_GRID = "perfbench/table_grid.cfg"
@@ -71,10 +68,7 @@ def main() -> None:
             with open(out_path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             print(f"{' '.join(args)} --config {name},{digest}")
-    print(
-        f"# machine: {cpu_model()} ({platform.machine()}), {os.cpu_count()} cpus, "
-        f"python {platform.python_version()}, numpy {np.__version__}"
-    )
+    print(machine_line())
 
 
 if __name__ == "__main__":

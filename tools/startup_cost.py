@@ -18,17 +18,14 @@ It writes nothing.
 from __future__ import annotations
 
 import argparse
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
 
-import numpy as np
 import scipy
 
-from lockstep_cost import cpu_model
+from machine import machine_line
 
 PHASES = ("import_numpy", "import_cbara", "first_draw_A_256", "second_draw_A_256")
 
@@ -82,10 +79,7 @@ def main() -> None:
     print("phase,seconds")
     for name, seconds in rows.items():
         print(f"{name},{statistics.median(seconds):.6f}")
-    print(
-        f"# machine: {cpu_model()} ({platform.machine()}), {os.cpu_count()} cpus, "
-        f"python {platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}"
-    )
+    print(machine_line(scipy=scipy.__version__))
 
 
 if __name__ == "__main__":

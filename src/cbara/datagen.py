@@ -34,9 +34,9 @@ class ScenarioId(str, Enum):
 _ARM_COEFFS = {
     ScenarioId.A: ((4.5, 4.7, 2.9, 1.4), (7.5, 1.7, 2.9, 1.4)),
     ScenarioId.B: ((4.5, 4.7, -0.6, -0.6), (7.5, 1.7, 2.9, 1.4)),
-    # discrete test scenario: x2 = x3 = 0, outcome equations as in A
-    ScenarioId.DISCRETE: ((4.5, 4.7, 2.9, 1.4), (7.5, 1.7, 2.9, 1.4)),
 }
+# discrete test scenario: x2 = x3 = 0, outcome equations as in A
+_ARM_COEFFS[ScenarioId.DISCRETE] = _ARM_COEFFS[ScenarioId.A]
 
 _CORR = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.4], [0.2, 0.4, 1.0]])
 _CHOL = np.linalg.cholesky(_CORR)
@@ -137,7 +137,5 @@ def true_ate(scenario: Scenario) -> float:
     construction, x2 and x3 by symmetry of their transforms), so only
     the intercept difference survives.
     """
-    if scenario.id not in _ARM_COEFFS:
-        raise ValueError(f"unsupported scenario {scenario.id!r}")
     (i1, *_), (i0, *_) = _ARM_COEFFS[scenario.id]
     return i1 - i0

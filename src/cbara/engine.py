@@ -28,10 +28,12 @@ mechanism are served by one call per step (row_groups). Work that no
 row needs is skipped: an all-direct batch never computes the balance
 rule, and a batch without clipped rows keeps no clip budget.
 
-Both paths build the trial's TrialStats record, and the step log as
-one StepLog of columns, once when the trial ends. Both count the units
-and the treated units at each x1 atom: run_trial per step, run_lockstep
-once per unit block, from the block's treatment rows.
+The two paths differ only in the per-step arithmetic and in the form
+of the response-release rule. The rest has one owner each: _draw_block
+is the one reader of a trial's generator (a block of units, then one
+uniform per unit), _count_atoms adds a block's units and treated units
+at each x1 atom, and _result builds the TrialResult, its TrialStats,
+step log and clip budget check included, once from a trial's end state.
 """
 from __future__ import annotations
 
@@ -64,8 +66,6 @@ from .policy import (
 )
 
 _BLOCK = 256
-# position of each x1 atom in a trial's per-atom counts
-_ATOM_INDEX = {atom: a for a, atom in enumerate(X1_ATOMS)}
 
 
 def _check_int(name: str, value, low: int = 1, seed: bool = False) -> None:
@@ -225,34 +225,65 @@ class TrialResult:
     atom_treated: tuple[int, int, int]
 
 
-def _trial_stats(lam, psi, n, sum_y, sum_rho, sum_rho_sq, ipw_sum, clip_excess, theta_max_norm):
-    """A trial's TrialStats from its final Lambda_N and Psi_N, its sums
-    over n steps, its worst clip excess and largest parameter norm."""
-    rho_var = sum_rho_sq / n - (sum_rho / n) ** 2
-    return TrialStats(
-        lambda_norm=_norm(lam),
-        psi=psi,
-        psi_abs=abs(psi),
-        mean_response=sum_y / n,
-        target_sd=math.sqrt(rho_var) if rho_var > 0.0 else 0.0,
-        ipw=ipw_sum / n,
-        clip_excess=clip_excess,
-        theta_max_norm=theta_max_norm,
-    )
-
-
 def _norm(values) -> float:
     """Euclidean norm, summed left to right."""
     return math.sqrt(sum(v * v for v in values))
 
 
-def _check_clip_budget(move_sum: float, bound_sum: float) -> None:
-    """Raise unless a clipped trial's parameter moved no farther in
-    total than the sum of its per-update clip budgets, up to rounding."""
-    if move_sum > bound_sum + 1e-9:
+def _result(
+    log, n, lam, psi, sum_y, sum_rho, sum_rho_sq, ipw_sum, clip_excess, theta_max_norm,
+    theta, move_sum, bound_sum, clipped, n_fit_steps, atoms,
+) -> TrialResult:
+    """A trial's record from its end state after n steps, each number a
+    Python or numpy scalar: log holds its logged steps (none when
+    unlogged) and atoms its (units, treated) counts per x1 atom. Raises
+    unless a clipped trial's parameter moved no farther in total than
+    the sum of its per-update clip budgets, up to rounding."""
+    move_sum, bound_sum = float(move_sum), float(bound_sum)
+    if clipped and move_sum > bound_sum + 1e-9:
         raise RuntimeError(
             f"clipped updates exceeded their cumulative budget: {move_sum} > {bound_sum}"
         )
+    lam = tuple(float(v) for v in lam)
+    psi = float(psi)
+    rho_var = float(sum_rho_sq) / n - (float(sum_rho) / n) ** 2
+    stats = TrialStats(
+        lambda_norm=_norm(lam),
+        psi=psi,
+        psi_abs=abs(psi),
+        mean_response=float(sum_y) / n,
+        target_sd=math.sqrt(rho_var) if rho_var > 0.0 else 0.0,
+        ipw=float(ipw_sum) / n,
+        clip_excess=float(clip_excess),
+        theta_max_norm=float(theta_max_norm),
+    )
+    return TrialResult(
+        log=_step_log(log) if len(log) else _NO_LOG,
+        stats=stats,
+        lam=lam,
+        theta_final=ModelCoefficients.from_array(theta),
+        theta_move_sum=move_sum,
+        clip_bound_sum=bound_sum,
+        n_fit_steps=int(n_fit_steps),
+        atom_units=tuple(atoms[0].tolist()),
+        atom_treated=tuple(atoms[1].tolist()),
+    )
+
+
+def _draw_block(scenario: Scenario, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """A block of n units, then one uniform per unit, as (x1, x2, x3,
+    y1, y0, zstar, u): the one place either engine reads a trial's
+    generator, so both consume it in the same order."""
+    return (*draw_unit_arrays(scenario, n, rng), rng.random(n))
+
+
+def _count_atoms(x1: np.ndarray, treated: np.ndarray, atoms: np.ndarray) -> None:
+    """Add a block's units and treated units at each x1 atom to atoms[0]
+    and atoms[1]; x1 and treated are (bn,) or (bn, R)."""
+    for a, atom in enumerate(X1_ATOMS):
+        at = x1 == atom
+        atoms[0, a] += np.count_nonzero(at, axis=0)
+        atoms[1, a] += np.count_nonzero(at & treated, axis=0)
 
 
 def run_trial(cfg: TrialConfig) -> TrialResult:
@@ -295,21 +326,22 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     clip_bound_sum = 0.0
     clip_step_excess = 0.0
     n_fit_steps = 0
-    atom_units = [0] * len(X1_ATOMS)
-    atom_treated = [0] * len(X1_ATOMS)
+    atoms = np.zeros((2, len(X1_ATOMS)), dtype=np.int64)
     log = array("d")
 
     i = 0
     while i < n_units:
         bn = min(_BLOCK, n_units - i)
-        ax1, ax2, ax3, ay1, ay0, az = draw_unit_arrays(scenario, bn, rng)
+        ax1, ax2, ax3, ay1, ay0, az, au = _draw_block(scenario, bn, rng)
         lx1 = ax1.tolist()
         lx2 = ax2.tolist()
         lx3 = ax3.tolist()
         ly1 = ay1.tolist()
         ly0 = ay0.tolist()
         lz = az.tolist()
-        us = rng.random(bn).tolist()
+        us = au.tolist()
+        # step k's arm, counted per atom after the block
+        block_t = [0] * bn
 
         for k in range(bn):
             x1 = lx1[k]
@@ -365,6 +397,7 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
                     g = rho_used
 
             t = 1 if us[k] < g else 0
+            block_t[k] = t
             y = ly1[k] if t else ly0[k]
             z = lz[k]
 
@@ -375,9 +408,6 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             l3 += scale * x3
             psi += scale * z
 
-            atom = _ATOM_INDEX[x1]
-            atom_units[atom] += 1
-            atom_treated[atom] += t
             sum_y += y
             sum_rho += rho_used
             sum_rho_sq += rho_used * rho_used
@@ -391,24 +421,12 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             if keep_log:
                 log.extend((x1, x2, x3, rho_used, g, t, y, z, l0, l1, l2, l3, psi, *theta_row))
             i += 1
+        _count_atoms(ax1, np.array(block_t, dtype=bool), atoms)
 
-    if clipped:
-        _check_clip_budget(theta_move_sum, clip_bound_sum)
-
-    lam = (l0, l1, l2, l3)
-    return TrialResult(
-        log=_step_log(np.frombuffer(log).reshape(-1, _LOG_WIDTH)) if keep_log else _NO_LOG,
-        stats=_trial_stats(
-            lam, psi, float(n_units), sum_y, sum_rho, sum_rho_sq, ipw_sum,
-            clip_step_excess, theta_max_norm,
-        ),
-        lam=lam,
-        theta_final=theta,
-        theta_move_sum=theta_move_sum,
-        clip_bound_sum=clip_bound_sum,
-        n_fit_steps=n_fit_steps,
-        atom_units=tuple(atom_units),
-        atom_treated=tuple(atom_treated),
+    return _result(
+        np.frombuffer(log).reshape(-1, _LOG_WIDTH), n_units, (l0, l1, l2, l3), psi, sum_y,
+        sum_rho, sum_rho_sq, ipw_sum, clip_step_excess, theta_max_norm, theta_row,
+        theta_move_sum, clip_bound_sum, clipped, n_fit_steps, atoms,
     )
 
 
@@ -482,8 +500,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     clip_bound_sum = np.zeros(reps)
     clip_step_excess = np.zeros(reps)
     n_fit_steps = np.zeros(reps, dtype=np.int64)
-    atom_units = np.zeros((reps, len(X1_ATOMS)), dtype=np.int64)
-    atom_treated = np.zeros((reps, len(X1_ATOMS)), dtype=np.int64)
+    atoms = np.zeros((2, len(X1_ATOMS), reps), dtype=np.int64)
     half = np.full(reps, 0.5)
     log = np.empty((n_units if keep_log else 0, _LOG_WIDTH, reps))
 
@@ -494,8 +511,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
         # buffer per block, since pending rows keep views into it
         draws = np.empty((7, bn, reps))
         for r, (c, rng) in enumerate(zip(configs, rngs)):
-            draws[:6, :, r] = draw_unit_arrays(c.scenario, bn, rng)
-            draws[6, :, r] = rng.random(bn)
+            draws[:, :, r] = _draw_block(c.scenario, bn, rng)
         ax1, ax2, ax3, ay1, ay0, az, au = draws
         aphi = np.stack((np.ones_like(ax1), ax1, ax2, ax3), axis=2)
         # step k's treatment of each row, counted per atom after the block
@@ -568,34 +584,13 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                     pending[i % lag] = (x1, ax2[k], ax3[k], t, y, rho)
             i += 1
 
-        for a, atom in enumerate(X1_ATOMS):
-            at = ax1 == atom
-            atom_units[:, a] += np.count_nonzero(at, axis=0)
-            atom_treated[:, a] += np.count_nonzero(at & block_treated, axis=0)
+        _count_atoms(ax1, block_treated, atoms)
 
-    n = float(n_units)
-    results = []
-    for r in range(reps):
-        move_sum = float(theta_move_sum[r])
-        bound_sum = float(clip_bound_sum[r])
-        if clipped[r]:
-            _check_clip_budget(move_sum, bound_sum)
-        lam_r = tuple(lam[r].tolist())
-        results.append(
-            TrialResult(
-                log=_step_log(log[:, :, r]) if keep_log else _NO_LOG,
-                stats=_trial_stats(
-                    lam_r, float(psi[r]), n, float(sum_y[r]), float(sum_rho[r]),
-                    float(sum_rho_sq[r]), float(ipw_sum[r]), float(clip_step_excess[r]),
-                    float(theta_max_norm[r]),
-                ),
-                lam=lam_r,
-                theta_final=ModelCoefficients.from_array(theta[r]),
-                theta_move_sum=move_sum,
-                clip_bound_sum=bound_sum,
-                n_fit_steps=int(n_fit_steps[r]),
-                atom_units=tuple(atom_units[r].tolist()),
-                atom_treated=tuple(atom_treated[r].tolist()),
-            )
+    return [
+        _result(
+            log[:, :, r], n_units, lam[r], psi[r], sum_y[r], sum_rho[r], sum_rho_sq[r],
+            ipw_sum[r], clip_step_excess[r], theta_max_norm[r], theta[r], theta_move_sum[r],
+            clip_bound_sum[r], clipped[r], n_fit_steps[r], atoms[:, :, r],
         )
-    return results
+        for r in range(reps)
+    ]

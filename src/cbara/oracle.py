@@ -16,10 +16,10 @@ G = E[phi phi' w / (rho (1 - rho))], with per-unit weight
 w = 1 / max(|phi| / (rho (1 - rho)), C_theta); only the right-hand side
 changes with the quantity being balanced.
 
-Passes. Every sum runs over slices of _CHUNK units, whose design rows
-phi = (1, x1, x2, x3), d1 and d0 are filled in place in one buffer
-each. `asymptotic_report` reads the population in three passes, in the
-order the data dependencies allow:
+Passes. Every sum runs over slices of _CHUNK units through one chunk
+view, _Rows, which forms each per-unit quantity one chunk at a time,
+w from the allocation rule's own guard. `asymptotic_report` reads the
+population in three passes, in the order the data dependencies allow:
 
 1. the criterion normal equations, giving theta* and Mp^-1;
 2. G, the a-system right-hand sides for z and for the IPW h, and the
@@ -27,15 +27,14 @@ order the data dependencies allow:
 3. the residual sums behind sigma_z_sq and the IPW variance.
 
 The public functions run the passes they need through the same
-helpers, so each per-chunk formula is written once. The ratio rho and
-the weight w are the only population-wide temporaries: the per-chunk
-weights (w / (rho (1 - rho)), z w / (rho (1 - rho)), h and h w) are
-formed one chunk at a time, and Var(Y(1) - Y(0)) is one population-wide
+helpers, which take (policy, theta*) as they do, so each per-chunk
+formula is written once; Var(Y(1) - Y(0)) is the one population-wide
 reduction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -48,6 +47,7 @@ from .policy import (
     ModelCoefficients,
     PolicyRows,
     TargetPolicy,
+    _feature_guard,
     allocation_prob_rows,
     derive_constants,
     target_ratio_from_x1,
@@ -129,47 +129,51 @@ def _rho_star(policy: TargetPolicy, theta: ModelCoefficients, x1: np.ndarray) ->
     return atoms[x1.astype(np.intp) + 1]
 
 
-def _balance_weights(
-    policy: TargetPolicy,
-    theta: ModelCoefficients,
-    pop: PopulationSample,
-    rho: np.ndarray,
-) -> np.ndarray:
-    _, c_theta = derive_constants(policy, theta)
-    phi_norm = np.sqrt(1.0 + pop.x1**2 + pop.x2**2 + pop.x3**2)
-    return 1.0 / np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta)
-
-
-def _chunks(m: int) -> Iterator[tuple[int, int]]:
-    """(lo, hi) of each slice of at most _CHUNK units, in order."""
-    for lo in range(0, m, _CHUNK):
-        yield lo, min(lo + _CHUNK, m)
-
-
 class _Rows:
-    """A chunk's design matrices, each filled in place in one buffer:
-    phi = (1, x1, x2, x3) and the per-arm rows d(x,1) = (1, x1, 0, 0,
-    x2, x3) and d(x,0) = (0, 0, 1, x1, x2, x3). The constant columns are
-    written once; a chunk copies in its covariates and gets views that
-    hold until the next chunk."""
+    """A view of one slice of at most _CHUNK units; iterating moves it
+    to the next slice and yields it. It holds the slices x1, x2, x3, y1
+    and y0 and, under (policy, theta), rho and rr = rho (1 - rho). On
+    first use in a chunk it forms phi = (1, x1, x2, x3), the per-arm rows
+    d(x,1) = (1, x1, 0, 0, x2, x3) and d(x,0) = (0, 0, 1, x1, x2, x3),
+    each filled in place in one buffer, the weight w = 1 / _feature_guard
+    and h = Y(1)/rho + Y(0)/(1 - rho)."""
 
-    __slots__ = ("pop", "_phi", "_arms")
+    _LAZY = ("phi", "arms", "w", "h")
 
-    def __init__(self, pop: PopulationSample) -> None:
+    def __init__(self, pop: PopulationSample, policy: TargetPolicy | None = None,
+                 theta: ModelCoefficients | None = None) -> None:
         self.pop = pop
+        self.policy = policy
+        self.theta = theta
         self._phi: np.ndarray | None = None
         self._arms: tuple[np.ndarray, np.ndarray] | None = None
 
-    def phi(self, lo: int, hi: int) -> np.ndarray:
+    def __iter__(self) -> Iterator["_Rows"]:
+        pop, m = self.pop, len(self.pop)
+        for lo in range(0, m, _CHUNK):
+            self.lo, self.hi = lo, min(lo + _CHUNK, m)
+            self.x1, self.x2, self.x3, self.y1, self.y0 = (
+                a[lo : self.hi] for a in (pop.x1, pop.x2, pop.x3, pop.y1, pop.y0)
+            )
+            if self.policy is not None:
+                self.rho = _rho_star(self.policy, self.theta, self.x1)
+                self.rr = self.rho * (1.0 - self.rho)
+            for name in self._LAZY:
+                self.__dict__.pop(name, None)
+            yield self
+
+    @cached_property
+    def phi(self) -> np.ndarray:
         if self._phi is None:
             self._phi = np.ones((min(len(self.pop), _CHUNK), 4))
-        phi = self._phi[: hi - lo]
-        phi[:, 1] = self.pop.x1[lo:hi]
-        phi[:, 2] = self.pop.x2[lo:hi]
-        phi[:, 3] = self.pop.x3[lo:hi]
+        phi = self._phi[: self.hi - self.lo]
+        phi[:, 1] = self.x1
+        phi[:, 2] = self.x2
+        phi[:, 3] = self.x3
         return phi
 
-    def arms(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def arms(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arms is None:
             n = min(len(self.pop), _CHUNK)
             d1 = np.zeros((n, 6))
@@ -177,31 +181,34 @@ class _Rows:
             d1[:, 0] = 1.0
             d0[:, 2] = 1.0
             self._arms = (d1, d0)
-        d1 = self._arms[0][: hi - lo]
-        d0 = self._arms[1][: hi - lo]
-        d1[:, 1] = d0[:, 3] = self.pop.x1[lo:hi]
-        d1[:, 4] = d0[:, 4] = self.pop.x2[lo:hi]
-        d1[:, 5] = d0[:, 5] = self.pop.x3[lo:hi]
+        d1 = self._arms[0][: self.hi - self.lo]
+        d0 = self._arms[1][: self.hi - self.lo]
+        d1[:, 1] = d0[:, 3] = self.x1
+        d1[:, 4] = d0[:, 4] = self.x2
+        d1[:, 5] = d0[:, 5] = self.x3
         return d1, d0
 
+    @cached_property
+    def w(self) -> np.ndarray:
+        phi_norm = np.sqrt(1.0 + self.x1**2 + self.x2**2 + self.x3**2)
+        _, c_theta = derive_constants(self.policy, self.theta)
+        return 1.0 / _feature_guard(phi_norm, self.rho, c_theta)
 
-def _ipw_h(pop: PopulationSample, r: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """h = Y(1)/rho + Y(0)/(1 - rho) on one chunk."""
-    return pop.y1[lo:hi] / r + pop.y0[lo:hi] / (1.0 - r)
+    @cached_property
+    def h(self) -> np.ndarray:
+        return self.y1 / self.rho + self.y0 / (1.0 - self.rho)
 
 
 def _criterion_pass(pop: PopulationSample) -> tuple[np.ndarray, np.ndarray]:
     """Pass 1. Mp = E[(d1 d1' + d0 d0') / 2] and E[(d1 Y(1) + d0 Y(0)) / 2]:
     the population normal equations of the working model."""
-    m = len(pop)
-    rows = _Rows(pop)
     gram = np.zeros((6, 6))
     rhs = np.zeros(6)
-    for lo, hi in _chunks(m):
-        d1, d0 = rows.arms(lo, hi)
+    for c in _Rows(pop):
+        d1, d0 = c.arms
         gram += 0.5 * (d1.T @ d1 + d0.T @ d0)
-        rhs += 0.5 * (d1.T @ pop.y1[lo:hi] + d0.T @ pop.y0[lo:hi])
-    return gram / m, rhs / m
+        rhs += 0.5 * (d1.T @ c.y1 + d0.T @ c.y0)
+    return gram / len(pop), rhs / len(pop)
 
 
 def _solve_active(pop: PopulationSample, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -235,19 +242,18 @@ class _MestSums:
         self.zu_mom = np.zeros((6, 6))
         self.zu_mean = np.zeros(6)
 
-    def add(self, pop: PopulationSample, rows: _Rows, lo: int, hi: int,
-            phi: np.ndarray, r: np.ndarray, rr: np.ndarray, ww: np.ndarray) -> None:
-        d1, d0 = rows.arms(lo, hi)
-        r1 = pop.y1[lo:hi] - d1 @ self.ts
-        r0 = pop.y0[lo:hi] - d0 @ self.ts
+    def add(self, c: _Rows) -> None:
+        d1, d0 = c.arms
+        r1 = c.y1 - d1 @ self.ts
+        r0 = c.y0 - d0 @ self.ts
         s1 = (r1 * d1.T).T @ self.neg_minv_t  # rows are (d2 criterion)^-1 score, arm 1
         s0 = (r0 * d0.T).T @ self.neg_minv_t
-        zc = (0.5 / r)[:, None] * s1 - (0.5 / (1.0 - r))[:, None] * s0
+        zc = (0.5 / c.rho)[:, None] * s1 - (0.5 / (1.0 - c.rho))[:, None] * s0
         zu = 0.5 * (s1 + s0)
-        self.zc_quad += (zc * rr[:, None]).T @ zc
-        self.zc_phi += zc.T @ phi
-        self.h_mat += (zc * ww[:, None]).T @ phi
-        self.phi_quad += (phi / rr[:, None]).T @ phi
+        self.zc_quad += (zc * c.rr[:, None]).T @ zc
+        self.zc_phi += zc.T @ c.phi
+        self.h_mat += (zc * c.w[:, None]).T @ c.phi
+        self.phi_quad += (c.phi / c.rr[:, None]).T @ c.phi
         self.zu_mom += zu.T @ zu
         self.zu_mean += zu.sum(axis=0)
 
@@ -272,59 +278,55 @@ class _MestSums:
 
 def _balance_pass(
     pop: PopulationSample,
-    rho: np.ndarray,
-    w: np.ndarray,
+    policy: TargetPolicy,
+    theta: ModelCoefficients,
     z: np.ndarray | None = None,
     ipw: bool = False,
     mest: _MestSums | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pass 2. The balance Gram G = E[phi phi' w / (rho (1-rho))] and,
-    when asked, the a-system right-hand sides E[phi z w / (rho (1-rho))]
-    for z and E[phi h w] for the IPW h, as (G, z side, h side); a side
-    not asked for stays 0. The M-estimator moments go into mest."""
-    m = len(pop)
-    rows = _Rows(pop)
+    """Pass 2, at rho and w under (policy, theta). The balance Gram
+    G = E[phi phi' w / (rho (1-rho))] and, when asked, the a-system
+    right-hand sides E[phi z w / (rho (1-rho))] for z and E[phi h w]
+    for the IPW h, as (G, z side, h side); a side not asked for stays
+    0. The M-estimator moments go into mest."""
     g = np.zeros((4, 4))
     z_rhs = np.zeros(4)
     h_rhs = np.zeros(4)
-    for lo, hi in _chunks(m):
-        phi = rows.phi(lo, hi)
-        r = rho[lo:hi]
-        ww = w[lo:hi]
-        rr = r * (1.0 - r)
-        g += (phi * (ww / rr)[:, None]).T @ phi
+    for c in _Rows(pop, policy, theta):
+        phi, w, rr = c.phi, c.w, c.rr
+        g += (phi * (w / rr)[:, None]).T @ phi
         if z is not None:
-            z_rhs += phi.T @ (z[lo:hi] * ww / rr)
+            z_rhs += phi.T @ (z[c.lo : c.hi] * w / rr)
         if ipw:
-            h_rhs += phi.T @ (_ipw_h(pop, r, lo, hi) * ww)
+            h_rhs += phi.T @ (c.h * w)
         if mest is not None:
-            mest.add(pop, rows, lo, hi, phi, r, rr, ww)
+            mest.add(c)
+    m = len(pop)
     return g / m, z_rhs / m, h_rhs / m
 
 
 def _residual_pass(
     pop: PopulationSample,
-    rho: np.ndarray,
+    policy: TargetPolicy,
+    theta: ModelCoefficients,
     z: np.ndarray | None = None,
     a: np.ndarray | None = None,
     a_ipw: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """Pass 3. The means of (z - a' phi)^2 / (rho (1-rho)), when z is
-    given, and of rho (1-rho) (h - a_ipw' phi / (rho (1-rho)))^2, when
-    a_ipw is given; 0 otherwise."""
-    m = len(pop)
-    rows = _Rows(pop)
+    """Pass 3, at rho under (policy, theta). The means of
+    (z - a' phi)^2 / (rho (1-rho)), when z is given, and of
+    rho (1-rho) (h - a_ipw' phi / (rho (1-rho)))^2, when a_ipw is
+    given; 0 otherwise."""
     s_z = s_ipw = 0.0
-    for lo, hi in _chunks(m):
-        phi = rows.phi(lo, hi)
-        r = rho[lo:hi]
-        rr = r * (1.0 - r)
+    for c in _Rows(pop, policy, theta):
+        phi, rr = c.phi, c.rr
         if z is not None:
-            resid = z[lo:hi] - phi @ a
+            resid = z[c.lo : c.hi] - phi @ a
             s_z += float(np.sum(resid * resid / rr))
         if a_ipw is not None:
-            resid = _ipw_h(pop, r, lo, hi) - (phi @ a_ipw) / rr
+            resid = c.h - (phi @ a_ipw) / rr
             s_ipw += float(np.sum(rr * resid * resid))
+    m = len(pop)
     return s_z / m, s_ipw / m
 
 
@@ -358,8 +360,7 @@ def balance_coeff_a(
     a also minimizes sigma_z_sq over coefficient vectors.
     """
     z = _eval_z(pop, z_def)
-    rho = _rho_star(policy, theta_star, pop.x1)
-    g, z_rhs, _ = _balance_pass(pop, rho, _balance_weights(policy, theta_star, pop, rho), z=z)
+    g, z_rhs, _ = _balance_pass(pop, policy, theta_star, z=z)
     return _solve_gram(g, z_rhs)
 
 
@@ -372,9 +373,8 @@ def sigma_z_sq(
 ) -> float:
     """Asymptotic variance rate of the scalar imbalance:
     E[(Z - a' phi)^2 / (rho (1 - rho))]."""
-    rho = _rho_star(policy, theta_star, pop.x1)
     z = _eval_z(pop, z_def)
-    return _residual_pass(pop, rho, z=z, a=np.asarray(a, dtype=float))[0]
+    return _residual_pass(pop, policy, theta_star, z=z, a=np.asarray(a, dtype=float))[0]
 
 
 def ipw_asym_var(
@@ -391,13 +391,11 @@ def ipw_asym_var(
     (balance=True) or a = 0 for the uncorrected comparator, which needs
     no balance system.
     """
-    rho = _rho_star(policy, theta_star, pop.x1)
     a = np.zeros(4)
     if balance:
-        w = _balance_weights(policy, theta_star, pop, rho)
-        g, _, h_rhs = _balance_pass(pop, rho, w, ipw=True)
+        g, _, h_rhs = _balance_pass(pop, policy, theta_star, ipw=True)
         a = _solve_gram(g, h_rhs)
-    return _ipw_var(pop, _residual_pass(pop, rho, a_ipw=a)[1])
+    return _ipw_var(pop, _residual_pass(pop, policy, theta_star, a_ipw=a)[1])
 
 
 def mest_covariance(
@@ -414,9 +412,8 @@ def mest_covariance(
     balance Gram. Dropped design columns get zero rows and columns.
     """
     minv = _solve_active(pop, _criterion_pass(pop)[0], np.eye(6))
-    rho = _rho_star(policy, theta_star, pop.x1)
     mest = _MestSums(theta_star, minv)
-    g, _, _ = _balance_pass(pop, rho, _balance_weights(policy, theta_star, pop, rho), mest=mest)
+    g, _, _ = _balance_pass(pop, policy, theta_star, mest=mest)
     return mest.covariance(g, len(pop))
 
 
@@ -473,12 +470,10 @@ def asymptotic_report(
     gram, rhs = _criterion_pass(pop)
     theta_star = ModelCoefficients.from_array(_solve_active(pop, gram, rhs))
     z = _eval_z(pop, z_def)
-    rho = _rho_star(policy, theta_star, pop.x1)
-    w = _balance_weights(policy, theta_star, pop, rho)
     mest = _MestSums(theta_star, _solve_active(pop, gram, np.eye(6)))
-    g, z_rhs, h_rhs = _balance_pass(pop, rho, w, z=z, ipw=True, mest=mest)
+    g, z_rhs, h_rhs = _balance_pass(pop, policy, theta_star, z=z, ipw=True, mest=mest)
     a = _solve_gram(g, z_rhs)
-    s_z, s_ipw = _residual_pass(pop, rho, z=z, a=a, a_ipw=_solve_gram(g, h_rhs))
+    s_z, s_ipw = _residual_pass(pop, policy, theta_star, z=z, a=a, a_ipw=_solve_gram(g, h_rhs))
     return AsymptoticReport(
         theta_star=theta_star,
         a_vec=tuple(float(v) for v in a),

@@ -11,7 +11,10 @@ Each rule is written once for one unit (target_ratio_from_x1,
 derive_constants, _allocation_prob_raw, increment_scale) and once for
 R rows at a time (the *_rows functions), which the lockstep engine
 uses and which equal the scalar forms bit for bit. allocation_prob
-composes the scalar rule for one covariate vector.
+composes the scalar rule for one covariate vector. The rule's guard
+max(|phi| / (rho (1 - rho)), c_theta) has one numpy owner,
+_feature_guard, which allocation_prob_rows and the oracle's per-unit
+weight both read; _allocation_prob_raw keeps the scalar reference.
 """
 from __future__ import annotations
 
@@ -246,6 +249,11 @@ def _allocation_prob_raw(
     return rho - p_theta * dot / denom
 
 
+def _feature_guard(phi_norm: np.ndarray, rho: np.ndarray, c_theta) -> np.ndarray:
+    """The allocation rule's feature-norm guard, elementwise."""
+    return np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta)
+
+
 def clamp_allocation(raw: float, g_floor: float) -> float:
     """Clamp a pre-clamp allocation probability to [g_floor, 1 - g_floor]."""
     return min(max(raw, g_floor), 1.0 - g_floor)
@@ -268,9 +276,7 @@ def allocation_prob_rows(
     lam_norm = np.sqrt(sum_columns(lam * lam))
     # a huge c_lambda overflows to inf, as in the scalar rule: raw = rho, its limit
     with np.errstate(over="ignore"):
-        denom = np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta) * np.maximum(
-            lam_norm, policy.c_lambda
-        )
+        denom = _feature_guard(phi_norm, rho, c_theta) * np.maximum(lam_norm, policy.c_lambda)
     raw = rho - p_theta * dot / denom
     return np.minimum(np.maximum(raw, policy.g_floor), 1.0 - policy.g_floor)
 

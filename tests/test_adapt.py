@@ -1,10 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cbara.adapt import MechanismKind, UpdateMechanism, clip_bound, next_theta, perfect_squares
+from cbara.adapt import (
+    MechanismKind,
+    UpdateMechanism,
+    clip_bound,
+    next_theta,
+    next_theta_rows,
+    perfect_squares,
+)
 from cbara.policy import ModelCoefficients, ZERO_COEFFS
 
 ETA = ModelCoefficients(1.0, -2.0, 0.5, 0.25, 3.0, -1.0)
@@ -37,6 +45,16 @@ def test_clip_bound_decays():
     assert clip_bound(mech, 100) == pytest.approx(0.1)
     faster = UpdateMechanism.clipped(2.0, 1.0)
     assert clip_bound(faster, 8) == pytest.approx(0.25)
+
+
+def test_step_count_must_be_positive():
+    mech = UpdateMechanism.clipped(1.0, 0.5)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        clip_bound(mech, 0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        next_theta(mech, 0, ZERO_COEFFS, ETA)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        next_theta_rows(mech, 0, np.zeros((1, 6)), ETA.as_array()[None, :])
 
 
 def test_clipped_short_move_lands_on_target():

@@ -1,12 +1,10 @@
 import itertools
-import os
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 from cbara.acceptance import CriterionResult
 from cbara.cli import (
@@ -208,18 +206,8 @@ def test_emit_tables_requires_complete_pairs():
         emit_tables(plans, summaries, fmt="xml")
 
 
-def _run_cli(args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    env.pop("CBARA_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "cbara", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-    )
+def _run_cli(args, env_extra=None):
+    return run_python(["-m", "cbara", *args], env_extra)
 
 
 CFG_SMALL = "n = 60\nreps = 4\nseed = 9\n"

@@ -1,12 +1,7 @@
 """Every narrative script under demos/ runs to completion."""
-import os
-import pathlib
-import subprocess
-import sys
-
 import pytest
+from conftest import ROOT, run_python
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -16,12 +11,6 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(path):
-    env = dict(os.environ)
-    env.pop("CBARA_SEED", None)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, str(path)], capture_output=True, text=True, env=env, cwd=ROOT
-    )
+    proc = run_python([str(path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -347,6 +347,21 @@ def test_lockstep_rejects_configs_of_different_plans():
         with pytest.raises(ValueError, match="share a step schedule"):
             run_lockstep([base, replace(base, seed=5, **{field: other})])
     run_lockstep([base, replace(base, seed=5, scenario=Scenario(ScenarioId.B, 1.0))])
+    with pytest.raises(ValueError, match="configs must be nonempty"):
+        run_lockstep([])
+
+
+def test_configs_built_from_strings_equal_their_enum_twins():
+    from_strings = _cfg(
+        scenario=Scenario("A"),
+        policy=TargetPolicy(family="logistic"),
+        weighting="weighted",
+        mechanism=UpdateMechanism(kind="clipped"),
+        allocation="balance",
+    )
+    assert from_strings == _cfg()
+    a, b = run_trial(from_strings), run_trial(_cfg())
+    assert (a.log, a.stats, a.lam, a.theta_final) == (b.log, b.stats, b.lam, b.theta_final)
 
 
 @pytest.mark.parametrize("clamp_lo", [0.2, 0.5])

@@ -71,6 +71,20 @@ def test_empty_fit_rejected():
     empty = np.empty(0)
     with pytest.raises(ValueError):
         fit_working_model(*[empty] * 6, Weighting.UNWEIGHTED)
+    with pytest.raises(ValueError, match="no rows accumulated"):
+        FitAccumulator().fit()
+
+
+@pytest.mark.parametrize(
+    "active, message",
+    [
+        ((0, 1, 2, 3, 6), "active must name design columns in 0..5"),
+        ((0, 1, 2, 4), "the per-arm columns 0..3 cannot be dropped"),
+    ],
+)
+def test_accumulator_rejects_bad_active_columns(active, message):
+    with pytest.raises(ValueError, match=message):
+        FitAccumulator(active=active)
 
 
 def test_accumulator_matches_batch_fit():

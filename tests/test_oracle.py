@@ -253,6 +253,13 @@ def test_population_sample_rejects_bad_fields_before_any_draw(monkeypatch, kwarg
     assert str(info.value) == message
 
 
+def test_a_tiny_population_has_a_singular_design():
+    # three units cannot identify six coefficients
+    pop = PopulationSample(Scenario(ScenarioId.A), seed=1, m=3)
+    with pytest.raises(ValueError, match="population design is singular"):
+        oracle_theta_star(pop)
+
+
 def test_invariant_probability_identity():
     pol = TargetPolicy(family=Family.LOGISTIC)
     theta = ModelCoefficients(2.0, 1.0, 0.0, -1.0, 0.5, -0.5)

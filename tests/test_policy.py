@@ -96,6 +96,8 @@ def test_coefficients_validation_and_round_trip():
         ModelCoefficients(float("nan"), 0, 0, 0, 0, 0)
     theta = ModelCoefficients(1, 2, 3, 4, 5, 6)
     assert ModelCoefficients.from_array(theta.as_array()) == theta
+    with pytest.raises(ValueError, match="expected 6 coefficients"):
+        ModelCoefficients.from_array([1, 2, 3, 4, 5])
 
 
 def test_derive_constants_constant_family():

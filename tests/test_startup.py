@@ -2,12 +2,8 @@
 parent just before it forks; `import cbara` alone never loads it. Each
 case runs in a fresh interpreter, so sys.modules starts clean."""
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conftest import run_python
 
 _REPORT = """
 import json, sys
@@ -17,13 +13,7 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 
 def _scipy_after(code):
     """The scipy modules loaded once `code` has run in a fresh process."""
-    env = dict(os.environ)
-    env.pop("CBARA_SEED", None)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-c", code + _REPORT], capture_output=True, text=True, env=env
-    )
+    proc = run_python(["-c", code + _REPORT])
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

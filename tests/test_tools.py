@@ -1,21 +1,10 @@
 """The tools under tools/ still run against the package: each exits 0
 and prints its CSV header, its rows and a closing machine line."""
-import os
-import pathlib
-import subprocess
-import sys
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
 
 
 def _assert_tool_runs(tool, args, header):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / tool), *args],
-        capture_output=True, text=True, env=env, cwd=ROOT,
-    )
+    proc = run_python([str(ROOT / "tools" / tool), *args])
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == header

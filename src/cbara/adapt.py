@@ -112,9 +112,12 @@ def next_theta_rows(
 
     A clipped row whose squared distance, summed in any order, is below
     the squared budget by a margin far wider than rounding lands on eta.
-    Every other row takes its distance as sqrt(v @ v), the value
-    np.linalg.norm gives next_theta, where a batched norm can differ in
-    the last bit.
+    Every other row takes its distance from one stacked matmul of its
+    (1, 6) and (6, 1) views. Each of those products is a vector dot,
+    which numpy's matmul hands to the same dot kernel as v @ v, and
+    np.linalg.norm gives next_theta sqrt(v @ v); so the distance, and
+    the clipped row, match next_theta bit for bit, where a batched norm
+    (a sum over the squared columns) can differ in the last bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -126,7 +129,8 @@ def next_theta_rows(
     delta = eta - prev
     bound = clip_bound(mech, n)
     near = np.flatnonzero(sum_columns(delta * delta) > bound * bound * (1.0 - 1e-9))
-    dist = np.array([math.sqrt(delta[r] @ delta[r]) for r in near])
+    dn = delta[near]
+    dist = np.sqrt(np.matmul(dn[:, None, :], dn[:, :, None])[:, 0, 0])
     far = near[~(dist <= bound)]
     if not len(far):
         return eta

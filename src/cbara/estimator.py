@@ -9,6 +9,11 @@ Weights are pinned at allocation time (each row carries the targeted
 ratio in force when its unit was assigned), which is what makes the
 running cross-product accumulator exact: past rows never get
 reweighted.
+
+Every fit, the oracle's included, asks rank_deficient whether its
+normal matrix is usable. It first tries a Cholesky certificate on the
+whole stack and runs eigvalsh only for a batch the certificate cannot
+decide; the verdict is the eigenvalue test's either way.
 """
 from __future__ import annotations
 
@@ -37,7 +42,33 @@ def rank_deficient(gram: np.ndarray) -> np.ndarray:
     """The rank test of every fit: True where a symmetric normal matrix,
     or each of a stack of them, has no positive eigenvalue or a smallest
     eigenvalue below _RANK_RTOL times its largest. A NaN eigenvalue
-    fails both comparisons, so it is not counted as deficient."""
+    fails both comparisons, so it is not counted as deficient.
+
+    The verdict is reached in two steps. First a certificate: if every
+    matrix of the stack, with its diagonal lowered by 2 * _RANK_RTOL
+    times its trace, has a finite Cholesky factor, then each has
+    lambda_min > 2 * _RANK_RTOL * trace >= 2 * _RANK_RTOL * lambda_max,
+    and the answer is False for all of them. Cholesky and eigvalsh both
+    round by O(eps * |A|), far inside the factor-2 margin, so eigvalsh
+    would pass every such matrix too and the verdict is unchanged.
+    np.linalg.cholesky fails for the whole stack at once, so a stack it
+    cannot certify (a deficient matrix, a non-finite entry, a zero
+    trace) goes whole to the eigvalsh comparisons, as before.
+    """
+    diag = gram.diagonal(0, -2, -1)
+    # a non-finite diagonal skips the certificate before its shift can
+    # form inf - inf; scaled before the sum, a finite one cannot overflow
+    if np.isfinite(diag).all():
+        shift = (2.0 * _RANK_RTOL * diag).sum(-1)
+        try:
+            factor = np.linalg.cholesky(gram - shift[..., None, None] * np.eye(gram.shape[-1]))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # a NaN entry can leave the factor NaN without an error
+            if np.isfinite(factor).all():
+                # [()] gives one matrix a numpy bool, as the comparisons do
+                return np.zeros(shift.shape, dtype=bool)[()]
     eigs = np.linalg.eigvalsh(gram)
     return (eigs[..., -1] <= 0.0) | (eigs[..., 0] < _RANK_RTOL * eigs[..., -1])
 
@@ -197,15 +228,18 @@ class FitStack:
         Returns (ok, eta): ok marks the trials in rows that pass
         the rank test (rank_deficient). Row r of eta holds trial r's
         coefficients (0 outside the active columns) where ok[r], and
-        fallback[r] elsewhere.
+        fallback[r] elsewhere. Only the rows asked for are tested, so a
+        trial outside rows cannot keep the certificate from deciding.
         """
         act = self.active
-        sym = self._u[:, self._cells]
-        ok = rows & ~rank_deficient(sym)
+        sym = self._u[rows][:, self._cells]
+        passed = ~rank_deficient(sym)
+        ok = rows.copy()
+        ok[rows] = passed
         eta = fallback.copy()
-        if ok.any():
-            sol = np.zeros((int(ok.sum()), 6))
-            sol[:, act] = np.linalg.solve(sym[ok], self._b[ok][:, act, None])[:, :, 0]
+        if passed.any():
+            sol = np.zeros((int(passed.sum()), 6))
+            sol[:, act] = np.linalg.solve(sym[passed], self._b[ok][:, act, None])[:, :, 0]
             eta[ok] = sol
         if not np.isfinite(eta).all():
             raise ValueError("fitted coefficients must be finite")

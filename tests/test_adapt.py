@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbara.adapt import (
@@ -95,3 +95,52 @@ def test_clipped_never_overshoots(prev, eta, n, c0, exponent):
     out = next_theta(mech, n, prev, eta)
     assert _dist(prev, out) <= clip_bound(mech, n) + 1e-9
     assert _dist(out, eta) <= _dist(prev, eta) + 1e-9
+
+
+# a row's clip distance as a multiple of the budget: well inside it,
+# inside or just over the 1 - 1e-9 band of the squared budget, exactly
+# on it, and far outside it
+_ROW_KINDS = ("inside", "band", "exact", "far")
+
+
+@st.composite
+def clipped_rows(draw):
+    """(mech, n, prev, eta) with rows of every _ROW_KINDS kind."""
+    mech = UpdateMechanism.clipped(draw(st.floats(0.1, 5)), draw(st.floats(0.1, 1)))
+    n = draw(st.integers(1, 10**6))
+    bound = clip_bound(mech, n)
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=12))
+    prev = np.array([draw(st.lists(st.floats(-20, 20), min_size=6, max_size=6)) for _ in kinds])
+    eta = prev.copy()
+    for r, kind in enumerate(kinds):
+        if kind == "exact":
+            # one coordinate moves from 0 by the budget: the distance is
+            # sqrt(bound**2) == bound
+            k = draw(st.integers(0, 5))
+            prev[r, k] = 0.0
+            eta[r] = prev[r]
+            eta[r, k] = bound
+            continue
+        u = np.array(draw(st.lists(st.floats(0.1, 1) | st.floats(-1, -0.1), min_size=6,
+                                   max_size=6)))
+        scale = {
+            "inside": draw(st.floats(0.0, 0.9)),
+            "band": 1.0 + draw(st.floats(-4e-10, 4e-10)),
+            "far": draw(st.floats(2.0, 1e4)),
+        }[kind]
+        eta[r] = prev[r] + u * (bound * scale / math.sqrt(u @ u))
+    return mech, n, prev, eta
+
+
+@settings(max_examples=200)
+@given(clipped_rows())
+@example((UpdateMechanism.clipped(1.0, 0.5), 4, np.zeros((3, 6)),
+          np.array([[0.5, 0, 0, 0, 0, 0], [0, 0.5 * (1 + 3e-10), 0, 0, 0, 0], ETA.as_array()])))
+def test_clipped_rows_equal_next_theta_bit_for_bit(case):
+    mech, n, prev, eta = case
+    got = next_theta_rows(mech, n, prev, eta)
+    for r in range(len(prev)):
+        want = next_theta(
+            mech, n, ModelCoefficients.from_array(prev[r]), ModelCoefficients.from_array(eta[r])
+        )
+        assert got[r].tobytes() == want.as_array().tobytes()

@@ -267,6 +267,34 @@ def test_lockstep_equals_run_trial_in_special_cases(kw):
         _assert_lockstep_is_run_trial(_cfg(**{"n_units": 120, **kw}, allocation=allocation))
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # the first fits see two or three rows
+        dict(burn_in=2),
+        # the full Gram is singular (x2 = x3 = 0) and the fit takes four
+        # columns; by the default burn-in of 20 those are certified
+        dict(scenario=Scenario(ScenarioId.DISCRETE), burn_in=2),
+        dict(scenario=Scenario(ScenarioId.DISCRETE), burn_in=2, weighting=Weighting.UNWEIGHTED),
+    ],
+    ids=["burn-in-2", "discrete-burn-in-2", "discrete-burn-in-2-unweighted"],
+)
+def test_lockstep_equals_run_trial_where_the_rank_certificate_gives_way(kw, monkeypatch):
+    # these batches reach the rank test's eigvalsh branch, which runs
+    # when the Cholesky certificate cannot decide a stack
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        stacks.append(a.ndim == 3)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for allocation in Allocation:
+        _assert_lockstep_is_run_trial(_cfg(**{"n_units": 120, **kw}, allocation=allocation))
+    assert any(stacks)
+
+
 def test_lockstep_equals_run_trial_in_a_mixed_batch():
     # one row per family x mechanism x allocation x scenario x weighting
     cfgs = [

@@ -9,6 +9,7 @@ from cbara.estimator import (
     active_columns,
     fit_working_model,
     ipw_ate,
+    rank_deficient,
 )
 from cbara.policy import ModelCoefficients
 
@@ -155,6 +156,114 @@ def test_rank_test_near_its_threshold_is_one_verdict(scenario, eps_below, eps_ab
         fit = acc.fit(fallback)
         assert fit.rank_ok == ok[r]
         assert fit.eta.as_array().tobytes() == eta[r].tobytes()
+
+
+def _eigvalsh_verdict(gram):
+    """The rank test by its eigenvalues alone: what rank_deficient
+    returns, or the exception type eigvalsh raises."""
+    try:
+        eigs = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+    return (eigs[..., -1] <= 0.0) | (eigs[..., 0] < 1e-8 * eigs[..., -1])
+
+
+def _verdict(gram):
+    try:
+        return rank_deficient(gram)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+def _gram(cols, active=(0, 1, 2, 3, 4, 5)):
+    """The weighted normal matrix of (x1, x2, x3, t, y, rho) columns on
+    the active design columns."""
+    x1, x2, x3, t, _, rho = cols
+    d = np.column_stack((t, t * x1, 1 - t, (1 - t) * x1, x2, x3))[:, list(active)]
+    w = np.where(t == 1, 0.5 / rho, 0.5 / (1 - rho))
+    return d.T @ (w[:, None] * d)
+
+
+def _certificate_grams():
+    """Named single Grams for the certificate: full-rank, singular,
+    zero, non-finite, and both sides of the 1e-8 eigenvalue ratio."""
+    full = _gram(_rows(n=60, seed=11))
+    # x3 repeats x2
+    singular = full.copy()
+    singular[:, 5] = singular[:, 4]
+    singular[5, :] = singular[4, :]
+    grams = {"full-rank": full, "singular": singular, "zero": np.zeros((6, 6))}
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        for where, cell in (("diag", (2, 2)), ("off", (4, 1))):
+            g = full.copy()
+            g[cell] = g[cell[::-1]] = value
+            grams[f"{name}-{where}"] = g
+    for scenario, eps_below, eps_above in (
+        (ScenarioId.A, 9e-5, 2e-4), (ScenarioId.DISCRETE, 1.3e-4, 3e-4),
+    ):
+        active = active_columns(Scenario(scenario))
+        for side, eps in (("below", eps_below), ("above", eps_above)):
+            grams[f"{scenario.value}-{side}"] = _gram(_nearly_collinear(scenario, eps), active)
+    return grams
+
+
+_GRAMS = _certificate_grams()
+
+
+@pytest.mark.parametrize("name", list(_GRAMS))
+def test_rank_certificate_gives_the_eigenvalue_verdict(name):
+    gram = _GRAMS[name]
+    want = _eigvalsh_verdict(gram)
+    got = _verdict(gram)
+    if want is np.linalg.LinAlgError:
+        assert got is want
+    else:
+        assert type(got) is type(want) and got == want
+        # one matrix or a stack of copies: the same verdict per matrix
+        stack = _verdict(np.stack([gram] * 3))
+        assert stack.tolist() == [bool(want)] * 3
+
+
+def test_rank_certificate_decides_a_whole_stack_or_none_of_it(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    full = np.stack([_gram(_rows(n=60, seed=seed)) for seed in range(11, 15)])
+    # a stack of well-conditioned Grams is decided without eigvalsh
+    assert rank_deficient(full).tolist() == [False] * len(full)
+    assert calls == []
+    # one row the certificate cannot pass sends the whole stack to
+    # eigvalsh, which gives each row its own verdict: A-above is full
+    # rank inside the certificate's factor-2 margin
+    for name, deficient in (("singular", True), ("zero", True), ("A-below", True),
+                            ("A-above", False)):
+        stack = np.concatenate((full, _GRAMS[name][None]))
+        calls.clear()
+        got = rank_deficient(stack)
+        assert calls == [stack.shape]
+        assert got.tolist() == [False] * len(full) + [deficient]
+        assert got.tolist() == _eigvalsh_verdict(stack).tolist()
+
+
+def test_fit_stack_certifies_only_the_rows_it_fits(monkeypatch):
+    # a trial that has seen one arm only, so its Gram is singular, sits
+    # outside rows and does not send the stack to eigvalsh
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    both = _rows(n=60, seed=11)
+    treated = both[:3] + (np.ones(60, dtype=int),) + both[4:]
+    stack = FitStack([Weighting.WEIGHTED] * 2, active_columns(Scenario(ScenarioId.A)))
+    for step in range(60):
+        stack.add(*(np.array([cols[c][step] for cols in (both, treated)], dtype=float)
+                    for c in range(6)))
+    assert stack.has_both_arms.tolist() == [True, False]
+    fallback = np.full((2, 6), 9.0)
+    ok, eta = stack.fit(stack.has_both_arms, fallback)
+    assert calls == []
+    assert ok.tolist() == [True, False]
+    assert eta[1].tolist() == [9.0] * 6
+    assert eta[0].tobytes() == fit_working_model(*both).eta.as_array().tobytes()
 
 
 def test_ipw_hand_example():

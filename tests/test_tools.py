@@ -1,5 +1,7 @@
 """The tools under tools/ still run against the package: each exits 0
 and prints its CSV header, its rows and a closing machine line."""
+import json
+
 from conftest import ROOT, run_python
 
 
@@ -17,10 +19,21 @@ def test_lockstep_cost_runs(tmp_path):
     # one grid cell: a direct and a balance plan of two 40-unit trials
     cfg = tmp_path / "one_cell.cfg"
     cfg.write_text("sizes = 40\nscenarios = A\nfamilies = crd\nweightings = weighted\nreps = 2\n")
-    _assert_tool_runs(
-        "lockstep_cost.py", ["--repeats", "1", "--config", str(cfg)],
+    out = tmp_path / "lockstep.json"
+    lines = _assert_tool_runs(
+        "lockstep_cost.py", ["--repeats", "1", "--config", str(cfg), "--json", str(out)],
         "batch,rows,n_units,us_per_trial_step",
     )
+    # the JSON holds the printed rows: two plans, then one batch of both
+    written = json.loads(out.read_text())
+    assert written["machine"] == lines[-1]
+    assert [row["batch"] for row in written["batches"]] == ["grid 1/1"]
+    rows = written["plans"] + written["batches"]
+    assert [
+        f"{r['batch']},{r['rows']},{r['n_units']},{r['us_per_trial_step']:.2f}" for r in rows
+    ] == lines[1:-1]
+    assert [r["rows"] for r in rows] == [2, 2, 4]
+    assert all(r["us_per_trial_step"] > 0 for r in rows)
 
 
 def test_oracle_cost_runs():

@@ -11,13 +11,17 @@ this process, after one untimed warm-up run.
 
 Run from the repo root:
 
-    PYTHONPATH=src python tools/lockstep_cost.py [--config perfbench/table_grid.cfg] [--repeats 3]
+    PYTHONPATH=src python tools/lockstep_cost.py [--config perfbench/table_grid.cfg] [--repeats 3] [--json PATH]
 
-It only reads the config and writes nothing.
+It reads the config and writes nothing unless --json names a file;
+that file then gets the same rows, as "plans" and "batches" lists of
+{batch, rows, n_units, us_per_trial_step} objects, with the config
+path, --repeats and the machine line.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import time
 
@@ -45,9 +49,22 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", default=str(ROOT / "perfbench" / "table_grid.cfg"))
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--json", help="also write the rows to this JSON file")
     args = parser.parse_args()
     with open(args.config, encoding="utf-8") as fh:
         plans = grid_plans(parse_config(fh.read()))
+
+    rows = {"plans": [], "batches": []}
+
+    def emit(kind, label, configs):
+        row = {
+            "batch": label,
+            "rows": len(configs),
+            "n_units": configs[0].n_units,
+            "us_per_trial_step": round(us_per_step(configs, args.repeats), 2),
+        }
+        rows[kind].append(row)
+        print(f"{label},{row['rows']},{row['n_units']},{row['us_per_trial_step']:.2f}")
 
     print("batch,rows,n_units,us_per_trial_step")
     for plan in plans:
@@ -56,17 +73,21 @@ def main() -> None:
             (cfg.scenario.id.value, cfg.policy.family.value, cfg.weighting.value,
              cfg.allocation.value, cfg.mechanism.kind.value)
         )
-        cost = us_per_step(replication_configs(plan), args.repeats)
-        print(f"{label},{plan.n_reps},{cfg.n_units},{cost:.2f}")
+        emit("plans", label, replication_configs(plan))
     # the grid as the harness batches it: one batch per step schedule
     batches: dict[tuple, list] = {}
     for plan in plans:
         for cfg in replication_configs(plan):
             batches.setdefault(step_schedule(cfg), []).append(cfg)
     for k, batch in enumerate(batches.values(), start=1):
-        cost = us_per_step(batch, args.repeats)
-        print(f"grid {k}/{len(batches)},{len(batch)},{batch[0].n_units},{cost:.2f}")
-    print(machine_line())
+        emit("batches", f"grid {k}/{len(batches)}", batch)
+    machine = machine_line()
+    print(machine)
+    if args.json:
+        out = {"config": args.config, "repeats": args.repeats, **rows, "machine": machine}
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(out, fh, indent=2)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

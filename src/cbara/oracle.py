@@ -18,8 +18,14 @@ changes with the quantity being balanced.
 
 Passes. Every sum runs over slices of _CHUNK units through one chunk
 view, _Rows, which forms each per-unit quantity one chunk at a time,
-w from the allocation rule's own guard. `asymptotic_report` reads the
-population in three passes, in the order the data dependencies allow:
+w from the allocation rule's own guard, and owns every chunk-sized
+buffer a pass writes: phi, one design buffer that holds d(x, 1) or
+d(x, 0) in turn, and, for the M-estimator moments, one flat 6-column
+buffer, two (chunk, 6) buffers and a residual vector, made at the pass's
+first chunk and freed with the view when the pass ends. No pass
+allocates per chunk beyond per-unit vectors. `asymptotic_report` reads
+the population in three passes, in the order the data dependencies
+allow:
 
 1. the criterion normal equations, giving theta* and Mp^-1;
 2. G, the a-system right-hand sides for z and for the IPW h, and the
@@ -133,20 +139,25 @@ class _Rows:
     """A view of one slice of at most _CHUNK units; iterating moves it
     to the next slice and yields it. It holds the slices x1, x2, x3, y1
     and y0 and, under (policy, theta), rho and rr = rho (1 - rho). On
-    first use in a chunk it forms phi = (1, x1, x2, x3), the per-arm rows
-    d(x,1) = (1, x1, 0, 0, x2, x3) and d(x,0) = (0, 0, 1, x1, x2, x3),
-    each filled in place in one buffer, the weight w = 1 / _feature_guard
-    and h = Y(1)/rho + Y(0)/(1 - rho)."""
+    first use in a chunk it forms phi = (1, x1, x2, x3), the weight
+    w = 1 / _feature_guard and h = Y(1)/rho + Y(0)/(1 - rho).
 
-    _LAZY = ("phi", "arms", "w", "h")
+    The view owns the chunk-sized buffers, each made on first use and
+    refilled in place at every chunk: phi's; one design buffer, which
+    arm(t) fills with d(x, t); and the M-estimator scratch that scratch()
+    hands out. They are freed with the view when its pass ends."""
+
+    _LAZY = ("phi", "w", "h")
 
     def __init__(self, pop: PopulationSample, policy: TargetPolicy | None = None,
                  theta: ModelCoefficients | None = None) -> None:
         self.pop = pop
         self.policy = policy
         self.theta = theta
+        self._size = min(len(pop), _CHUNK)  # rows of each chunk-sized buffer
         self._phi: np.ndarray | None = None
-        self._arms: tuple[np.ndarray, np.ndarray] | None = None
+        self._design: np.ndarray | None = None
+        self._scratch: tuple[np.ndarray, ...] | None = None
 
     def __iter__(self) -> Iterator["_Rows"]:
         pop, m = self.pop, len(self.pop)
@@ -165,28 +176,40 @@ class _Rows:
     @cached_property
     def phi(self) -> np.ndarray:
         if self._phi is None:
-            self._phi = np.ones((min(len(self.pop), _CHUNK), 4))
+            self._phi = np.ones((self._size, 4))
         phi = self._phi[: self.hi - self.lo]
         phi[:, 1] = self.x1
         phi[:, 2] = self.x2
         phi[:, 3] = self.x3
         return phi
 
-    @cached_property
-    def arms(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._arms is None:
-            n = min(len(self.pop), _CHUNK)
-            d1 = np.zeros((n, 6))
-            d0 = np.zeros((n, 6))
-            d1[:, 0] = 1.0
-            d0[:, 2] = 1.0
-            self._arms = (d1, d0)
-        d1 = self._arms[0][: self.hi - self.lo]
-        d0 = self._arms[1][: self.hi - self.lo]
-        d1[:, 1] = d0[:, 3] = self.x1
-        d1[:, 4] = d0[:, 4] = self.x2
-        d1[:, 5] = d0[:, 5] = self.x3
-        return d1, d0
+    def arm_columns(self, t: int) -> tuple[np.ndarray | float, ...]:
+        """The six columns of d(x, t): (1, x1, 0, 0, x2, x3) for t = 1
+        and (0, 0, 1, x1, x2, x3) for t = 0, constants as floats."""
+        if t:
+            return (1.0, self.x1, 0.0, 0.0, self.x2, self.x3)
+        return (0.0, 0.0, 1.0, self.x1, self.x2, self.x3)
+
+    def arm(self, t: int) -> np.ndarray:
+        """d(x, t) for the chunk, written over the one design buffer, so
+        the previous arm's rows are gone."""
+        if self._design is None:
+            self._design = np.empty((self._size, 6))
+        d = self._design[: self.hi - self.lo]
+        for k, col in enumerate(self.arm_columns(t)):
+            d[:, k] = col
+        return d
+
+    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The chunk's slices of the M-estimator scratch: a flat buffer
+        of 6 values per unit and two (n, 6) buffers, all C-ordered, and
+        an (n,) vector; contents are left from the previous chunk."""
+        if self._scratch is None:
+            n = self._size
+            self._scratch = (np.empty(6 * n), np.empty((n, 6)), np.empty((n, 6)), np.empty(n))
+        n = self.hi - self.lo
+        flat, s1, s0, r = self._scratch
+        return flat[: 6 * n], s1[:n], s0[:n], r[:n]
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -205,9 +228,11 @@ def _criterion_pass(pop: PopulationSample) -> tuple[np.ndarray, np.ndarray]:
     gram = np.zeros((6, 6))
     rhs = np.zeros(6)
     for c in _Rows(pop):
-        d1, d0 = c.arms
-        gram += 0.5 * (d1.T @ d1 + d0.T @ d0)
-        rhs += 0.5 * (d1.T @ c.y1 + d0.T @ c.y0)
+        d = c.arm(1)
+        gram1, rhs1 = d.T @ d, d.T @ c.y1
+        d = c.arm(0)
+        gram += 0.5 * (gram1 + d.T @ d)
+        rhs += 0.5 * (rhs1 + d.T @ c.y0)
     return gram / len(pop), rhs / len(pop)
 
 
@@ -230,7 +255,13 @@ class _MestSums:
       zc_quad = E[rho (1-rho) Zc Zc'],  zc_phi = E[Zc phi'],
       h_mat   = E[Zc phi' w]           (A-system right side),
       phi_quad= E[phi phi' / (rho(1-rho))],
-      zu_mom  = E[Zu Zu'],  zu_mean = E[Zu]."""
+      zu_mom  = E[Zu Zu'],  zu_mean = E[Zu].
+
+    add() writes every chunk-sized value into the chunk view's buffers:
+    the residual r = y - d theta* into its vector; the scaled rows
+    r d(x, t)' into the flat buffer as a (6, n) block, then zu as (n, 6),
+    then phi / rr as (n, 4); the arm scores s1 and s0 into the two (n, 6)
+    buffers, s1 becoming Zc and s0 then holding Zc rr and Zc w."""
 
     def __init__(self, theta_star: ModelCoefficients, minv: np.ndarray) -> None:
         self.ts = theta_star.as_array()
@@ -243,19 +274,27 @@ class _MestSums:
         self.zu_mean = np.zeros(6)
 
     def add(self, c: _Rows) -> None:
-        d1, d0 = c.arms
-        r1 = c.y1 - d1 @ self.ts
-        r0 = c.y0 - d0 @ self.ts
-        s1 = (r1 * d1.T).T @ self.neg_minv_t  # rows are (d2 criterion)^-1 score, arm 1
-        s0 = (r0 * d0.T).T @ self.neg_minv_t
-        zc = (0.5 / c.rho)[:, None] * s1 - (0.5 / (1.0 - c.rho))[:, None] * s0
-        zu = 0.5 * (s1 + s0)
-        self.zc_quad += (zc * c.rr[:, None]).T @ zc
-        self.zc_phi += zc.T @ c.phi
-        self.h_mat += (zc * c.w[:, None]).T @ c.phi
-        self.phi_quad += (c.phi / c.rr[:, None]).T @ c.phi
+        flat, s1, s0, r = c.scratch()
+        n = r.shape[0]
+        rows = flat.reshape(6, n)
+        for t, y, s in ((1, c.y1, s1), (0, c.y0, s0)):
+            np.subtract(y, np.matmul(c.arm(t), self.ts, out=r), out=r)
+            for k, col in enumerate(c.arm_columns(t)):
+                np.multiply(r, col, out=rows[k])
+            # rows of s are the (d2 criterion)^-1 score of arm t
+            np.matmul(rows.T, self.neg_minv_t, out=s)
+        zu = np.add(s1, s0, out=flat.reshape(n, 6))
+        zu *= 0.5
         self.zu_mom += zu.T @ zu
         self.zu_mean += zu.sum(axis=0)
+        s1 *= (0.5 / c.rho)[:, None]
+        s0 *= (0.5 / (1.0 - c.rho))[:, None]
+        zc = np.subtract(s1, s0, out=s1)
+        self.zc_quad += np.multiply(zc, c.rr[:, None], out=s0).T @ zc
+        self.zc_phi += zc.T @ c.phi
+        self.h_mat += np.multiply(zc, c.w[:, None], out=s0).T @ c.phi
+        phi_rr = np.divide(c.phi, c.rr[:, None], out=flat[: 4 * n].reshape(n, 4))
+        self.phi_quad += phi_rr.T @ c.phi
 
     def covariance(self, g: np.ndarray, m: int) -> np.ndarray:
         """The covariance from the sums over m units, with the

@@ -4,6 +4,7 @@ cover the Monte Carlo gap between that run and the 1e6-draw samples
 used here."""
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,85 @@ def test_report_pieces_agree_on_a_ragged_last_chunk():
         Scenario(ScenarioId.DISCRETE, 1.0), seed=312, m=2 * oracle._CHUNK + 1
     )
     _assert_report_is_the_public_functions(pop, TargetPolicy(family=Family.PROBIT))
+
+
+def _plain_sums(pop, policy, theta, minv):
+    """The criterion normal equations and the six M-estimator moment
+    sums, one fresh array per expression, from d1/d0 stacked anew out
+    of each chunk's slices; the chunk view gives only rho, rr, w, phi."""
+    gram, rhs = np.zeros((6, 6)), np.zeros(6)
+    for c in oracle._Rows(pop):
+        n = c.hi - c.lo
+        one, zero = np.ones(n), np.zeros(n)
+        d1 = np.column_stack([one, c.x1, zero, zero, c.x2, c.x3])
+        d0 = np.column_stack([zero, zero, one, c.x1, c.x2, c.x3])
+        gram += 0.5 * (d1.T @ d1 + d0.T @ d0)
+        rhs += 0.5 * (d1.T @ c.y1 + d0.T @ c.y0)
+    ts, neg_minv_t = theta.as_array(), -minv.T
+    sums = dict(
+        zc_quad=np.zeros((6, 6)), zc_phi=np.zeros((6, 4)), h_mat=np.zeros((6, 4)),
+        phi_quad=np.zeros((4, 4)), zu_mom=np.zeros((6, 6)), zu_mean=np.zeros(6),
+    )
+    for c in oracle._Rows(pop, policy, theta):
+        n = c.hi - c.lo
+        one, zero = np.ones(n), np.zeros(n)
+        d1 = np.column_stack([one, c.x1, zero, zero, c.x2, c.x3])
+        d0 = np.column_stack([zero, zero, one, c.x1, c.x2, c.x3])
+        r1 = c.y1 - d1 @ ts
+        r0 = c.y0 - d0 @ ts
+        s1 = (r1 * d1.T).T @ neg_minv_t
+        s0 = (r0 * d0.T).T @ neg_minv_t
+        zc = (0.5 / c.rho)[:, None] * s1 - (0.5 / (1.0 - c.rho))[:, None] * s0
+        zu = 0.5 * (s1 + s0)
+        sums["zc_quad"] += (zc * c.rr[:, None]).T @ zc
+        sums["zc_phi"] += zc.T @ c.phi
+        sums["h_mat"] += (zc * c.w[:, None]).T @ c.phi
+        sums["phi_quad"] += (c.phi / c.rr[:, None]).T @ c.phi
+        sums["zu_mom"] += zu.T @ zu
+        sums["zu_mean"] += zu.sum(axis=0)
+    return gram / len(pop), rhs / len(pop), sums
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize(
+    "scenario", [ScenarioId.A, ScenarioId.B, ScenarioId.DISCRETE], ids=lambda s: s.value
+)
+def test_chunk_buffers_give_the_plain_expressions_bit_for_bit(scenario, family):
+    # the passes write into the chunk view's reused buffers; every sum
+    # equals the allocate-per-expression form to the last bit, on one
+    # chunk and, for one case, on a full chunk and a ragged 1001-unit one
+    ragged = scenario is ScenarioId.B and family is Family.LOGISTIC
+    m = oracle._CHUNK + 1001 if ragged else 20_000
+    noise = {ScenarioId.A: 0.0, ScenarioId.B: 0.5, ScenarioId.DISCRETE: 1.0}[scenario]
+    pop = PopulationSample(Scenario(scenario, noise), seed=313, m=m)
+    policy = TargetPolicy(family=family)
+    gram, rhs = oracle._criterion_pass(pop)
+    theta = oracle_theta_star(pop)
+    minv = oracle._solve_active(pop, gram, np.eye(6))
+    want_gram, want_rhs, want = _plain_sums(pop, policy, theta, minv)
+    assert gram.tobytes() == want_gram.tobytes()
+    assert rhs.tobytes() == want_rhs.tobytes()
+    assert theta == ModelCoefficients.from_array(oracle._solve_active(pop, want_gram, want_rhs))
+    mest = oracle._MestSums(theta, minv)
+    oracle._balance_pass(pop, policy, theta, mest=mest)
+    for name, value in want.items():
+        assert getattr(mest, name).tobytes() == value.tobytes(), name
+
+
+def test_asymptotic_report_stays_within_seven_chunk_designs():
+    # the passes' chunk-sized buffers and temporaries peak at about 6.2
+    # (chunk, 6) float arrays above the population itself; numpy reports
+    # its data allocations to tracemalloc, so the figure is exact
+    pop = PopulationSample(Scenario(ScenarioId.A), seed=314, m=2 * oracle._CHUNK + 1)
+    policy = TargetPolicy(family=Family.LOGISTIC)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        asymptotic_report(pop, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 7 * oracle._CHUNK * 6 * 8
 
 
 @pytest.mark.parametrize(

@@ -36,15 +36,28 @@ def test_lockstep_cost_runs(tmp_path):
     assert all(r["us_per_trial_step"] > 0 for r in rows)
 
 
-def test_oracle_cost_runs():
-    _assert_tool_runs("oracle_cost.py", ["--m", "2000", "--repeats", "1"], "call,m,seconds")
+def test_oracle_cost_runs(tmp_path):
+    out = tmp_path / "oracle.json"
+    lines = _assert_tool_runs(
+        "oracle_cost.py", ["--m", "2000", "--repeats", "1", "--json", str(out)],
+        "call,m,seconds,peak_mb",
+    )
+    # the JSON holds the printed rows, each call with its traced peak
+    written = json.loads(out.read_text())
+    assert written["machine"] == lines[-1]
+    rows = written["calls"]
+    assert [
+        f"{r['call']},{r['m']},{r['seconds']:.4f},{r['peak_mb']:.2f}" for r in rows
+    ] == lines[1:-1]
+    assert rows[1]["call"] == "asymptotic_report"
+    assert all(r["m"] == 2000 and r["peak_mb"] > 0 for r in rows)
 
 
 def test_output_digest_runs():
     lines = _assert_tool_runs("output_digest.py", [], "command,sha256")
     digests = dict(line.rsplit(",", 1) for line in lines[1:-1])
-    # 2 table1, 3 run, 1 trace and 9 oracle commands
-    assert len(digests) == 15
+    # 2 table1, 3 run, 1 trace and 10 oracle commands
+    assert len(digests) == 16
     grid = "--config perfbench/table_grid.cfg"
     run = "--config [family = logistic; mechanism = balance; n = 200; reps = 9]"
     # the bytes do not depend on the worker count

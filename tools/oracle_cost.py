@@ -1,23 +1,31 @@
 #!/usr/bin/env python3
-"""Seconds per call of the population oracle on one frozen draw.
+"""Seconds and traced memory per call of the population oracle on one frozen draw.
 
-Prints the best of --repeats timed calls, in seconds, of drawing a
-PopulationSample of --m units (scenario A, seed 0), of
-asymptotic_report on it (logistic family, the oracle-report
-benchmark's setting), and of each public oracle function at the
-report's limit parameter. The last line describes the machine. Each
-call runs once untimed before its timed calls.
+Prints, for drawing a PopulationSample of --m units (scenario A, seed
+0), for asymptotic_report on it (logistic family, the oracle-report
+benchmark's setting), and for each public oracle function at the
+report's limit parameter: the best of --repeats timed calls, in
+seconds, and the peak memory the call allocates, in MB (2**20 bytes,
+as perfbench's peak_rss_mb). The peak is tracemalloc's traced peak
+over one untimed call, made before the timed calls, which run with
+tracemalloc off; numpy reports its array data to tracemalloc, so the
+peak counts every buffer the call holds at once. The last line
+describes the machine.
 
 Run from the repo root:
 
-    PYTHONPATH=src python tools/oracle_cost.py [--m 1000000] [--repeats 3]
+    PYTHONPATH=src python tools/oracle_cost.py [--m 1000000] [--repeats 3] [--json PATH]
 
-It writes nothing.
+It writes nothing unless --json names a file; that file then gets the
+same rows, as a "calls" list of {call, m, seconds, peak_mb} objects,
+with --repeats and the machine line.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import time
+import tracemalloc
 
 from cbara.datagen import Scenario, ScenarioId
 from cbara.oracle import (
@@ -33,8 +41,20 @@ from cbara.policy import Family, TargetPolicy
 from machine import machine_line
 
 
+def traced_peak_mb(fn) -> float:
+    """tracemalloc's peak over one call of fn, above what was traced
+    before it, in MB."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / 2**20
+
+
 def best_seconds(fn, repeats: int) -> float:
-    fn()
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -47,6 +67,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--m", type=int, default=10**6)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--json", help="also write the rows to this JSON file")
     args = parser.parse_args()
     scenario = Scenario(ScenarioId.A)
     policy = TargetPolicy(family=Family.LOGISTIC)
@@ -63,10 +84,25 @@ def main() -> None:
         "ipw_asym_var(balance=False)": lambda: ipw_asym_var(pop, theta, policy, balance=False),
         "mest_covariance": lambda: mest_covariance(pop, theta, policy),
     }
-    print("call,m,seconds")
+    print("call,m,seconds,peak_mb")
+    rows = []
     for name, fn in calls.items():
-        print(f"{name},{args.m},{best_seconds(fn, args.repeats):.4f}")
-    print(machine_line())
+        peak_mb = traced_peak_mb(fn)
+        row = {
+            "call": name,
+            "m": args.m,
+            "seconds": round(best_seconds(fn, args.repeats), 4),
+            "peak_mb": round(peak_mb, 2),
+        }
+        rows.append(row)
+        print(f"{name},{args.m},{row['seconds']:.4f},{row['peak_mb']:.2f}")
+    machine = machine_line()
+    print(machine)
+    if args.json:
+        out = {"repeats": args.repeats, "calls": rows, "machine": machine}
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(out, fh, indent=2)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ the machine. The commands:
     --parallelism 1 and 2, and at --reps 1;
   trace --raw on the same config;
   oracle --raw for each family x scenario {A, B, DiscreteTest} at
-    oracle_m = 20000.
+    oracle_m = 20000, one chunk of the oracle's passes;
+  oracle --raw (logistic family, scenario B) at oracle_m = 400001, two
+    full chunks and a one-unit one.
 
 A command's config, when it is not perfbench/table_grid.cfg, is named
 in its row by the keys it sets. Two checkouts that print the same rows
@@ -46,6 +48,7 @@ def commands() -> list[tuple[str, list[str]]]:
         for family in ("crd", "logistic", "probit")
         for scenario in ("A", "B", "DiscreteTest")
     ]
+    out.append(("family = logistic\nscenario = B\noracle_m = 400001\n", ["oracle", "--raw"]))
     return out
 
 

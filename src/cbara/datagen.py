@@ -13,6 +13,13 @@ a DiscreteTest-only run, never pays that import. A process that draws
 pays it once, at its first draw; the bits are the same ufunc's. The
 harness calls _load_ndtr before it forks a pool, so that the workers
 inherit the loaded module.
+
+draw_unit_arrays builds its arrays in place: x1 from two masked writes,
+x2 and x3 transformed where they are made, the (n, 3) normals dropped
+before z* is formed, then z*, y1 and y0 through one scratch vector,
+each sum taken in the written formula's order, so the bits are those of
+the one-expression form. A draw of n units so holds at most 7 n-sized
+float arrays at once, 6 of them its output.
 """
 from __future__ import annotations
 
@@ -103,30 +110,55 @@ def _load_ndtr():
 def draw_unit_arrays(
     scenario: Scenario, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """n units as (x1, x2, x3, y1, y0, zstar) arrays.
+    """n units as (x1, x2, x3, y1, y0, zstar) arrays. With g the
+    correlated normals and each sum taken left to right:
+
+      x1 = -1 where g1 < Q25, 1 where g1 > Q75, else 0;
+      x2 = clip(g2, -2, 2) / 2,  x3 = 2 ndtr(g3) - 1  (0 in DiscreteTest);
+      z* = tanh(0.8 x1 + (0.5 x2) x2 - 0.3 x3 + (0.1 x1) x3) + 0.2 eps_z;
+      y  = i + s x1 + b2 x2 + b3 x3, per arm, plus sd eps shared by
+           both arms when the scenario has outcome noise.
 
     Draw order per call: n*3 correlated normals, n z*-noise normals,
     then (only when the scenario has outcome noise) n shared-noise
     normals. A fixed call pattern makes streams reproducible per seed.
     """
     g = rng.standard_normal((n, 3)) @ _CHOL.T
-    x1 = np.where(g[:, 0] < _Q25, -1.0, np.where(g[:, 0] > _Q75, 1.0, 0.0))
+    x1 = np.zeros(n)
+    x1[g[:, 0] < _Q25] = -1.0
+    x1[g[:, 0] > _Q75] = 1.0
     if scenario.id is ScenarioId.DISCRETE:
         x2 = np.zeros(n)
         x3 = np.zeros(n)
     else:
-        x2 = np.clip(g[:, 1], -2.0, 2.0) / 2.0
-        x3 = 2.0 * _load_ndtr()(g[:, 2]) - 1.0
-    eps_z = _ZSTAR_NOISE_SD * rng.standard_normal(n)
-    zstar = np.tanh(0.8 * x1 + 0.5 * x2 * x2 - 0.3 * x3 + 0.1 * x1 * x3) + eps_z
+        x2 = np.clip(g[:, 1], -2.0, 2.0)
+        x2 /= 2.0
+        x3 = _load_ndtr()(g[:, 2])
+        x3 *= 2.0
+        x3 -= 1.0
+    del g
+    # one scratch vector t; each sum is taken in the formula's order
+    t = np.empty(n)
+    zstar = np.multiply(0.8, x1)
+    zstar += np.multiply(np.multiply(0.5, x2, out=t), x2, out=t)
+    zstar -= np.multiply(0.3, x3, out=t)
+    zstar += np.multiply(np.multiply(0.1, x1, out=t), x3, out=t)
+    np.tanh(zstar, out=zstar)
+    zstar += np.multiply(_ZSTAR_NOISE_SD, rng.standard_normal(out=t), out=t)
 
-    (i1, s1, b2_1, b3_1), (i0, s0, b2_0, b3_0) = _ARM_COEFFS[scenario.id]
-    y1 = i1 + s1 * x1 + b2_1 * x2 + b3_1 * x3
-    y0 = i0 + s0 * x1 + b2_0 * x2 + b3_0 * x3
+    ys = []
+    for i, s, b2, b3 in _ARM_COEFFS[scenario.id]:
+        # s x1 + i is i + s x1 to the bit: IEEE addition commutes
+        y = np.multiply(s, x1)
+        y += i
+        y += np.multiply(b2, x2, out=t)
+        y += np.multiply(b3, x3, out=t)
+        ys.append(y)
+    y1, y0 = ys
     if scenario.outcome_noise_sd > 0.0:
-        eps = scenario.outcome_noise_sd * rng.standard_normal(n)
-        y1 = y1 + eps
-        y0 = y0 + eps
+        eps = np.multiply(scenario.outcome_noise_sd, rng.standard_normal(out=t), out=t)
+        y1 += eps
+        y0 += eps
     return x1, x2, x3, y1, y0, zstar
 
 

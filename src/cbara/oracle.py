@@ -18,12 +18,25 @@ changes with the quantity being balanced.
 
 Passes. Every sum runs over slices of _CHUNK units through one chunk
 view, _Rows, which forms each per-unit quantity one chunk at a time,
-w from the allocation rule's own guard, and owns every chunk-sized
-buffer a pass writes: phi, one design buffer that holds d(x, 1) or
-d(x, 0) in turn, and, for the M-estimator moments, one flat 6-column
-buffer, two (chunk, 6) buffers and a residual vector, made at the pass's
-first chunk and freed with the view when the pass ends. No pass
-allocates per chunk beyond per-unit vectors. `asymptotic_report` reads
+w from the allocation rule's own guard, and drops a chunk's vectors
+before it forms the next chunk's. The view owns every chunk-sized
+buffer a pass writes, each made at its first use and freed with the
+view when the pass ends:
+
+- phi's buffer;
+- the design buffer, which holds d(x, 1) or d(x, 0) in turn; only the
+  criterion pass makes it;
+- the flat buffer: the balance pass's phi w / (rho (1 - rho)), its
+  right-hand sides' weights and h's one temporary, 4 values per unit
+  wide; 6 wide when the pass also sums the M-estimator moments, whose
+  scaled rows, Zu and phi / (rho (1 - rho)) it then holds;
+- for the M-estimator moments alone, two (chunk, 6) score buffers,
+  each holding its arm's design until the score overwrites it, and
+  the residual vector.
+
+So the balance pass has no design buffer, and without the M-estimator
+moments it holds no more than phi's buffer and the 4-wide flat one.
+No pass allocates per chunk beyond per-unit vectors. `asymptotic_report` reads
 the population in three passes, in the order the data dependencies
 allow:
 
@@ -135,19 +148,25 @@ def _rho_star(policy: TargetPolicy, theta: ModelCoefficients, x1: np.ndarray) ->
     return atoms[x1.astype(np.intp) + 1]
 
 
+# the columns of d(x, t), in order: a constant, or the name of a chunk covariate
+_ARM_COLUMNS = {1: (1.0, "x1", 0.0, 0.0, "x2", "x3"), 0: (0.0, 0.0, 1.0, "x1", "x2", "x3")}
+
+
 class _Rows:
     """A view of one slice of at most _CHUNK units; iterating moves it
     to the next slice and yields it. It holds the slices x1, x2, x3, y1
-    and y0 and, under (policy, theta), rho and rr = rho (1 - rho). On
-    first use in a chunk it forms phi = (1, x1, x2, x3), the weight
-    w = 1 / _feature_guard and h = Y(1)/rho + Y(0)/(1 - rho).
+    and y0 and the slice's length n. On first use in a chunk it forms
+    phi = (1, x1, x2, x3) and, under (policy, theta), rho,
+    rr = rho (1 - rho), the weight w = 1 / _feature_guard and
+    h = Y(1)/rho + Y(0)/(1 - rho); moving on drops them before the next
+    chunk's are formed.
 
     The view owns the chunk-sized buffers, each made on first use and
-    refilled in place at every chunk: phi's; one design buffer, which
-    arm(t) fills with d(x, t); and the M-estimator scratch that scratch()
-    hands out. They are freed with the view when its pass ends."""
+    refilled in place at every chunk: phi's; the design buffer, which
+    arm(t) fills with d(x, t); and the named scratch that buffer() hands
+    out. They are freed with the view when its pass ends."""
 
-    _LAZY = ("phi", "w", "h")
+    _LAZY = ("phi", "rho", "rr", "w", "h")
 
     def __init__(self, pop: PopulationSample, policy: TargetPolicy | None = None,
                  theta: ModelCoefficients | None = None) -> None:
@@ -156,83 +175,110 @@ class _Rows:
         self.theta = theta
         self._size = min(len(pop), _CHUNK)  # rows of each chunk-sized buffer
         self._phi: np.ndarray | None = None
-        self._design: np.ndarray | None = None
-        self._scratch: tuple[np.ndarray, ...] | None = None
+        self._buffers: dict[str, np.ndarray] = {}
+        self._held: tuple[int, int] | None = None  # (lo, t) of the design buffer's rows
 
     def __iter__(self) -> Iterator["_Rows"]:
         pop, m = self.pop, len(self.pop)
         for lo in range(0, m, _CHUNK):
+            for name in self._LAZY:
+                self.__dict__.pop(name, None)
             self.lo, self.hi = lo, min(lo + _CHUNK, m)
+            self.n = self.hi - lo
             self.x1, self.x2, self.x3, self.y1, self.y0 = (
                 a[lo : self.hi] for a in (pop.x1, pop.x2, pop.x3, pop.y1, pop.y0)
             )
-            if self.policy is not None:
-                self.rho = _rho_star(self.policy, self.theta, self.x1)
-                self.rr = self.rho * (1.0 - self.rho)
-            for name in self._LAZY:
-                self.__dict__.pop(name, None)
             yield self
+
+    def buffer(self, name: str, width: int) -> np.ndarray:
+        """The chunk's slice of the scratch buffer `name`: width values
+        per unit, flat and C-ordered, contents left from earlier use.
+        Each buffer is made on its first use, at the width asked, so a
+        pass holds only the scratch it uses; no later use asks for more."""
+        if name not in self._buffers:
+            self._buffers[name] = np.empty(width * self._size)
+        return self._buffers[name][: width * self.n]
 
     @cached_property
     def phi(self) -> np.ndarray:
         if self._phi is None:
             self._phi = np.ones((self._size, 4))
-        phi = self._phi[: self.hi - self.lo]
+        phi = self._phi[: self.n]
         phi[:, 1] = self.x1
         phi[:, 2] = self.x2
         phi[:, 3] = self.x3
         return phi
 
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return _rho_star(self.policy, self.theta, self.x1)
+
+    @cached_property
+    def rr(self) -> np.ndarray:
+        rr = np.subtract(1.0, self.rho)
+        rr *= self.rho
+        return rr
+
     def arm_columns(self, t: int) -> tuple[np.ndarray | float, ...]:
         """The six columns of d(x, t): (1, x1, 0, 0, x2, x3) for t = 1
         and (0, 0, 1, x1, x2, x3) for t = 0, constants as floats."""
-        if t:
-            return (1.0, self.x1, 0.0, 0.0, self.x2, self.x3)
-        return (0.0, 0.0, 1.0, self.x1, self.x2, self.x3)
+        return tuple(getattr(self, col) if isinstance(col, str) else col for col in _ARM_COLUMNS[t])
 
-    def arm(self, t: int) -> np.ndarray:
-        """d(x, t) for the chunk, written over the one design buffer, so
-        the previous arm's rows are gone."""
-        if self._design is None:
-            self._design = np.empty((self._size, 6))
-        d = self._design[: self.hi - self.lo]
+    def write_arm(self, d: np.ndarray, t: int) -> np.ndarray:
+        """d(x, t) for the chunk, written over the (n, 6) array d."""
         for k, col in enumerate(self.arm_columns(t)):
             d[:, k] = col
         return d
 
-    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The chunk's slices of the M-estimator scratch: a flat buffer
-        of 6 values per unit and two (n, 6) buffers, all C-ordered, and
-        an (n,) vector; contents are left from the previous chunk."""
-        if self._scratch is None:
-            n = self._size
-            self._scratch = (np.empty(6 * n), np.empty((n, 6)), np.empty((n, 6)), np.empty(n))
-        n = self.hi - self.lo
-        flat, s1, s0, r = self._scratch
-        return flat[: 6 * n], s1[:n], s0[:n], r[:n]
+    def arm(self, t: int) -> np.ndarray:
+        """d(x, t) for the chunk in the design buffer. Only the columns
+        that differ from the rows it holds are written: both arms share
+        x2 and x3, and a constant column stays across chunks."""
+        d = self.buffer("design", 6).reshape(self.n, 6)
+        held = self._held
+        for k, (col, value) in enumerate(zip(_ARM_COLUMNS[t], self.arm_columns(t))):
+            if held is None or _ARM_COLUMNS[held[1]][k] != col or (
+                isinstance(col, str) and held[0] != self.lo
+            ):
+                d[:, k] = value
+        self._held = (self.lo, t)
+        return d
 
     @cached_property
     def w(self) -> np.ndarray:
-        phi_norm = np.sqrt(1.0 + self.x1**2 + self.x2**2 + self.x3**2)
+        # |phi| = sqrt(((1 + x1^2) + x2^2) + x3^2), summed in that order
+        w = np.square(self.x1)
+        w += 1.0
+        for x in (self.x2, self.x3):
+            w += np.square(x)
+        np.sqrt(w, out=w)
         _, c_theta = derive_constants(self.policy, self.theta)
-        return 1.0 / _feature_guard(phi_norm, self.rho, c_theta)
+        return np.divide(1.0, _feature_guard(w, self.rho, c_theta, out=w), out=w)
 
     @cached_property
     def h(self) -> np.ndarray:
-        return self.y1 / self.rho + self.y0 / (1.0 - self.rho)
+        # h borrows the flat buffer for its one temporary, so it is not
+        # formed while that buffer holds values still to be read
+        h = np.divide(self.y1, self.rho)
+        q = np.subtract(1.0, self.rho, out=self.buffer("flat", 1))
+        h += np.divide(self.y0, q, out=q)
+        return h
 
 
 def _criterion_pass(pop: PopulationSample) -> tuple[np.ndarray, np.ndarray]:
     """Pass 1. Mp = E[(d1 d1' + d0 d0') / 2] and E[(d1 Y(1) + d0 Y(0)) / 2]:
-    the population normal equations of the working model."""
+    the population normal equations of the working model. The arms
+    alternate in order across chunks, so a chunk's first arm is the one
+    the design buffer holds: about 7 column writes per chunk, not 12."""
     gram = np.zeros((6, 6))
     rhs = np.zeros(6)
-    for c in _Rows(pop):
-        d = c.arm(1)
-        gram1, rhs1 = d.T @ d, d.T @ c.y1
-        d = c.arm(0)
-        gram += 0.5 * (gram1 + d.T @ d)
-        rhs += 0.5 * (rhs1 + d.T @ c.y0)
+    for i, c in enumerate(_Rows(pop)):
+        moments = {}
+        for t in (1, 0) if i % 2 == 0 else (0, 1):
+            d = c.arm(t)
+            moments[t] = d.T @ d, d.T @ (c.y1 if t else c.y0)
+        gram += 0.5 * (moments[1][0] + moments[0][0])
+        rhs += 0.5 * (moments[1][1] + moments[0][1])
     return gram / len(pop), rhs / len(pop)
 
 
@@ -257,11 +303,15 @@ class _MestSums:
       phi_quad= E[phi phi' / (rho(1-rho))],
       zu_mom  = E[Zu Zu'],  zu_mean = E[Zu].
 
-    add() writes every chunk-sized value into the chunk view's buffers:
-    the residual r = y - d theta* into its vector; the scaled rows
-    r d(x, t)' into the flat buffer as a (6, n) block, then zu as (n, 6),
-    then phi / rr as (n, 4); the arm scores s1 and s0 into the two (n, 6)
-    buffers, s1 becoming Zc and s0 then holding Zc rr and Zc w."""
+    add() writes every chunk-sized value into the chunk view's scratch
+    and makes no design buffer; it runs first in its chunk. Each arm's
+    d(x, t) goes into its score buffer s_t, where only the residual
+    r = y - d theta* reads it before the score overwrites it; r goes
+    into the vector "r"; the scaled rows r d(x, t)' go into the flat
+    buffer as a (6, n) block, which then holds zu as (n, 6) and
+    phi / rr as (n, 4). s1 becomes Zc, s0 then holds Zc rr and Zc w,
+    and "r" holds 0.5 / rho and 0.5 / (1 - rho) once the residuals
+    are spent."""
 
     def __init__(self, theta_star: ModelCoefficients, minv: np.ndarray) -> None:
         self.ts = theta_star.as_array()
@@ -274,11 +324,13 @@ class _MestSums:
         self.zu_mean = np.zeros(6)
 
     def add(self, c: _Rows) -> None:
-        flat, s1, s0, r = c.scratch()
-        n = r.shape[0]
+        n = c.n
+        r = c.buffer("r", 1)
+        flat = c.buffer("flat", 6)
         rows = flat.reshape(6, n)
+        s1, s0 = (c.buffer(name, 6).reshape(n, 6) for name in ("s1", "s0"))
         for t, y, s in ((1, c.y1, s1), (0, c.y0, s0)):
-            np.subtract(y, np.matmul(c.arm(t), self.ts, out=r), out=r)
+            np.subtract(y, np.matmul(c.write_arm(s, t), self.ts, out=r), out=r)
             for k, col in enumerate(c.arm_columns(t)):
                 np.multiply(r, col, out=rows[k])
             # rows of s are the (d2 criterion)^-1 score of arm t
@@ -287,8 +339,8 @@ class _MestSums:
         zu *= 0.5
         self.zu_mom += zu.T @ zu
         self.zu_mean += zu.sum(axis=0)
-        s1 *= (0.5 / c.rho)[:, None]
-        s0 *= (0.5 / (1.0 - c.rho))[:, None]
+        s1 *= np.divide(0.5, c.rho, out=r)[:, None]
+        s0 *= np.divide(0.5, np.subtract(1.0, c.rho, out=r), out=r)[:, None]
         zc = np.subtract(s1, s0, out=s1)
         self.zc_quad += np.multiply(zc, c.rr[:, None], out=s0).T @ zc
         self.zc_phi += zc.T @ c.phi
@@ -332,14 +384,17 @@ def _balance_pass(
     z_rhs = np.zeros(4)
     h_rhs = np.zeros(4)
     for c in _Rows(pop, policy, theta):
-        phi, w, rr = c.phi, c.w, c.rr
-        g += (phi * (w / rr)[:, None]).T @ phi
-        if z is not None:
-            z_rhs += phi.T @ (z[c.lo : c.hi] * w / rr)
-        if ipw:
-            h_rhs += phi.T @ (c.h * w)
         if mest is not None:
-            mest.add(c)
+            mest.add(c)  # first, so that it makes the flat buffer 6 wide
+        # phi w / rr goes into the flat buffer, which then holds each
+        # right-hand side's weights in turn
+        flat = c.buffer("flat", 4)
+        g += np.multiply(c.phi, (c.w / c.rr)[:, None], out=flat.reshape(c.n, 4)).T @ c.phi
+        if z is not None:
+            v = np.multiply(z[c.lo : c.hi], c.w, out=flat[: c.n])
+            z_rhs += c.phi.T @ np.divide(v, c.rr, out=v)
+        if ipw:
+            h_rhs += c.phi.T @ np.multiply(c.h, c.w, out=flat[: c.n])
     m = len(pop)
     return g / m, z_rhs / m, h_rhs / m
 
@@ -358,13 +413,13 @@ def _residual_pass(
     given; 0 otherwise."""
     s_z = s_ipw = 0.0
     for c in _Rows(pop, policy, theta):
-        phi, rr = c.phi, c.rr
+        # each residual goes into the flat buffer, after h is formed
         if z is not None:
-            resid = z[c.lo : c.hi] - phi @ a
-            s_z += float(np.sum(resid * resid / rr))
+            resid = np.subtract(z[c.lo : c.hi], c.phi @ a, out=c.buffer("flat", 1))
+            s_z += float(np.sum(np.divide(resid * resid, c.rr, out=resid)))
         if a_ipw is not None:
-            resid = c.h - (phi @ a_ipw) / rr
-            s_ipw += float(np.sum(rr * resid * resid))
+            resid = np.subtract(c.h, (c.phi @ a_ipw) / c.rr, out=c.buffer("flat", 1))
+            s_ipw += float(np.sum(np.multiply(c.rr * resid, resid, out=resid)))
     m = len(pop)
     return s_z / m, s_ipw / m
 

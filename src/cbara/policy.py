@@ -249,9 +249,12 @@ def _allocation_prob_raw(
     return rho - p_theta * dot / denom
 
 
-def _feature_guard(phi_norm: np.ndarray, rho: np.ndarray, c_theta) -> np.ndarray:
-    """The allocation rule's feature-norm guard, elementwise."""
-    return np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta)
+def _feature_guard(
+    phi_norm: np.ndarray, rho: np.ndarray, c_theta, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The allocation rule's feature-norm guard, elementwise, into out
+    when given (out may be phi_norm)."""
+    return np.maximum(phi_norm / (rho * (1.0 - rho)), c_theta, out=out)
 
 
 def clamp_allocation(raw: float, g_floor: float) -> float:

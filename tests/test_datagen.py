@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbara import datagen
 from cbara.datagen import (
     CovariateVector,
     Scenario,
@@ -61,6 +62,44 @@ def test_same_seed_same_stream():
     b = draw_unit_arrays(Scenario(ScenarioId.B, 0.5), 64, np.random.default_rng(19))
     for left, right in zip(a, b):
         np.testing.assert_array_equal(left, right)
+
+
+def _one_expression_draw(scenario, n, rng):
+    """draw_unit_arrays as one expression per array, fresh arrays throughout."""
+    g = rng.standard_normal((n, 3)) @ datagen._CHOL.T
+    x1 = np.where(g[:, 0] < datagen._Q25, -1.0, np.where(g[:, 0] > datagen._Q75, 1.0, 0.0))
+    if scenario.id is ScenarioId.DISCRETE:
+        x2 = np.zeros(n)
+        x3 = np.zeros(n)
+    else:
+        x2 = np.clip(g[:, 1], -2.0, 2.0) / 2.0
+        x3 = 2.0 * datagen._load_ndtr()(g[:, 2]) - 1.0
+    eps_z = 0.2 * rng.standard_normal(n)
+    zstar = np.tanh(0.8 * x1 + 0.5 * x2 * x2 - 0.3 * x3 + 0.1 * x1 * x3) + eps_z
+    (i1, s1, b2_1, b3_1), (i0, s0, b2_0, b3_0) = datagen._ARM_COEFFS[scenario.id]
+    y1 = i1 + s1 * x1 + b2_1 * x2 + b3_1 * x3
+    y0 = i0 + s0 * x1 + b2_0 * x2 + b3_0 * x3
+    if scenario.outcome_noise_sd > 0.0:
+        eps = scenario.outcome_noise_sd * rng.standard_normal(n)
+        y1 = y1 + eps
+        y0 = y0 + eps
+    return x1, x2, x3, y1, y0, zstar
+
+
+@pytest.mark.parametrize("n", [1, 256, 200_001])
+@pytest.mark.parametrize("noise", [0.0, 0.7])
+@pytest.mark.parametrize("sid", list(ScenarioId), ids=lambda s: s.value)
+def test_draw_is_the_one_expression_form_bit_for_bit(sid, noise, n):
+    # the draw builds its arrays in place with one scratch vector; each
+    # array equals the one-expression form to the last bit, and the
+    # generator ends in the same state
+    scenario = Scenario(sid, noise)
+    rng, ref_rng = np.random.default_rng(20), np.random.default_rng(20)
+    got = draw_unit_arrays(scenario, n, rng)
+    want = _one_expression_draw(scenario, n, ref_rng)
+    for name, left, right in zip(("x1", "x2", "x3", "y1", "y0", "zstar"), got, want):
+        assert left.tobytes() == right.tobytes(), name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_true_ate_values():

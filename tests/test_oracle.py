@@ -27,7 +27,9 @@ from cbara.policy import (
     Family,
     ModelCoefficients,
     TargetPolicy,
+    _feature_guard,
     allocation_prob,
+    derive_constants,
     target_ratio_from_x1,
 )
 
@@ -230,9 +232,11 @@ def test_report_pieces_agree_on_a_ragged_last_chunk():
 
 
 def _plain_sums(pop, policy, theta, minv):
-    """The criterion normal equations and the six M-estimator moment
-    sums, one fresh array per expression, from d1/d0 stacked anew out
-    of each chunk's slices; the chunk view gives only rho, rr, w, phi."""
+    """The criterion normal equations, the balance sums and the six
+    M-estimator moment sums, one fresh array per expression, from d1/d0
+    stacked anew out of each chunk's slices; the chunk view gives only
+    rho and phi. On the way it checks that the view's in-place rr, w
+    and h are the plain expressions to the last bit."""
     gram, rhs = np.zeros((6, 6)), np.zeros(6)
     for c in oracle._Rows(pop):
         n = c.hi - c.lo
@@ -242,12 +246,26 @@ def _plain_sums(pop, policy, theta, minv):
         gram += 0.5 * (d1.T @ d1 + d0.T @ d0)
         rhs += 0.5 * (d1.T @ c.y1 + d0.T @ c.y0)
     ts, neg_minv_t = theta.as_array(), -minv.T
+    _, c_theta = derive_constants(policy, theta)
     sums = dict(
+        g=np.zeros((4, 4)), z_rhs=np.zeros(4), h_rhs=np.zeros(4),
         zc_quad=np.zeros((6, 6)), zc_phi=np.zeros((6, 4)), h_mat=np.zeros((6, 4)),
         phi_quad=np.zeros((4, 4)), zu_mom=np.zeros((6, 6)), zu_mean=np.zeros(6),
     )
     for c in oracle._Rows(pop, policy, theta):
         n = c.hi - c.lo
+        rho, phi = c.rho, c.phi
+        rr = rho * (1.0 - rho)
+        phi_norm = np.sqrt(1.0 + c.x1**2 + c.x2**2 + c.x3**2)
+        w = 1.0 / _feature_guard(phi_norm, rho, c_theta)
+        h = c.y1 / rho + c.y0 / (1.0 - rho)
+        assert c.rr.tobytes() == rr.tobytes()
+        assert c.w.tobytes() == w.tobytes()
+        assert c.h.tobytes() == h.tobytes()
+        z = pop.zstar[c.lo : c.hi]
+        sums["g"] += (phi * (w / rr)[:, None]).T @ phi
+        sums["z_rhs"] += phi.T @ (z * w / rr)
+        sums["h_rhs"] += phi.T @ (h * w)
         one, zero = np.ones(n), np.zeros(n)
         d1 = np.column_stack([one, c.x1, zero, zero, c.x2, c.x3])
         d0 = np.column_stack([zero, zero, one, c.x1, c.x2, c.x3])
@@ -255,12 +273,12 @@ def _plain_sums(pop, policy, theta, minv):
         r0 = c.y0 - d0 @ ts
         s1 = (r1 * d1.T).T @ neg_minv_t
         s0 = (r0 * d0.T).T @ neg_minv_t
-        zc = (0.5 / c.rho)[:, None] * s1 - (0.5 / (1.0 - c.rho))[:, None] * s0
+        zc = (0.5 / rho)[:, None] * s1 - (0.5 / (1.0 - rho))[:, None] * s0
         zu = 0.5 * (s1 + s0)
-        sums["zc_quad"] += (zc * c.rr[:, None]).T @ zc
-        sums["zc_phi"] += zc.T @ c.phi
-        sums["h_mat"] += (zc * c.w[:, None]).T @ c.phi
-        sums["phi_quad"] += (c.phi / c.rr[:, None]).T @ c.phi
+        sums["zc_quad"] += (zc * rr[:, None]).T @ zc
+        sums["zc_phi"] += zc.T @ phi
+        sums["h_mat"] += (zc * w[:, None]).T @ phi
+        sums["phi_quad"] += (phi / rr[:, None]).T @ phi
         sums["zu_mom"] += zu.T @ zu
         sums["zu_mean"] += zu.sum(axis=0)
     return gram / len(pop), rhs / len(pop), sums
@@ -287,25 +305,73 @@ def test_chunk_buffers_give_the_plain_expressions_bit_for_bit(scenario, family):
     assert rhs.tobytes() == want_rhs.tobytes()
     assert theta == ModelCoefficients.from_array(oracle._solve_active(pop, want_gram, want_rhs))
     mest = oracle._MestSums(theta, minv)
-    oracle._balance_pass(pop, policy, theta, mest=mest)
+    got = dict(zip(
+        ("g", "z_rhs", "h_rhs"),
+        oracle._balance_pass(pop, policy, theta, z=pop.zstar, ipw=True, mest=mest),
+    ))
     for name, value in want.items():
-        assert getattr(mest, name).tobytes() == value.tobytes(), name
+        if name in got:
+            assert got[name].tobytes() == (value / m).tobytes(), name
+        else:
+            assert getattr(mest, name).tobytes() == value.tobytes(), name
 
 
-def test_asymptotic_report_stays_within_seven_chunk_designs():
-    # the passes' chunk-sized buffers and temporaries peak at about 6.2
-    # (chunk, 6) float arrays above the population itself; numpy reports
-    # its data allocations to tracemalloc, so the figure is exact
-    pop = PopulationSample(Scenario(ScenarioId.A), seed=314, m=2 * oracle._CHUNK + 1)
-    policy = TargetPolicy(family=Family.LOGISTIC)
+def _traced_peak(fn):
+    """tracemalloc's peak over one call of fn, above what was traced
+    before it, in bytes; numpy reports its data allocations to
+    tracemalloc, so the figure is exact."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        asymptotic_report(pop, policy)
+        fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 7 * oracle._CHUNK * 6 * 8
+    return peak - start
+
+
+def test_population_sample_stays_within_seven_and_a_half_arrays():
+    # the draw builds its six outputs in place: at most the (m, 3)
+    # normals plus three outputs, or the six outputs plus one scratch
+    # vector, are alive at once
+    PopulationSample(Scenario(ScenarioId.A), seed=0, m=1)  # loads scipy.special untraced
+    m = 200_001
+    peak = _traced_peak(lambda: PopulationSample(Scenario(ScenarioId.A, 0.7), seed=315, m=m))
+    assert peak <= 7.5 * m * 8
+
+
+@pytest.fixture(scope="module")
+def pop_two_chunks():
+    # two full chunks and one unit, so the second chunk reuses the first's buffers
+    return PopulationSample(Scenario(ScenarioId.A), seed=314, m=2 * oracle._CHUNK + 1)
+
+
+def test_asymptotic_report_stays_within_seven_chunk_designs(pop_two_chunks):
+    # the passes' chunk-sized buffers and temporaries, above the
+    # population itself, in (chunk, 6) float arrays; the five-design
+    # test below is the tight bound
+    policy = TargetPolicy(family=Family.LOGISTIC)
+    peak = _traced_peak(lambda: asymptotic_report(pop_two_chunks, policy))
+    assert peak <= 7 * oracle._CHUNK * 6 * 8
+
+
+def test_asymptotic_report_stays_within_five_chunk_designs(pop_two_chunks):
+    # no design buffer in the balance pass and no chunk's vectors alive
+    # into the next: about 4.7 (chunk, 6) float arrays
+    policy = TargetPolicy(family=Family.LOGISTIC)
+    peak = _traced_peak(lambda: asymptotic_report(pop_two_chunks, policy))
+    assert peak <= 5 * oracle._CHUNK * 6 * 8
+
+
+@pytest.mark.parametrize("call", ["balance_coeff_a", "ipw_asym_var"])
+def test_a_balance_only_pass_holds_no_mest_scratch(pop_two_chunks, call):
+    # phi, the 4-wide flat buffer, rho, rr, w and one more vector: about
+    # 2.0 chunk designs; the M-estimator scratch alone would add 2.2
+    policy = TargetPolicy(family=Family.LOGISTIC)
+    theta = oracle_theta_star(pop_two_chunks)
+    fn = {"balance_coeff_a": balance_coeff_a, "ipw_asym_var": ipw_asym_var}[call]
+    peak = _traced_peak(lambda: fn(pop_two_chunks, theta, policy))
+    assert peak <= 2.1 * oracle._CHUNK * 6 * 8
 
 
 @pytest.mark.parametrize(

@@ -42,13 +42,16 @@ def test_oracle_cost_runs(tmp_path):
         "oracle_cost.py", ["--m", "2000", "--repeats", "1", "--json", str(out)],
         "call,m,seconds,peak_mb",
     )
-    # the JSON holds the printed rows, each call with its traced peak
+    # the JSON holds the printed rows, each call with its traced peak,
+    # and the report process's peak RSS
     written = json.loads(out.read_text())
     assert written["machine"] == lines[-1]
+    assert lines[-2] == f"# rss_mb: {written['rss_mb']:.2f}"
+    assert written["rss_mb"] > 0
     rows = written["calls"]
     assert [
         f"{r['call']},{r['m']},{r['seconds']:.4f},{r['peak_mb']:.2f}" for r in rows
-    ] == lines[1:-1]
+    ] == lines[1:-2]
     assert rows[1]["call"] == "asymptotic_report"
     assert all(r["m"] == 2000 and r["peak_mb"] > 0 for r in rows)
 

@@ -131,9 +131,10 @@ def next_theta_rows(
     near = np.flatnonzero(sum_columns(delta * delta) > bound * bound * (1.0 - 1e-9))
     dn = delta[near]
     dist = np.sqrt(np.matmul(dn[:, None, :], dn[:, :, None])[:, 0, 0])
-    far = near[~(dist <= bound)]
+    over = ~(dist <= bound)
+    far = near[over]
     if not len(far):
         return eta
     out = eta.copy()
-    out[far] = prev[far] + delta[far] * (bound / dist[~(dist <= bound)])[:, None]
+    out[far] = prev[far] + delta[far] * (bound / dist[over])[:, None]
     return out

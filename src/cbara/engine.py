@@ -16,6 +16,18 @@ bit. It costs more than run_trial for one trial and less per trial for
 several, so the harness sends shards of two or more trials to it and a
 single trial to run_trial.
 
+run_lockstep takes its units in blocks of 256 steps and forms once per
+block what no step of the block needs from its own step on: |phi| of
+every unit before the block's steps, and after them the block's terms
+of the running sums (y, rho, rho * rho, the IPW terms and the psi
+increments), each elementwise as run_trial forms it and added to its
+sum with np.add.accumulate, which adds one step at a time, in step
+order. So every sum is run_trial's running sum bit for bit, and the
+step log reads its columns, psi after each step included, from the
+same block arrays. Both engines fit through the estimator's cached
+rank certificate, so a refit factors nothing while a trial's Gram
+stays inside its certified trace.
+
 A lockstep batch may hold any configs that share a step schedule
 (step_schedule): the same n_units, burn_in, response_delay, keep_log,
 fitted columns (active_columns of the scenario, so DiscreteTest runs
@@ -57,10 +69,11 @@ from .policy import (
     allocation_prob_rows,
     clamp_allocation,
     derive_constants,
-    derive_constants_rows,
+    feature_norm_rows,
     increment_scale,
     row_groups,
     sum_columns,
+    target_ratio_and_constants_rows,
     target_ratio_from_x1,
     target_ratio_rows,
 )
@@ -449,6 +462,28 @@ def _clip_budgets(clips, n: int, reps: int) -> np.ndarray:
     return budget
 
 
+def _block_terms(treated, y, rho, z):
+    """A block's (bn, R) terms of the running sums of y, rho, rho * rho,
+    the IPW estimate and psi, in that order, each elementwise as
+    run_trial forms it; made one at a time, so that few are held."""
+    yield y
+    yield rho
+    yield rho * rho
+    yield np.where(treated, y / rho, -y / (1.0 - rho))
+    # a bool t enters t - rho as 0.0 or 1.0
+    yield increment_scale(rho, treated) * z
+
+
+def _add_in_order(total: np.ndarray, terms: np.ndarray, partial: np.ndarray) -> None:
+    """Add terms (bn, R) to total (R,) one step at a time, as a running
+    sum does, and leave total after each step in partial[1:] (partial is
+    (bn + 1, R)); np.add.accumulate adds sequentially."""
+    partial[0] = total
+    partial[1:] = terms
+    np.add.accumulate(partial, axis=0, out=partial)
+    total[:] = partial[-1]
+
+
 def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     """Play out trials that share a step schedule together, one step at
     a time.
@@ -457,7 +492,9 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     units, then one uniform per unit), and its own scenario, policy,
     weighting, mechanism, allocation and frozen theta; every formula is
     evaluated elementwise in run_trial's order, so result r equals
-    run_trial(configs[r]) bit for bit, step log included.
+    run_trial(configs[r]) bit for bit, step log included. A step after
+    theta moved takes its ratios and the rule's (p_theta, c_theta) from
+    one link call; a frozen batch forms (p_theta, c_theta) once.
     """
     if not configs:
         raise ValueError("configs must be nonempty")
@@ -473,6 +510,8 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     clipped = np.array([c.mechanism.kind is MechanismKind.CLIPPED for c in configs])
     balance = np.array([c.allocation is Allocation.BALANCE for c in configs])
     any_balance = balance.any()
+    # some rows balance and some allocate directly
+    mixed = any_balance and not balance.all()
     frozen = cfg.frozen_theta is not None
     keep_log = cfg.keep_log
     burn = cfg.burn_in
@@ -485,16 +524,16 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     theta = np.zeros((reps, 6))
     if frozen:
         theta[:] = [c.frozen_theta.as_array() for c in configs]
-    p_theta, c_theta = derive_constants_rows(pol, theta)
+    # the allocation rule's (p_theta, c_theta) are formed with the ratios
+    # at the first allocation and at the first one after theta moves
+    constants_due = any_balance
     acc = FitStack([c.weighting for c in configs], active_columns(cfg.scenario))
     pending: list[tuple[np.ndarray, ...]] = [()] * min(lag, n_units)
 
     lam = np.zeros((reps, 4))
-    psi = np.zeros(reps)
-    sum_y = np.zeros(reps)
-    sum_rho = np.zeros(reps)
-    sum_rho_sq = np.zeros(reps)
-    ipw_sum = np.zeros(reps)
+    # the running sums of y, rho, rho * rho, the IPW terms and the psi
+    # increments, taken once per block
+    sums = np.zeros((5, reps))
     theta_max_norm = np.sqrt(sum_columns(theta * theta))
     theta_move_sum = np.zeros(reps)
     clip_bound_sum = np.zeros(reps)
@@ -506,15 +545,20 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
 
     i = 0
     while i < n_units:
+        start = i
         bn = min(_BLOCK, n_units - i)
-        # (bn, reps) per quantity, so that step k reads row k; a fresh
+        # (bn, reps) per quantity, so that step k reads row k, after phi's
+        # constant 1: phi[k] is step k's (reps, 4) feature rows. A fresh
         # buffer per block, since pending rows keep views into it
-        draws = np.empty((7, bn, reps))
+        draws = np.empty((8, bn, reps))
+        draws[0] = 1.0
         for r, (c, rng) in enumerate(zip(configs, rngs)):
-            draws[:, :, r] = _draw_block(c.scenario, bn, rng)
-        ax1, ax2, ax3, ay1, ay0, az, au = draws
-        aphi = np.stack((np.ones_like(ax1), ax1, ax2, ax3), axis=2)
-        # step k's treatment of each row, counted per atom after the block
+            draws[1:, :, r] = _draw_block(c.scenario, bn, rng)
+        _, ax1, ax2, ax3, ay1, ay0, az, au = draws
+        phi = draws[:4].transpose(1, 2, 0)
+        phi_norm = feature_norm_rows(phi)
+        # step k's ratio and treatment of each row, read after the block
+        block_rho = np.empty((bn, reps))
         block_treated = np.empty((bn, reps), dtype=bool)
 
         for k in range(bn):
@@ -535,8 +579,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                     went = move > 0.0
                     if went.any():
                         theta = np.where(went[:, None], new, theta)
-                        if any_balance:
-                            p_theta, c_theta = derive_constants_rows(pol, theta)
+                        constants_due = any_balance
                         norm = np.sqrt(sum_columns(theta * theta))
                         theta_max_norm = np.maximum(theta_max_norm, norm)
                     if clips:
@@ -552,32 +595,29 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
             if not frozen and i < burn:
                 rho = g = half
             else:
-                rho = target_ratio_rows(pol, theta, x1)
+                if constants_due:
+                    rho, p_theta, c_theta = target_ratio_and_constants_rows(pol, theta, x1)
+                    constants_due = False
+                else:
+                    rho = target_ratio_rows(pol, theta, x1)
                 if any_balance:
-                    g = allocation_prob_rows(pol, rho, p_theta, c_theta, aphi[k], lam)
-                    g = np.where(balance, g, rho)
+                    g = allocation_prob_rows(pol, rho, p_theta, c_theta, phi[k], phi_norm[k], lam)
+                    if mixed:
+                        g = np.where(balance, g, rho)
                 else:
                     g = rho
 
+            block_rho[k] = rho
             treated = np.less(au[k], g, out=block_treated[k])
             t = treated.astype(np.float64)
-            y = np.where(treated, ay1[k], ay0[k])
-
-            scale = increment_scale(rho, t)
-            lam += scale[:, None] * aphi[k]
-            psi += scale * az[k]
-
-            sum_y += y
-            sum_rho += rho
-            sum_rho_sq += rho * rho
-            ipw_sum += np.where(treated, y / rho, -y / (1.0 - rho))
+            lam += increment_scale(rho, t)[:, None] * phi[k]
 
             if keep_log:
-                log[i, :8] = (x1, ax2[k], ax3[k], rho, g, t, y, az[k])
+                log[i, 4] = g
                 log[i, 8:12] = lam.T
-                log[i, 12] = psi
                 log[i, 13:] = theta.T
             if not frozen:
+                y = np.where(treated, ay1[k], ay0[k])
                 if i + lag <= burn:
                     acc.add(x1, ax2[k], ax3[k], t, y, rho)
                 elif i + lag < n_units:
@@ -585,7 +625,21 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
             i += 1
 
         _count_atoms(ax1, block_treated, atoms)
+        y = np.where(block_treated, ay1, ay0)
+        partial = np.empty((bn + 1, reps))
+        for total, terms in zip(sums, _block_terms(block_treated, y, block_rho, az)):
+            _add_in_order(total, terms, partial)
+        if keep_log:
+            steps = log[start:i]
+            steps[:, :3] = draws[1:4].transpose(1, 0, 2)
+            steps[:, 3] = block_rho
+            steps[:, 5] = block_treated
+            steps[:, 6] = y
+            steps[:, 7] = az
+            # the psi terms were added last: partial holds psi after each step
+            steps[:, 12] = partial[1:]
 
+    sum_y, sum_rho, sum_rho_sq, ipw_sum, psi = sums
     return [
         _result(
             log[:, :, r], n_units, lam[r], psi[r], sum_y[r], sum_rho[r], sum_rho_sq[r],

@@ -10,10 +10,30 @@ ratio in force when its unit was assigned), which is what makes the
 running cross-product accumulator exact: past rows never get
 reweighted.
 
-Every fit, the oracle's included, asks rank_deficient whether its
-normal matrix is usable. It first tries a Cholesky certificate on the
+Every fit asks the eigenvalue rank test whether its normal matrix is
+usable: rank_deficient, which first tries a Cholesky certificate on the
 whole stack and runs eigvalsh only for a batch the certificate cannot
-decide; the verdict is the eigenvalue test's either way.
+decide, so the verdict is the eigenvalue test's either way. The oracle
+calls it directly. FitAccumulator and FitStack reach it through
+_grown_rank_deficient, which first reads a certificate cached from an
+earlier step.
+
+That cache rests on monotonicity. add only ever adds w d d' with
+w > 0, a positive semidefinite rank-one term, so a trial's Gram A_n
+never loses eigenvalue mass: lambda_min(A_n) >= lambda_min(A_m) for
+n >= m. A Cholesky factor of A_m - c tr(A_m) I (c = _WIDE_SHIFT)
+proves lambda_min(A_m) > c tr(A_m) =: floor. While a later Gram keeps
+2 * _RANK_RTOL * tr(A_n) <= floor, it has lambda_min > 2 * _RANK_RTOL
+* tr >= 2 * _RANK_RTOL * lambda_max, so the test passes it, with the
+same factor-2 margin as rank_deficient's own certificate, and no
+factorization runs until the trace has grown c / (2 * _RANK_RTOL) =
+5e4-fold. Rounding stays inside that margin: each of the n rank-one
+terms is formed and added with relative error eps = 2**-53 per
+operation, and |w d_p d_q| <= (w d_p**2 + w d_q**2) / 2, so the stored
+Gram differs from an exactly grown one by a symmetric error of norm at
+most about 6 * n * eps * tr. That stays below half the margin,
+_RANK_RTOL * tr, while n < _RANK_RTOL / (6 * eps), about 1.5e7 fitted
+rows, far more than any trial here.
 """
 from __future__ import annotations
 
@@ -27,6 +47,9 @@ from .datagen import Scenario, ScenarioId
 from .policy import ModelCoefficients, ZERO_COEFFS
 
 _RANK_RTOL = 1e-8
+# the cached certificate's shift, in units of the trace; the Grams of
+# the shipped workloads have lambda_min / trace >= 0.014
+_WIDE_SHIFT = 1e-3
 
 _ALL_COLS = (0, 1, 2, 3, 4, 5)
 _ARM_COLS = (0, 1, 2, 3)
@@ -36,6 +59,19 @@ def active_columns(scenario: Scenario) -> tuple[int, ...]:
     """Design columns the working model is fitted on: the DiscreteTest
     scenario has x2 = x3 = 0, so its shared x2/x3 columns are dropped."""
     return _ARM_COLS if scenario.id is ScenarioId.DISCRETE else _ALL_COLS
+
+
+def _cholesky_certifies(gram: np.ndarray, shift: np.ndarray) -> bool:
+    """True when every matrix of the stack, with its diagonal lowered by
+    its entry of shift, has a finite Cholesky factor: then each has
+    lambda_min > shift, up to O(eps * |A|) rounding. np.linalg.cholesky
+    fails for the whole stack at once."""
+    try:
+        factor = np.linalg.cholesky(gram - shift[..., None, None] * np.eye(gram.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    # a NaN entry can leave the factor NaN without an error
+    return bool(np.isfinite(factor).all())
 
 
 def rank_deficient(gram: np.ndarray) -> np.ndarray:
@@ -50,27 +86,45 @@ def rank_deficient(gram: np.ndarray) -> np.ndarray:
     lambda_min > 2 * _RANK_RTOL * trace >= 2 * _RANK_RTOL * lambda_max,
     and the answer is False for all of them. Cholesky and eigvalsh both
     round by O(eps * |A|), far inside the factor-2 margin, so eigvalsh
-    would pass every such matrix too and the verdict is unchanged.
-    np.linalg.cholesky fails for the whole stack at once, so a stack it
-    cannot certify (a deficient matrix, a non-finite entry, a zero
-    trace) goes whole to the eigvalsh comparisons, as before.
+    would pass every such matrix too and the verdict is unchanged. A
+    stack it cannot certify (a deficient matrix, a non-finite entry, a
+    zero trace) goes whole to the eigvalsh comparisons, as before.
     """
     diag = gram.diagonal(0, -2, -1)
     # a non-finite diagonal skips the certificate before its shift can
     # form inf - inf; scaled before the sum, a finite one cannot overflow
-    if np.isfinite(diag).all():
-        shift = (2.0 * _RANK_RTOL * diag).sum(-1)
-        try:
-            factor = np.linalg.cholesky(gram - shift[..., None, None] * np.eye(gram.shape[-1]))
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            # a NaN entry can leave the factor NaN without an error
-            if np.isfinite(factor).all():
-                # [()] gives one matrix a numpy bool, as the comparisons do
-                return np.zeros(shift.shape, dtype=bool)[()]
+    if np.isfinite(diag).all() and _cholesky_certifies(gram, (2.0 * _RANK_RTOL * diag).sum(-1)):
+        # [()] gives one matrix a numpy bool, as the comparisons do
+        return np.zeros(diag.shape[:-1], dtype=bool)[()]
     eigs = np.linalg.eigvalsh(gram)
     return (eigs[..., -1] <= 0.0) | (eigs[..., 0] < _RANK_RTOL * eigs[..., -1])
+
+
+def _grown_rank_deficient(gram: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """rank_deficient of a stack of Grams (m, k, k), each of which has
+    only grown by positive semidefinite terms since its entry of floor
+    (m,) was set; floor holds a certified lower bound on each smallest
+    eigenvalue, -inf where none is, and is raised in place.
+
+    A Gram whose 2 * _RANK_RTOL * trace is at most its floor passes
+    without a factorization (see the module docstring). The rest, which
+    includes a non-finite trace, try the wide certificate together; if
+    it holds, their floors become _WIDE_SHIFT * trace. A stack it cannot
+    certify goes whole to rank_deficient.
+    """
+    trace = gram.diagonal(0, -2, -1).sum(-1)
+    stale = ~(2.0 * _RANK_RTOL * trace <= floor)
+    if not stale.any():
+        return stale
+    every = stale.all()
+    sub = gram if every else gram[stale]
+    shift = _WIDE_SHIFT * (trace if every else trace[stale])
+    # a finite trace of a grown Gram has a finite diagonal
+    if np.isfinite(shift).all() and _cholesky_certifies(sub, shift):
+        floor[stale] = shift
+        return np.zeros(len(stale), dtype=bool)
+    stale[stale] = rank_deficient(sub)
+    return stale
 
 
 class Weighting(str, Enum):
@@ -96,7 +150,7 @@ class FitAccumulator:
     coefficients are reported as 0. The default keeps all six.
     """
 
-    __slots__ = ("weighting", "active", "_g", "_b", "n", "n_treated")
+    __slots__ = ("weighting", "active", "_g", "_b", "_floor", "n", "n_treated")
 
     def __init__(
         self,
@@ -112,6 +166,7 @@ class FitAccumulator:
         self.active = act
         self._g = [[0.0] * 6 for _ in range(6)]
         self._b = [0.0] * 6
+        self._floor = np.full(1, -np.inf)
         self.n = 0
         self.n_treated = 0
 
@@ -143,8 +198,8 @@ class FitAccumulator:
         """Solve the accumulated normal equations.
 
         Falls back to the supplied coefficients with rank_ok = false
-        when rank_deficient finds the (active-column) normal matrix
-        deficient.
+        when the rank test (_grown_rank_deficient) finds the
+        (active-column) normal matrix deficient.
         """
         if self.n == 0:
             raise ValueError("no rows accumulated")
@@ -152,7 +207,7 @@ class FitAccumulator:
         full = upper + upper.T - np.diag(np.diagonal(upper))
         act = self.active
         sub = full[np.ix_(act, act)]
-        if rank_deficient(sub):
+        if _grown_rank_deficient(sub[None], self._floor)[0]:
             return FitResult(eta=fallback, rank_ok=False, n_used=self.n)
         rhs = np.array(self._b)[list(act)]
         sol = np.linalg.solve(sub, rhs)
@@ -165,30 +220,30 @@ class FitAccumulator:
 class FitStack:
     """FitAccumulator for R trials fed in step: one row per trial per add.
 
-    Each add multiplies the weighted design row with the design row for
-    the 21 upper-triangle cells of every trial's Gram. A row's other-arm
-    cells get exact zeros, so each cell sums the same terms in the same
-    order as in FitAccumulator.add, and fit solves the symmetric
-    matrices FitAccumulator.fit solves. weighted marks the trials
-    whose weightings entry is WEIGHTED; an unweighted trial's rows are
-    multiplied by 1.0, which leaves them exact. All trials share the
-    active columns.
+    Each add takes the outer product of the weighted design row with
+    the design row, one (6, 6) product per trial, and fit reads only its
+    upper triangle (cell (p, q), p <= q, sums w d_p times d_q), mirrored.
+    A row's other-arm cells get exact zeros, so each upper cell sums the
+    same terms in the same order as in FitAccumulator.add, and fit
+    solves the symmetric matrices FitAccumulator.fit solves. weighted
+    marks the trials whose weightings entry is WEIGHTED; an unweighted
+    trial's rows are multiplied by 1.0, which leaves them exact. All
+    trials share the active columns.
     """
 
-    __slots__ = ("weighted", "active", "_cells", "_u", "_b", "n", "n_treated")
-
-    _UPPER = np.triu_indices(6)
+    __slots__ = ("weighted", "active", "_cells", "_u", "_b", "_floor", "n", "n_treated")
 
     def __init__(self, weightings: Sequence[Weighting], active: Sequence[int]) -> None:
         reps = len(weightings)
         self.weighted = np.array([Weighting(w) is Weighting.WEIGHTED for w in weightings])
-        self.active = np.array(active)
-        # cell (p, q) of the full Gram is upper-triangle cell (min, max)
-        cell = np.zeros((6, 6), dtype=np.intp)
-        cell[self._UPPER] = cell.T[self._UPPER] = np.arange(21)
-        self._cells = cell[np.ix_(self.active, self.active)]
-        self._u = np.zeros((reps, 21))
+        act = np.array(active)
+        # all six columns as a slice, so that fit selects them by view
+        self.active = slice(None) if tuple(active) == _ALL_COLS else act
+        # cell (p, q) of the active Gram is flat cell (min, max) of the products
+        self._cells = np.minimum.outer(act, act) * 6 + np.maximum.outer(act, act)
+        self._u = np.zeros((reps, 36))
         self._b = np.zeros((reps, 6))
+        self._floor = np.full(reps, -np.inf)
         self.n = 0
         self.n_treated = np.zeros(reps, dtype=np.int64)
 
@@ -208,39 +263,53 @@ class FitStack:
         """Add one row per trial; t is 1.0 (treated) or 0.0 per trial."""
         d = np.empty((len(t), 6))
         d[:, 0] = t
-        d[:, 1] = t * x1
-        d[:, 2] = 1.0 - t
-        d[:, 3] = d[:, 2] * x1
+        np.subtract(1.0, t, out=d[:, 2])
+        # columns 1 and 3: t * x1 and (1 - t) * x1
+        np.multiply(d[:, 0:4:2], x1[:, None], out=d[:, 1:4:2])
         d[:, 4] = x2
         d[:, 5] = x3
+        treated = t == 1.0
         # an unweighted trial's weight is 1.0, as in FitAccumulator
-        w = np.where(self.weighted, 0.5 / np.where(t == 1.0, rho_used, 1.0 - rho_used), 1.0)
+        w = np.where(self.weighted, 0.5 / np.where(treated, rho_used, 1.0 - rho_used), 1.0)
         wd = d * w[:, None]
-        p, q = self._UPPER
-        self._u += wd[:, p] * d[:, q]
+        self._u += (wd[:, :, None] * d[:, None, :]).reshape(-1, 36)
         self._b += wd * y[:, None]
         self.n += 1
-        self.n_treated += t == 1.0
+        self.n_treated += treated
 
     def fit(self, rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve the normal equations of the trials marked in rows.
 
         Returns (ok, eta): ok marks the trials in rows that pass
-        the rank test (rank_deficient). Row r of eta holds trial r's
-        coefficients (0 outside the active columns) where ok[r], and
+        the rank test (_grown_rank_deficient). Row r of eta holds trial
+        r's coefficients (0 outside the active columns) where ok[r], and
         fallback[r] elsewhere. Only the rows asked for are tested, so a
         trial outside rows cannot keep the certificate from deciding.
+        When every row is asked for and passes, nothing is copied but
+        the Gram cells the solve reads.
         """
         act = self.active
-        sym = self._u[rows][:, self._cells]
-        passed = ~rank_deficient(sym)
-        ok = rows.copy()
-        ok[rows] = passed
-        eta = fallback.copy()
-        if passed.any():
-            sol = np.zeros((int(passed.sum()), 6))
-            sol[:, act] = np.linalg.solve(sym[passed], self._b[ok][:, act, None])[:, :, 0]
-            eta[ok] = sol
+        every = rows.all()
+        # a slice selects every row by view
+        pick = slice(None) if every else rows
+        sym = self._u[pick][:, self._cells]
+        floor = self._floor[pick]
+        passed = ~_grown_rank_deficient(sym, floor)
+        self._floor[pick] = floor
+        if every:
+            ok = passed
+        else:
+            ok = rows.copy()
+            ok[rows] = passed
+        if ok.all():
+            eta = np.zeros_like(fallback)
+            eta[:, act] = np.linalg.solve(sym, self._b[:, act, None])[:, :, 0]
+        else:
+            eta = fallback.copy()
+            if passed.any():
+                sol = np.zeros((int(passed.sum()), 6))
+                sol[:, act] = np.linalg.solve(sym[passed], self._b[ok][:, act, None])[:, :, 0]
+                eta[ok] = sol
         if not np.isfinite(eta).all():
             raise ValueError("fitted coefficients must be finite")
         return ok, eta

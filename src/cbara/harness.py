@@ -24,8 +24,10 @@ for bit, so neither the split nor the shard size changes any result.
 That record, with the log off, is what the scheduler returns: one per
 replication, holding TrialStats, Lambda_N, theta_N, the update totals
 and the per-atom counts. `collect` alone projects it to TrialStats. A
-lockstep row holds about 28 KB of state at its peak (mostly a 256-unit
-block of draws), so a shard of SHARD_MAX rows needs about 56 MB.
+lockstep row holds about 49 KB of state at its peak (mostly two
+256-unit blocks of draws, as a block is drawn while pending responses
+still hold the previous one), so a shard of SHARD_MAX rows needs about
+100 MB.
 
 The parent loads scipy.special (datagen._load_ndtr) just before it
 opens a pool. datagen loads that module only at a process's first draw

@@ -69,6 +69,7 @@ from .policy import (
     _feature_guard,
     allocation_prob_rows,
     derive_constants,
+    feature_norm_rows,
     target_ratio_from_x1,
 )
 
@@ -548,7 +549,8 @@ def invariant_pi_g_check(
     for x in probe_xs:
         rho = target_ratio_from_x1(policy, theta, x.x1)
         phi = np.broadcast_to((1.0, x.x1, x.x2, x.x3), lam.shape)
-        g = allocation_prob_rows(rows, rho, p_theta, c_theta, phi, lam)
+        # the probe's one norm, broadcast over the chain's steps
+        g = allocation_prob_rows(rows, rho, p_theta, c_theta, phi, feature_norm_rows(phi[:1]), lam)
         # summed left to right, as a scalar loop does
         devs.append(abs(float(np.cumsum(g)[-1]) / len(lam) - rho))
     return devs

@@ -10,11 +10,15 @@ ratio clamp the pre-clamp value already lies in [0, 1].
 Each rule is written once for one unit (target_ratio_from_x1,
 derive_constants, _allocation_prob_raw, increment_scale) and once for
 R rows at a time (the *_rows functions), which the lockstep engine
-uses and which equal the scalar forms bit for bit. allocation_prob
+uses and which equal the scalar forms bit for bit. A step whose
+parameter has just moved takes its ratios and its (p_theta, c_theta)
+from one link call (target_ratio_and_constants_rows). allocation_prob
 composes the scalar rule for one covariate vector. The rule's guard
 max(|phi| / (rho (1 - rho)), c_theta) has one numpy owner,
 _feature_guard, which allocation_prob_rows and the oracle's per-unit
 weight both read; _allocation_prob_raw keeps the scalar reference.
+allocation_prob_rows takes |phi| from its caller (feature_norm_rows),
+so the engine forms it once per block of units.
 """
 from __future__ import annotations
 
@@ -124,13 +128,10 @@ def target_ratio_from_x1(policy: TargetPolicy, theta: ModelCoefficients, x1: flo
 
 
 def sum_columns(a: np.ndarray) -> np.ndarray:
-    """Row sums of a 2-D array, adding its columns left to right as a
-    scalar loop does; numpy's own reduction may group the terms
-    differently."""
-    total = a[:, 0] + a[:, 1]
-    for j in range(2, a.shape[1]):
-        total += a[:, j]
-    return total
+    """Sums over the last axis, adding its entries left to right as a
+    scalar loop does. np.add.accumulate is defined as that loop, in one
+    call; numpy's own reduction may group the terms differently."""
+    return np.add.accumulate(a, axis=-1)[..., -1]
 
 
 def row_groups(keys: Sequence[Hashable]) -> list[tuple[Hashable, Union[slice, np.ndarray]]]:
@@ -176,33 +177,41 @@ class PolicyRows:
 def _family_link(
     family: Family, delta: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """_link of one family at each entry of delta. The clamps and
-    1 / (1 + e) run in numpy; only exp and erf need libm's bits, so
-    they are called once per entry, and every value equals _link's."""
+    """_link of one family at each entry of delta, whose last axis
+    runs over the family's rows. The clamps and 1 / (1 + e) run in
+    numpy; only exp and erf need libm's bits, so they are called once
+    per entry, and every value equals _link's."""
     if family is Family.CRD:
-        return np.full(len(delta), 0.5)
+        return np.full(delta.shape, 0.5)
     if family is Family.LOGISTIC:
         # d / -2.0 is -d / 2.0 bit for bit: negation is exact
         u = np.minimum(np.maximum(delta / -2.0, -_EXP_ARG_MAX), _EXP_ARG_MAX)
-        raw = 1.0 / (1.0 + np.array(list(map(math.exp, u.tolist()))))
+        e = np.array(list(map(math.exp, u.ravel().tolist()))).reshape(u.shape)
+        raw = 1.0 / (1.0 + e)
     else:  # probit
         u = np.minimum(np.maximum(delta / 3.0, -_EXP_ARG_MAX), _EXP_ARG_MAX) / _SQRT2
-        raw = 0.5 * (1.0 + np.array(list(map(math.erf, u.tolist()))))
+        raw = 0.5 * (1.0 + np.array(list(map(math.erf, u.ravel().tolist()))).reshape(u.shape))
     return np.minimum(np.maximum(raw, lo), hi)
 
 
 def _link_rows(policy: PolicyRows, delta: np.ndarray) -> np.ndarray:
-    """_link of row r's policy at delta[r], for every row."""
-    out = np.empty(len(delta))
+    """_link of row r's policy at delta[..., r], for every row: the last
+    axis of delta runs over the rows."""
+    out = np.empty(delta.shape)
     for family, rows, lo, hi in policy.links:
-        out[rows] = _family_link(family, delta[rows], lo, hi)
+        out[..., rows] = _family_link(family, delta[..., rows], lo, hi)
     return out
+
+
+def _contrasts(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's arm contrasts (alpha1 - alpha0, gamma1 - gamma0)."""
+    return theta[:, 0] - theta[:, 2], theta[:, 1] - theta[:, 3]
 
 
 def target_ratio_rows(policy: PolicyRows, theta: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """target_ratio_from_x1 for row r of theta (R, 6) at x1[r]."""
-    delta = (theta[:, 0] - theta[:, 2]) + x1 * (theta[:, 1] - theta[:, 3])
-    return _link_rows(policy, delta)
+    alpha, gamma = _contrasts(theta)
+    return _link_rows(policy, alpha + x1 * gamma)
 
 
 def derive_constants(policy: TargetPolicy, theta: ModelCoefficients) -> tuple[float, float]:
@@ -222,13 +231,16 @@ def derive_constants(policy: TargetPolicy, theta: ModelCoefficients) -> tuple[fl
     return p_theta, c_theta
 
 
-def derive_constants_rows(
-    policy: PolicyRows, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p_theta, c_theta) of derive_constants for each row of theta (R, 6)."""
-    delta_max = np.abs(theta[:, 0] - theta[:, 2]) + np.abs(theta[:, 1] - theta[:, 3])
-    rho_max = _link_rows(policy, delta_max)
-    return 1.0 / rho_max, 2.0 / (rho_max * (1.0 - rho_max))
+def target_ratio_and_constants_rows(
+    policy: PolicyRows, theta: np.ndarray, x1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, p_theta, c_theta) for each row of theta (R, 6): rho[r] is
+    target_ratio_rows's, and (p_theta[r], c_theta[r]) is derive_constants
+    of row r, all from one _link_rows call on the stacked contrasts."""
+    alpha, gamma = _contrasts(theta)
+    delta = np.concatenate((alpha + x1 * gamma, np.abs(alpha) + np.abs(gamma)))
+    rho, rho_max = _link_rows(policy, delta.reshape(2, -1))
+    return rho, 1.0 / rho_max, 2.0 / (rho_max * (1.0 - rho_max))
 
 
 def _allocation_prob_raw(
@@ -262,20 +274,31 @@ def clamp_allocation(raw: float, g_floor: float) -> float:
     return min(max(raw, g_floor), 1.0 - g_floor)
 
 
+def feature_norm_rows(phi: np.ndarray) -> np.ndarray:
+    """|phi| over the last axis of phi, summed left to right as in
+    _allocation_prob_raw, one feature at a time, so that no temporary
+    is the size of phi."""
+    total = phi[..., 0] * phi[..., 0]
+    for j in range(1, phi.shape[-1]):
+        total += phi[..., j] * phi[..., j]
+    return np.sqrt(total, out=total)
+
+
 def allocation_prob_rows(
     policy: PolicyRows,
     rho: np.ndarray,
     p_theta: np.ndarray,
     c_theta: np.ndarray,
     phi: np.ndarray,
+    phi_norm: np.ndarray,
     lam: np.ndarray,
 ) -> np.ndarray:
     """Clamped allocation probability for R rows at once: row r is
     clamp_allocation(_allocation_prob_raw(...)) of rho[r], p_theta[r],
     c_theta[r], phi[r] and lam[r] (phi and lam are (R, 4)), with every
-    sum taken left to right as there."""
+    sum taken left to right as there. phi_norm is feature_norm_rows of
+    phi."""
     dot = sum_columns(phi * lam)
-    phi_norm = np.sqrt(sum_columns(phi * phi))
     lam_norm = np.sqrt(sum_columns(lam * lam))
     # a huge c_lambda overflows to inf, as in the scalar rule: raw = rho, its limit
     with np.errstate(over="ignore"):

@@ -223,7 +223,7 @@ def _assert_same_results(got, want):
 
 
 def _assert_lockstep_is_run_trial(cfg, reps=3):
-    cfgs = [replace(cfg, seed=split_seed(cfg.seed, k), keep_log=True) for k in range(reps)]
+    cfgs = [replace(cfg, seed=split_seed(cfg.seed, k)) for k in range(reps)]
     _assert_same_results(run_lockstep(cfgs), [run_trial(c) for c in cfgs])
 
 
@@ -257,9 +257,17 @@ def test_lockstep_equals_run_trial(family, mechanism):
         # the clip budgets sum to inf, as Python floats do in run_trial
         dict(policy=TargetPolicy(family=Family.LOGISTIC),
              mechanism=UpdateMechanism.clipped(1e308, 0.5)),
+        # the last block holds one unit, so its running sums add one step
+        dict(n_units=513),
+        dict(n_units=513, keep_log=False),
+        # responses still pending at a block's end are added in the next
+        dict(n_units=600, response_delay=40),
+        dict(n_units=600, response_delay=40, keep_log=False),
     ],
     ids=["delay-3", "delay-30-burn-5", "delay-past-end", "noise", "frozen", "three-blocks",
-         "c-lambda-1e308", "clip-c0-1e308"],
+         "c-lambda-1e308", "clip-c0-1e308", "one-unit-last-block-log",
+         "one-unit-last-block-no-log", "delay-40-across-blocks-log",
+         "delay-40-across-blocks-no-log"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lockstep_equals_run_trial_in_special_cases(kw):
@@ -532,8 +540,36 @@ _FROZEN_GRID = [
 ]
 
 
+# a batch longer than one 256-unit block, with a response delay: every
+# family, mechanism and allocation, weighted and not, on A and B
+_LONG_MIXED = [
+    _cfg(
+        n_units=530,
+        burn_in=4,
+        response_delay=9,
+        policy=TargetPolicy(family=family),
+        mechanism=mechanism,
+        allocation=allocation,
+        scenario=scenario,
+        weighting=weighting,
+        seed=split_seed(10, k),
+    )
+    for k, (family, mechanism, allocation, scenario, weighting) in enumerate(
+        (
+            (Family.LOGISTIC, _MECHANISMS["clipped"], Allocation.BALANCE,
+             Scenario(ScenarioId.A), Weighting.WEIGHTED),
+            (Family.PROBIT, _MECHANISMS["iru"], Allocation.DIRECT,
+             Scenario(ScenarioId.B, outcome_noise_sd=1.0), Weighting.UNWEIGHTED),
+            (Family.CRD, _MECHANISMS["direct"], Allocation.BALANCE,
+             Scenario(ScenarioId.B), Weighting.WEIGHTED),
+        )
+    )
+]
+
+
 @settings(max_examples=40)
 @given(batches_of_one_schedule())
 @example(_FROZEN_GRID)
+@example(_LONG_MIXED)
 def test_lockstep_equals_run_trial_on_any_shared_schedule(cfgs):
     _assert_same_results(run_lockstep(cfgs), [run_trial(c) for c in cfgs])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbara.datagen import Scenario, ScenarioId, draw_unit_arrays
 from cbara.estimator import (
@@ -8,6 +10,7 @@ from cbara.estimator import (
     Weighting,
     active_columns,
     fit_working_model,
+    _grown_rank_deficient,
     ipw_ate,
     rank_deficient,
 )
@@ -286,3 +289,178 @@ def test_row_validation():
 def test_ipw_empty_rejected():
     with pytest.raises(ValueError):
         ipw_ate([], [], [])
+
+
+# the eps pairs of test_rank_test_near_its_threshold_is_one_verdict:
+# eigenvalue ratios on each side of the 1e-8 threshold
+_NEAR_THRESHOLD = {ScenarioId.A: (9e-5, 2e-4), ScenarioId.DISCRETE: (1.3e-4, 3e-4)}
+
+
+def _stack_grams(stack):
+    """The active Grams a FitStack's fit tests and solves, one per trial."""
+    return stack._u[:, stack._cells]
+
+
+def _accumulator_gram(acc):
+    """The active Gram a FitAccumulator's fit tests, mirrored from its
+    upper triangle as fit mirrors it."""
+    upper = np.array(acc._g)
+    full = upper + upper.T - np.diag(np.diagonal(upper))
+    return full[np.ix_(acc.active, acc.active)]
+
+
+@st.composite
+def growing_trials(draw):
+    """1-4 trials of 40 rows each on one scenario's active columns:
+    nearly collinear rows on either side of the rank threshold, or
+    drawn units at drawn ratios; optionally, one trial's x1 becomes
+    1e200 from a drawn step on, so its Gram turns non-finite."""
+    scenario = draw(st.sampled_from(list(_NEAR_THRESHOLD)))
+    trials = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["below", "above", "units"]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        if kind == "units":
+            rng = np.random.default_rng(seed)
+            units = draw_unit_arrays(Scenario(scenario), 40, rng)
+            cols = _assign(units, rng, 0.2 + 0.6 * rng.random(40))
+        else:
+            eps = _NEAR_THRESHOLD[scenario][kind == "above"]
+            cols = _nearly_collinear(scenario, eps, seed=seed)
+        trials.append([np.array(c, dtype=float) for c in cols])
+    blowup = draw(st.none() | st.tuples(st.integers(0, len(trials) - 1), st.integers(10, 39)))
+    if blowup is not None:
+        r, step = blowup
+        trials[r][0][step:] = 1e200
+    return scenario, trials
+
+
+_CERTIFIED_THEN_INFINITE = (
+    ScenarioId.A,
+    [[np.array(c, dtype=float) for c in _rows(n=40, seed=12, rho=0.4)],
+     [np.array(c, dtype=float) for c in _nearly_collinear(ScenarioId.A, 2e-4)]],
+)
+_CERTIFIED_THEN_INFINITE[1][0][0][30:] = 1e200
+
+
+def _fit_outcome(fit):
+    """What fit() gives: its pass list, or the type of the error it
+    raises."""
+    try:
+        return fit()
+    except (np.linalg.LinAlgError, ValueError) as err:
+        return type(err)
+
+
+def _eigenvalue_outcome(grams):
+    """What a fit over every Gram of the stack gives when the eigenvalue
+    test alone decides: eigvalsh's error, a ValueError when a Gram it
+    passes is non-finite (its coefficients are), or the passing rows."""
+    deficient = _eigvalsh_verdict(grams)
+    if deficient is np.linalg.LinAlgError:
+        return deficient
+    if not np.isfinite(grams[~deficient]).all():
+        return ValueError
+    return (~deficient).tolist()
+
+
+def _near_threshold_pair(scenario):
+    """The nearly collinear trials of one scenario on both sides of the
+    rank threshold, as one case of growing_trials."""
+    return scenario, [
+        [np.array(c, dtype=float) for c in _nearly_collinear(scenario, eps)]
+        for eps in _NEAR_THRESHOLD[scenario]
+    ]
+
+
+@settings(max_examples=60)
+@given(growing_trials())
+@example(_CERTIFIED_THEN_INFINITE)
+@example(_near_threshold_pair(ScenarioId.A))
+@example(_near_threshold_pair(ScenarioId.DISCRETE))
+# a Gram cell of 1e200 squared overflows to inf, and mirroring it forms inf - inf
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_cached_rank_certificate_gives_the_eigenvalue_verdict_at_every_step(case):
+    # Gram sequences that only grow, fed to one FitStack and to one
+    # FitAccumulator per trial: at every step each fit's verdict is the
+    # eigenvalue test's on its Gram, and a Gram that turns non-finite,
+    # certified before or not, is decided by the eigenvalue test again
+    scenario, trials = case
+    active = active_columns(Scenario(scenario))
+    stack = FitStack([Weighting.WEIGHTED] * len(trials), active)
+    accs = [FitAccumulator(Weighting.WEIGHTED, active) for _ in trials]
+    fallback = np.full((len(trials), 6), 9.0)
+    for step in range(40):
+        rows = [[c[step] for c in cols] for cols in trials]
+        stack.add(*(np.array(col) for col in zip(*rows)))
+        for acc, row in zip(accs, rows):
+            acc.add(*row)
+        every = np.ones(len(trials), dtype=bool)
+        want = _eigenvalue_outcome(_stack_grams(stack))
+        assert _fit_outcome(lambda: stack.fit(every, fallback)[0].tolist()) == want
+        for r, acc in enumerate(accs):
+            first = ModelCoefficients.from_array(fallback[r])
+            got = _fit_outcome(lambda: acc.fit(first))
+            want_r = _eigenvalue_outcome(_accumulator_gram(acc)[None])
+            assert (got if isinstance(got, type) else [got.rank_ok]) == want_r
+            if isinstance(want, list):
+                # the same coefficient bits from both accumulators
+                assert got.eta.as_array().tobytes() == stack.fit(every, fallback)[1][r].tobytes()
+
+
+def test_a_certified_gram_that_turns_non_finite_goes_back_to_the_eigenvalue_test(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    full = np.stack([_gram(_rows(n=60, seed=seed)) for seed in (11, 12)])
+    floor = np.full(2, -np.inf)
+    assert _grown_rank_deficient(full, floor).tolist() == [False, False]
+    assert (floor > 0).all() and calls == []
+    # grown by half itself: the cached floor decides, nothing is factored
+    assert _grown_rank_deficient(1.5 * full, floor).tolist() == [False, False]
+    assert calls == []
+    for value in (np.inf, np.nan):
+        grown = 1.5 * full
+        grown[1, 3, 3] = value
+        assert _verdict(grown) is np.linalg.LinAlgError
+        with pytest.raises(np.linalg.LinAlgError):
+            _grown_rank_deficient(grown, floor.copy())
+        assert calls[-1] == (1, 6, 6)
+
+
+def _adaptive_replicate_batch():
+    """The configs of the benchmark's adaptive-replicate workload: ten
+    logistic, weighted, balance, clipped trials of 800 units."""
+    from cbara.adapt import UpdateMechanism
+    from cbara.engine import Allocation, TrialConfig
+    from cbara.harness import ReplicationPlan, replication_configs
+    from cbara.policy import Family, TargetPolicy
+
+    cfg = TrialConfig(
+        n_units=800,
+        scenario=Scenario(ScenarioId.A),
+        policy=TargetPolicy(family=Family.LOGISTIC),
+        weighting=Weighting.WEIGHTED,
+        mechanism=UpdateMechanism.clipped(1.0, 0.5),
+        allocation=Allocation.BALANCE,
+        keep_log=False,
+    )
+    return replication_configs(ReplicationPlan(base_config=cfg, n_reps=10, base_seed=0))
+
+
+def test_a_certified_gram_is_not_factored_again_while_it_grows(monkeypatch):
+    # 780 fitting steps per trial: the certificate is taken a few times
+    # per batch, not once per step, in both engines
+    from cbara.engine import run_lockstep, run_trial
+
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    configs = _adaptive_replicate_batch()
+    results = run_lockstep(configs)
+    assert [r.n_fit_steps for r in results] == [780] * len(configs)
+    assert 1 <= len(calls) <= 5
+    calls.clear()
+    assert run_trial(configs[0]).n_fit_steps == 780
+    assert 1 <= len(calls) <= 5

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,12 +9,15 @@ from cbara.datagen import CovariateVector
 from cbara.policy import (
     Family,
     ModelCoefficients,
+    PolicyRows,
     TargetPolicy,
     ZERO_COEFFS,
     allocation_prob,
     derive_constants,
     increment_scale,
+    target_ratio_and_constants_rows,
     target_ratio_from_x1,
+    target_ratio_rows,
 )
 
 ORIGIN = CovariateVector(0.0, 0.0, 0.0)
@@ -113,6 +117,34 @@ def test_derive_constants_logistic():
     assert target_ratio_from_x1(pol, theta, 1.0) == 0.8
     assert p == pytest.approx(1.25)
     assert c == pytest.approx(2.0 / (0.8 * 0.2))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_ratio_and_constants_rows_are_the_scalar_rules(family):
+    # each row's ratio and (p_theta, c_theta), from one stacked link
+    # call, are target_ratio_from_x1's and derive_constants's bits: rows
+    # of the family under test at three clamps, mixed with the others
+    rng = np.random.default_rng(4)
+    theta = np.concatenate((
+        rng.normal(0.0, 3.0, (300, 6)),
+        rng.normal(0.0, 200.0, (40, 6)),  # both saturations
+        [[0.0, -0.0, -0.0, 0.0, 1.0, 2.0], [-0.0] * 6, [1e300, 0.0, -1e300, 0.0, 0.0, 0.0]],
+    ))
+    x1 = rng.choice([-1.0, 0.0, 1.0], len(theta))
+    others = [TargetPolicy(family=f, clamp_lo=0.3) for f in Family]
+    policies = [
+        TargetPolicy(family=family, clamp_lo=(0.2, 0.35, 0.5)[r % 3]) if r % 2 else others[r % 3]
+        for r in range(len(theta))
+    ]
+    rows = PolicyRows.of(policies)
+    rho, p_theta, c_theta = target_ratio_and_constants_rows(rows, theta, x1)
+    coeffs = [ModelCoefficients.from_array(t) for t in theta]
+    want_rho = np.array([target_ratio_from_x1(p, c, x) for p, c, x in zip(policies, coeffs, x1)])
+    want_p, want_c = np.array([derive_constants(p, c) for p, c in zip(policies, coeffs)]).T
+    assert rho.tobytes() == want_rho.tobytes()
+    assert p_theta.tobytes() == want_p.tobytes()
+    assert c_theta.tobytes() == want_c.tobytes()
+    assert target_ratio_rows(rows, theta, x1).tobytes() == want_rho.tobytes()
 
 
 def test_allocation_worked_example():

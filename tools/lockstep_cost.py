@@ -5,18 +5,22 @@ For each plan of a `cbara table1` config this prints the microseconds
 per trial-step (one unit of one trial) of run_lockstep on that plan's
 replications alone, then the same for every replication of the grid
 as one batch per step schedule, which is how the harness lines up a
-grid before it cuts the line into one shard per worker. The last line
-describes the machine. Each figure is the best of --repeats runs in
-this process, after one untimed warm-up run.
+grid before it cuts the line into one shard per worker. Two fixed
+shapes follow, whatever the config: run_lockstep on the ten trials of
+the benchmark's adaptive-replicate workload (logistic, weighted,
+balance, clipped, N = 800), and run_trial on the first of them alone,
+the scalar path of a one-trial shard (780 of its 800 steps refit). The
+last line describes the machine. Each figure is the best of --repeats
+runs in this process, after one untimed warm-up run.
 
 Run from the repo root:
 
     PYTHONPATH=src python tools/lockstep_cost.py [--config perfbench/table_grid.cfg] [--repeats 3] [--json PATH]
 
 It reads the config and writes nothing unless --json names a file;
-that file then gets the same rows, as "plans" and "batches" lists of
-{batch, rows, n_units, us_per_trial_step} objects, with the config
-path, --repeats and the machine line.
+that file then gets the same rows, as "plans", "batches" and "shapes"
+lists of {batch, rows, n_units, us_per_trial_step} objects, with the
+config path, --repeats and the machine line.
 """
 from __future__ import annotations
 
@@ -25,21 +29,43 @@ import json
 import pathlib
 import time
 
+from cbara.adapt import UpdateMechanism
 from cbara.cli import grid_plans, parse_config
-from cbara.engine import run_lockstep, step_schedule
-from cbara.harness import replication_configs
+from cbara.datagen import Scenario, ScenarioId
+from cbara.engine import Allocation, TrialConfig, run_lockstep, run_trial, step_schedule
+from cbara.estimator import Weighting
+from cbara.harness import ReplicationPlan, replication_configs
+from cbara.policy import Family, TargetPolicy
 from machine import machine_line
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+# the ten trials of perfbench's adaptive-replicate workload at seed 0
+ADAPTIVE_REPLICATE = replication_configs(ReplicationPlan(
+    base_config=TrialConfig(
+        n_units=800,
+        scenario=Scenario(ScenarioId.A),
+        policy=TargetPolicy(family=Family.LOGISTIC),
+        weighting=Weighting.WEIGHTED,
+        mechanism=UpdateMechanism.clipped(1.0, 0.5),
+        allocation=Allocation.BALANCE,
+        keep_log=False,
+    ),
+    n_reps=10,
+    base_seed=0,
+))
+
+
 def us_per_step(configs, repeats: int) -> float:
-    """Best time of run_lockstep(configs), in us per trial-step."""
-    run_lockstep(configs)
+    """Best time of run_lockstep(configs), or of run_trial on a single
+    config, in us per trial-step."""
+    run = run_lockstep if len(configs) > 1 else lambda cfgs: run_trial(cfgs[0])
+    run(configs)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        run_lockstep(configs)
+        run(configs)
         best = min(best, time.perf_counter() - start)
     steps = sum(c.n_units for c in configs)
     return best / steps * 1e6
@@ -54,7 +80,7 @@ def main() -> None:
     with open(args.config, encoding="utf-8") as fh:
         plans = grid_plans(parse_config(fh.read()))
 
-    rows = {"plans": [], "batches": []}
+    rows = {"plans": [], "batches": [], "shapes": []}
 
     def emit(kind, label, configs):
         row = {
@@ -81,6 +107,8 @@ def main() -> None:
             batches.setdefault(step_schedule(cfg), []).append(cfg)
     for k, batch in enumerate(batches.values(), start=1):
         emit("batches", f"grid {k}/{len(batches)}", batch)
+    emit("shapes", "adaptive-replicate", ADAPTIVE_REPLICATE)
+    emit("shapes", "adaptive-replicate run_trial", ADAPTIVE_REPLICATE[:1])
     machine = machine_line()
     print(machine)
     if args.json:

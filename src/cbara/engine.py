@@ -7,26 +7,25 @@ allocation parameter through the configured update mechanism, allocates
 by the targeted ratio (optionally imbalance-corrected), and pushes the
 feature and scalar imbalance increments.
 
-There are two paths. run_trial plays one trial with scalar per-step
-bookkeeping; it is the reference. run_lockstep plays R trials together,
-one step at a time, with the state held as (R,), (R, 4), (R, 6) and
-(R, 6, 6) arrays. Every formula is evaluated elementwise in run_trial's
-order, so its results, step log included, equal run_trial's bit for
-bit. It costs more than run_trial for one trial and less per trial for
-several, so the harness sends shards of two or more trials to it and a
-single trial to run_trial.
+There are two paths on one block skeleton. run_trial plays one trial
+with scalar per-step arithmetic; it is the reference. run_lockstep plays
+R trials together, one step at a time, with the state held as (R,),
+(R, 4), (R, 6) and (R, 6, 6) arrays. Every formula is evaluated
+elementwise in run_trial's order, so its results, step log included,
+equal run_trial's bit for bit. It costs more than run_trial for one
+trial and less per trial for several, so the harness sends shards of
+two or more trials to it and a single trial to run_trial.
 
-run_lockstep takes its units in blocks of 256 steps and forms once per
-block what no step of the block needs from its own step on: |phi| of
-every unit before the block's steps, and after them the block's terms
-of the running sums (y, rho, rho * rho, the IPW terms and the psi
-increments), each elementwise as run_trial forms it and added to its
-sum with np.add.accumulate, which adds one step at a time, in step
-order. So every sum is run_trial's running sum bit for bit, and the
-step log reads its columns, psi after each step included, from the
-same block arrays. Both engines fit through the estimator's cached
-rank certificate, so a refit factors nothing while a trial's Gram
-stays inside its certified trace.
+Both take their units in blocks of 256 steps, as (bn, R) arrays (R = 1
+for run_trial), and add a block's terms of the running sums (y, rho,
+rho * rho, the IPW terms and the psi increments) after its steps, each
+elementwise as one step forms it, with np.add.accumulate, which adds
+one step at a time, in step order. So every sum is a step-by-step
+running sum, and the step log reads its columns, psi after each step
+included, from the same block arrays. run_lockstep also forms |phi| of
+every unit once per block. Both fit through the estimator's cached rank
+certificate, so a refit factors nothing while a trial's Gram stays
+inside its certified trace.
 
 A lockstep batch may hold any configs that share a step schedule
 (step_schedule): the same n_units, burn_in, response_delay, keep_log,
@@ -40,12 +39,14 @@ mechanism are served by one call per step (row_groups). Work that no
 row needs is skipped: an all-direct batch never computes the balance
 rule, and a batch without clipped rows keeps no clip budget.
 
-The two paths differ only in the per-step arithmetic and in the form
-of the response-release rule. The rest has one owner each: _draw_block
-is the one reader of a trial's generator (a block of units, then one
-uniform per unit), _count_atoms adds a block's units and treated units
-at each x1 atom, and _result builds the TrialResult, its TrialStats,
-step log and clip budget check included, once from a trial's end state.
+The two paths differ only in the per-step fit, update, ratio,
+allocation and imbalance arithmetic. The rest has one owner each:
+_draw_block reads a trial's generator (a block of units, then one
+uniform per unit); both release responses through a ring of
+max(response_delay, 1) slots; _end_block closes a block (per-atom
+counts, running sums, the log columns no step writes); and _result
+builds the TrialResult, its TrialStats, step log and clip budget check
+included.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ import numpy as np
 
 from .adapt import MechanismKind, UpdateMechanism, clip_bound, next_theta, next_theta_rows
 from .datagen import X1_ATOMS, Scenario, draw_unit_arrays
-from .estimator import FitAccumulator, FitStack, Weighting, active_columns
+from .estimator import FitAccumulator, FitStack, Weighting, _ipw_terms, active_columns
 from .policy import (
     ModelCoefficients,
     PolicyRows,
@@ -244,29 +245,30 @@ def _norm(values) -> float:
 
 
 def _result(
-    log, n, lam, psi, sum_y, sum_rho, sum_rho_sq, ipw_sum, clip_excess, theta_max_norm,
-    theta, move_sum, bound_sum, clipped, n_fit_steps, atoms,
+    log, n, lam, sums, clip_excess, theta_max_norm, theta, move_sum, bound_sum, clipped,
+    n_fit_steps, atoms,
 ) -> TrialResult:
     """A trial's record from its end state after n steps, each number a
     Python or numpy scalar: log holds its logged steps (none when
-    unlogged) and atoms its (units, treated) counts per x1 atom. Raises
-    unless a clipped trial's parameter moved no farther in total than
-    the sum of its per-update clip budgets, up to rounding."""
+    unlogged), sums its (5,) running sums of y, rho, rho * rho, the IPW
+    terms and psi, and atoms its (units, treated) counts per x1 atom.
+    Raises unless a clipped trial's parameter moved no farther in total
+    than the sum of its per-update clip budgets, up to rounding."""
     move_sum, bound_sum = float(move_sum), float(bound_sum)
     if clipped and move_sum > bound_sum + 1e-9:
         raise RuntimeError(
             f"clipped updates exceeded their cumulative budget: {move_sum} > {bound_sum}"
         )
     lam = tuple(float(v) for v in lam)
-    psi = float(psi)
-    rho_var = float(sum_rho_sq) / n - (float(sum_rho) / n) ** 2
+    sum_y, sum_rho, sum_rho_sq, ipw_sum, psi = sums.tolist()
+    rho_var = sum_rho_sq / n - (sum_rho / n) ** 2
     stats = TrialStats(
         lambda_norm=_norm(lam),
         psi=psi,
         psi_abs=abs(psi),
-        mean_response=float(sum_y) / n,
+        mean_response=sum_y / n,
         target_sd=math.sqrt(rho_var) if rho_var > 0.0 else 0.0,
-        ipw=float(ipw_sum) / n,
+        ipw=ipw_sum / n,
         clip_excess=float(clip_excess),
         theta_max_norm=float(theta_max_norm),
     )
@@ -283,20 +285,75 @@ def _result(
     )
 
 
-def _draw_block(scenario: Scenario, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """A block of n units, then one uniform per unit, as (x1, x2, x3,
-    y1, y0, zstar, u): the one place either engine reads a trial's
-    generator, so both consume it in the same order."""
-    return (*draw_unit_arrays(scenario, n, rng), rng.random(n))
+def _draw_block(scenarios: Sequence[Scenario], rngs, n: int) -> np.ndarray:
+    """A block of n units of each of R trials as one (8, n, R) buffer:
+    phi's constant 1, x1, x2, x3, y1, y0, zstar and one uniform per
+    unit. It is the one place either engine reads a trial's generator:
+    row r's units, then its uniforms, from rngs[r]."""
+    draws = np.empty((8, n, len(rngs)))
+    draws[0] = 1.0
+    for r, (scenario, rng) in enumerate(zip(scenarios, rngs)):
+        draws[1:, :, r] = (*draw_unit_arrays(scenario, n, rng), rng.random(n))
+    return draws
 
 
 def _count_atoms(x1: np.ndarray, treated: np.ndarray, atoms: np.ndarray) -> None:
     """Add a block's units and treated units at each x1 atom to atoms[0]
-    and atoms[1]; x1 and treated are (bn,) or (bn, R)."""
+    and atoms[1], each (3, R); x1 and treated are (bn, R)."""
     for a, atom in enumerate(X1_ATOMS):
         at = x1 == atom
         atoms[0, a] += np.count_nonzero(at, axis=0)
         atoms[1, a] += np.count_nonzero(at & treated, axis=0)
+
+
+def _block_terms(treated, y, rho, z):
+    """A block's (bn, R) terms of the running sums of y, rho, rho * rho,
+    the IPW estimate and psi, in that order, each elementwise as a
+    scalar step forms it; made one at a time, so that few are held."""
+    yield y
+    yield rho
+    yield rho * rho
+    yield _ipw_terms(treated, y, rho)
+    # a bool t enters t - rho as 0.0 or 1.0
+    yield increment_scale(rho, treated) * z
+
+
+def _add_in_order(total: np.ndarray, terms: np.ndarray, partial: np.ndarray) -> None:
+    """Add terms (bn, R) to total (R,) one step at a time, as a running
+    sum does, and leave total after each step in partial[1:] (partial is
+    (bn + 1, R)); np.add.accumulate adds sequentially."""
+    partial[0] = total
+    partial[1:] = terms
+    np.add.accumulate(partial, axis=0, out=partial)
+    total[:] = partial[-1]
+
+
+def _end_block(draws, rho, treated, sums, atoms, steps) -> None:
+    """Close a block: count its units and treated units per x1 atom,
+    add its terms to the running sums (5, R) in step order and, unless
+    steps is None, fill the x1..x3, rho, t, y, zstar and psi columns of
+    steps, the block's (bn, _LOG_WIDTH, R) rows of the log. draws is
+    the block's _draw_block buffer; rho and treated are its steps'
+    (bn, R) ratios and arms."""
+    _, x1, _, _, y1, y0, z, _ = draws
+    _count_atoms(x1, treated, atoms)
+    y = np.where(treated, y1, y0)
+    partial = np.empty((len(rho) + 1, rho.shape[1]))
+    for total, terms in zip(sums, _block_terms(treated, y, rho, z)):
+        _add_in_order(total, terms, partial)
+    if steps is not None:
+        steps[:, :3] = draws[1:4].transpose(1, 0, 2)
+        steps[:, 3] = rho
+        steps[:, 5] = treated
+        steps[:, 6] = y
+        steps[:, 7] = z
+        # the psi terms were added last: partial holds psi after each step
+        steps[:, 12] = partial[1:]
+
+
+# the log columns a step itself writes, in StepLog's order: g, lam (4)
+# and theta (6); _end_block fills the rest
+_STEP_COLUMNS = [4, 8, 9, 10, 11, *range(13, _LOG_WIDTH)]
 
 
 def run_trial(cfg: TrialConfig) -> TrialResult:
@@ -309,52 +366,44 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     rng = np.random.default_rng(cfg.seed)
     pol = cfg.policy
     mech = cfg.mechanism
-    scenario = cfg.scenario
     balance = cfg.allocation is Allocation.BALANCE
     clipped = mech.kind is MechanismKind.CLIPPED
     frozen = cfg.frozen_theta is not None
     keep_log = cfg.keep_log
     burn = cfg.burn_in
-    delay = cfg.response_delay
     n_units = cfg.n_units
     g_floor = pol.g_floor
     c_lambda = pol.c_lambda
+    # row j's response is in hand from step j + lag on, as in run_lockstep
+    lag = max(cfg.response_delay, 1)
 
     theta = cfg.frozen_theta if frozen else ZERO_COEFFS
     p_theta, c_theta = derive_constants(pol, theta)
     theta_row = tuple(theta.as_array().tolist())
 
-    acc = FitAccumulator(weighting=cfg.weighting, active=active_columns(scenario))
-    pending: list[tuple[float, float, float, int, float, float]] = []
-    released = 0
+    acc = FitAccumulator(weighting=cfg.weighting, active=active_columns(cfg.scenario))
+    pending: list[tuple] = [()] * min(lag, n_units)
 
     l0 = l1 = l2 = l3 = 0.0
-    psi = 0.0
-    sum_y = 0.0
-    sum_rho = 0.0
-    sum_rho_sq = 0.0
-    ipw_sum = 0.0
+    sums = np.zeros((5, 1))
     theta_max_norm = _norm(theta_row)
     theta_move_sum = 0.0
     clip_bound_sum = 0.0
     clip_step_excess = 0.0
     n_fit_steps = 0
-    atoms = np.zeros((2, len(X1_ATOMS)), dtype=np.int64)
-    log = array("d")
+    atoms = np.zeros((2, len(X1_ATOMS), 1), dtype=np.int64)
+    log = np.empty((n_units if keep_log else 0, _LOG_WIDTH, 1))
 
     i = 0
     while i < n_units:
+        start = i
         bn = min(_BLOCK, n_units - i)
-        ax1, ax2, ax3, ay1, ay0, az, au = _draw_block(scenario, bn, rng)
-        lx1 = ax1.tolist()
-        lx2 = ax2.tolist()
-        lx3 = ax3.tolist()
-        ly1 = ay1.tolist()
-        ly0 = ay0.tolist()
-        lz = az.tolist()
-        us = au.tolist()
-        # step k's arm, counted per atom after the block
+        draws = _draw_block((cfg.scenario,), (rng,), bn)
+        lx1, lx2, lx3, ly1, ly0, _, us = draws[1:, :, 0].tolist()
+        # step k's ratio and arm, read after the block, and its _STEP_COLUMNS
+        block_rho = [0.0] * bn
         block_t = [0] * bn
+        block_log = array("d")
 
         for k in range(bn):
             x1 = lx1[k]
@@ -362,14 +411,8 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             x3 = lx3[k]
 
             if not frozen and i >= burn:
-                # responses of units with index <= i - delay are in hand
-                target = i - delay + 1
-                if target > i:
-                    target = i
-                while released < target:
-                    row = pending[released]
-                    acc.add(row[0], row[1], row[2], row[3], row[4], row[5])
-                    released += 1
+                if i > burn and i >= lag:
+                    acc.add(*pending[(i - lag) % lag])
                 if acc.has_both_arms:
                     fit = acc.fit(fallback=theta)
                     n_fit_steps += 1
@@ -410,36 +453,35 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
                     g = rho_used
 
             t = 1 if us[k] < g else 0
+            block_rho[k] = rho_used
             block_t[k] = t
-            y = ly1[k] if t else ly0[k]
-            z = lz[k]
 
             scale = increment_scale(rho_used, t)
             l0 += scale
             l1 += scale * x1
             l2 += scale * x2
             l3 += scale * x3
-            psi += scale * z
 
-            sum_y += y
-            sum_rho += rho_used
-            sum_rho_sq += rho_used * rho_used
-            if t:
-                ipw_sum += y / rho_used
-            else:
-                ipw_sum -= y / (1.0 - rho_used)
-
-            if not frozen:
-                pending.append((x1, x2, x3, t, y, rho_used))
             if keep_log:
-                log.extend((x1, x2, x3, rho_used, g, t, y, z, l0, l1, l2, l3, psi, *theta_row))
+                block_log.extend((g, l0, l1, l2, l3, *theta_row))
+            if not frozen:
+                y = ly1[k] if t else ly0[k]
+                if i + lag <= burn:
+                    acc.add(x1, x2, x3, t, y, rho_used)
+                elif i + lag < n_units:
+                    pending[i % lag] = (x1, x2, x3, t, y, rho_used)
             i += 1
-        _count_atoms(ax1, np.array(block_t, dtype=bool), atoms)
+
+        steps = None
+        if keep_log:
+            steps = log[start:i]
+            steps[:, _STEP_COLUMNS, 0] = np.frombuffer(block_log).reshape(bn, -1)
+        treated = np.array(block_t, dtype=bool)[:, None]
+        _end_block(draws, np.array(block_rho)[:, None], treated, sums, atoms, steps)
 
     return _result(
-        np.frombuffer(log).reshape(-1, _LOG_WIDTH), n_units, (l0, l1, l2, l3), psi, sum_y,
-        sum_rho, sum_rho_sq, ipw_sum, clip_step_excess, theta_max_norm, theta_row,
-        theta_move_sum, clip_bound_sum, clipped, n_fit_steps, atoms,
+        log[:, :, 0], n_units, (l0, l1, l2, l3), sums[:, 0], clip_step_excess, theta_max_norm,
+        theta_row, theta_move_sum, clip_bound_sum, clipped, n_fit_steps, atoms[:, :, 0],
     )
 
 
@@ -462,28 +504,6 @@ def _clip_budgets(clips, n: int, reps: int) -> np.ndarray:
     return budget
 
 
-def _block_terms(treated, y, rho, z):
-    """A block's (bn, R) terms of the running sums of y, rho, rho * rho,
-    the IPW estimate and psi, in that order, each elementwise as
-    run_trial forms it; made one at a time, so that few are held."""
-    yield y
-    yield rho
-    yield rho * rho
-    yield np.where(treated, y / rho, -y / (1.0 - rho))
-    # a bool t enters t - rho as 0.0 or 1.0
-    yield increment_scale(rho, treated) * z
-
-
-def _add_in_order(total: np.ndarray, terms: np.ndarray, partial: np.ndarray) -> None:
-    """Add terms (bn, R) to total (R,) one step at a time, as a running
-    sum does, and leave total after each step in partial[1:] (partial is
-    (bn + 1, R)); np.add.accumulate adds sequentially."""
-    partial[0] = total
-    partial[1:] = terms
-    np.add.accumulate(partial, axis=0, out=partial)
-    total[:] = partial[-1]
-
-
 def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     """Play out trials that share a step schedule together, one step at
     a time.
@@ -504,6 +524,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
         raise ValueError("lockstep configs must share a step schedule")
     reps = len(configs)
     rngs = [np.random.default_rng(c.seed) for c in configs]
+    scenarios = [c.scenario for c in configs]
     pol = PolicyRows.of([c.policy for c in configs])
     mechs = row_groups([c.mechanism for c in configs])
     clips = [(m, rows) for m, rows in mechs if m.kind is MechanismKind.CLIPPED]
@@ -516,9 +537,8 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
     keep_log = cfg.keep_log
     burn = cfg.burn_in
     n_units = cfg.n_units
-    # row j's response is in hand from step j + lag on (run_trial's
-    # release rule); rows in hand by step burn are added at once, later
-    # ones wait in a ring of lag slots
+    # row j's response is in hand from step j + lag on; rows in hand by
+    # step burn are added at once, later ones wait in a ring of lag slots
     lag = max(cfg.response_delay, 1)
 
     theta = np.zeros((reps, 6))
@@ -550,10 +570,7 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
         # (bn, reps) per quantity, so that step k reads row k, after phi's
         # constant 1: phi[k] is step k's (reps, 4) feature rows. A fresh
         # buffer per block, since pending rows keep views into it
-        draws = np.empty((8, bn, reps))
-        draws[0] = 1.0
-        for r, (c, rng) in enumerate(zip(configs, rngs)):
-            draws[1:, :, r] = _draw_block(c.scenario, bn, rng)
+        draws = _draw_block(scenarios, rngs, bn)
         _, ax1, ax2, ax3, ay1, ay0, az, au = draws
         phi = draws[:4].transpose(1, 2, 0)
         phi_norm = feature_norm_rows(phi)
@@ -624,27 +641,14 @@ def run_lockstep(configs: Sequence[TrialConfig]) -> list[TrialResult]:
                     pending[i % lag] = (x1, ax2[k], ax3[k], t, y, rho)
             i += 1
 
-        _count_atoms(ax1, block_treated, atoms)
-        y = np.where(block_treated, ay1, ay0)
-        partial = np.empty((bn + 1, reps))
-        for total, terms in zip(sums, _block_terms(block_treated, y, block_rho, az)):
-            _add_in_order(total, terms, partial)
-        if keep_log:
-            steps = log[start:i]
-            steps[:, :3] = draws[1:4].transpose(1, 0, 2)
-            steps[:, 3] = block_rho
-            steps[:, 5] = block_treated
-            steps[:, 6] = y
-            steps[:, 7] = az
-            # the psi terms were added last: partial holds psi after each step
-            steps[:, 12] = partial[1:]
+        steps = log[start:i] if keep_log else None
+        _end_block(draws, block_rho, block_treated, sums, atoms, steps)
 
-    sum_y, sum_rho, sum_rho_sq, ipw_sum, psi = sums
     return [
         _result(
-            log[:, :, r], n_units, lam[r], psi[r], sum_y[r], sum_rho[r], sum_rho_sq[r],
-            ipw_sum[r], clip_step_excess[r], theta_max_norm[r], theta[r], theta_move_sum[r],
-            clip_bound_sum[r], clipped[r], n_fit_steps[r], atoms[:, :, r],
+            log[:, :, r], n_units, lam[r], sums[:, r], clip_step_excess[r], theta_max_norm[r],
+            theta[r], theta_move_sum[r], clip_bound_sum[r], clipped[r], n_fit_steps[r],
+            atoms[:, :, r],
         )
         for r in range(reps)
     ]

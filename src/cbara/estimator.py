@@ -11,12 +11,12 @@ running cross-product accumulator exact: past rows never get
 reweighted.
 
 Every fit asks the eigenvalue rank test whether its normal matrix is
-usable: rank_deficient, which first tries a Cholesky certificate on the
-whole stack and runs eigvalsh only for a batch the certificate cannot
-decide, so the verdict is the eigenvalue test's either way. The oracle
-calls it directly. FitAccumulator and FitStack reach it through
-_grown_rank_deficient, which first reads a certificate cached from an
-earlier step.
+usable: rank_deficient, which compares the eigvalsh extremes. The
+oracle calls it directly. FitAccumulator and FitStack reach it through
+_grown_rank_deficient, which holds the one certificate: a lower bound
+on each trial's smallest eigenvalue, cached from an earlier step, that
+decides most fits without a factorization and sends the rest to
+rank_deficient.
 
 That cache rests on monotonicity. add only ever adds w d d' with
 w > 0, a positive semidefinite rank-one term, so a trial's Gram A_n
@@ -24,8 +24,8 @@ never loses eigenvalue mass: lambda_min(A_n) >= lambda_min(A_m) for
 n >= m. A Cholesky factor of A_m - c tr(A_m) I (c = _WIDE_SHIFT)
 proves lambda_min(A_m) > c tr(A_m) =: floor. While a later Gram keeps
 2 * _RANK_RTOL * tr(A_n) <= floor, it has lambda_min > 2 * _RANK_RTOL
-* tr >= 2 * _RANK_RTOL * lambda_max, so the test passes it, with the
-same factor-2 margin as rank_deficient's own certificate, and no
+* tr >= 2 * _RANK_RTOL * lambda_max, so the test passes it, with a
+factor-2 margin over its _RANK_RTOL comparison, and no
 factorization runs until the trace has grown c / (2 * _RANK_RTOL) =
 5e4-fold. Rounding stays inside that margin: each of the n rank-one
 terms is formed and added with relative error eps = 2**-53 per
@@ -62,10 +62,11 @@ def active_columns(scenario: Scenario) -> tuple[int, ...]:
 
 
 def _cholesky_certifies(gram: np.ndarray, shift: np.ndarray) -> bool:
-    """True when every matrix of the stack, with its diagonal lowered by
-    its entry of shift, has a finite Cholesky factor: then each has
-    lambda_min > shift, up to O(eps * |A|) rounding. np.linalg.cholesky
-    fails for the whole stack at once."""
+    """The cached certificate's test: True when every matrix of the
+    stack, with its diagonal lowered by its entry of shift, has a finite
+    Cholesky factor; then each has lambda_min > shift, up to
+    O(eps * |A|) rounding. np.linalg.cholesky fails for the whole stack
+    at once."""
     try:
         factor = np.linalg.cholesky(gram - shift[..., None, None] * np.eye(gram.shape[-1]))
     except np.linalg.LinAlgError:
@@ -77,25 +78,9 @@ def _cholesky_certifies(gram: np.ndarray, shift: np.ndarray) -> bool:
 def rank_deficient(gram: np.ndarray) -> np.ndarray:
     """The rank test of every fit: True where a symmetric normal matrix,
     or each of a stack of them, has no positive eigenvalue or a smallest
-    eigenvalue below _RANK_RTOL times its largest. A NaN eigenvalue
-    fails both comparisons, so it is not counted as deficient.
-
-    The verdict is reached in two steps. First a certificate: if every
-    matrix of the stack, with its diagonal lowered by 2 * _RANK_RTOL
-    times its trace, has a finite Cholesky factor, then each has
-    lambda_min > 2 * _RANK_RTOL * trace >= 2 * _RANK_RTOL * lambda_max,
-    and the answer is False for all of them. Cholesky and eigvalsh both
-    round by O(eps * |A|), far inside the factor-2 margin, so eigvalsh
-    would pass every such matrix too and the verdict is unchanged. A
-    stack it cannot certify (a deficient matrix, a non-finite entry, a
-    zero trace) goes whole to the eigvalsh comparisons, as before.
-    """
-    diag = gram.diagonal(0, -2, -1)
-    # a non-finite diagonal skips the certificate before its shift can
-    # form inf - inf; scaled before the sum, a finite one cannot overflow
-    if np.isfinite(diag).all() and _cholesky_certifies(gram, (2.0 * _RANK_RTOL * diag).sum(-1)):
-        # [()] gives one matrix a numpy bool, as the comparisons do
-        return np.zeros(diag.shape[:-1], dtype=bool)[()]
+    eigenvalue below _RANK_RTOL times its largest, by eigvalsh. A NaN
+    eigenvalue fails both comparisons, so it is not counted as
+    deficient."""
     eigs = np.linalg.eigvalsh(gram)
     return (eigs[..., -1] <= 0.0) | (eigs[..., 0] < _RANK_RTOL * eigs[..., -1])
 
@@ -107,18 +92,18 @@ def _grown_rank_deficient(gram: np.ndarray, floor: np.ndarray) -> np.ndarray:
     eigenvalue, -inf where none is, and is raised in place.
 
     A Gram whose 2 * _RANK_RTOL * trace is at most its floor passes
-    without a factorization (see the module docstring). The rest, which
-    includes a non-finite trace, try the wide certificate together; if
-    it holds, their floors become _WIDE_SHIFT * trace. A stack it cannot
-    certify goes whole to rank_deficient.
+    without a factorization (see the module docstring). The rest, the
+    stale ones, which include a non-finite trace, try the wide
+    certificate together; if it holds, their floors become _WIDE_SHIFT
+    * trace. A stale stack it cannot certify goes whole to
+    rank_deficient.
     """
     trace = gram.diagonal(0, -2, -1).sum(-1)
     stale = ~(2.0 * _RANK_RTOL * trace <= floor)
     if not stale.any():
         return stale
-    every = stale.all()
-    sub = gram if every else gram[stale]
-    shift = _WIDE_SHIFT * (trace if every else trace[stale])
+    sub = gram[stale]
+    shift = _WIDE_SHIFT * trace[stale]
     # a finite trace of a grown Gram has a finite diagonal
     if np.isfinite(shift).all() and _cholesky_certifies(sub, shift):
         floor[stale] = shift
@@ -348,9 +333,14 @@ def fit_working_model(
     return acc.fit(fallback=fallback)
 
 
+def _ipw_terms(treated, y, rho):
+    """Each unit's IPW term, elementwise: y / rho where treated, else
+    -y / (1 - rho). ipw_ate and the engines' running sums both read it."""
+    return np.where(treated, y / rho, -y / (1.0 - rho))
+
+
 def ipw_ate(t: np.ndarray, y: np.ndarray, rho_used: np.ndarray) -> float:
     """(1/N) Sum of t*y/rho - (1-t)*y/(1-rho), summed left to right."""
     t, rho_used = _check_columns(t, rho_used)
     y = np.asarray(y, dtype=float)
-    terms = np.where(t == 1, y / rho_used, -y / (1.0 - rho_used))
-    return float(np.cumsum(terms)[-1]) / len(t)
+    return float(np.cumsum(_ipw_terms(t == 1, y, rho_used))[-1]) / len(t)

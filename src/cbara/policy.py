@@ -217,12 +217,16 @@ def target_ratio_rows(policy: PolicyRows, theta: np.ndarray, x1: np.ndarray) -> 
 def derive_constants(policy: TargetPolicy, theta: ModelCoefficients) -> tuple[float, float]:
     """(p_theta, c_theta) for the allocation rule.
 
-    rho_max, the largest targeted ratio over the covariate support, is
-    attained at x1 = sign-matched +-1, so the closed form
-    link(|alpha1 - alpha0| + |gamma1 - gamma0|) is exact for the
-    three-point x1 support; p_theta = 1 / rho_max and
+    rho_max = link(|alpha1 - alpha0| + |gamma1 - gamma0|) is the largest
+    of rho(x) and 1 - rho(x) over the three-point x1 support, not the
+    largest ratio: the links and the clamp band are symmetric about 1/2,
+    and the widest contrast is reached at x1 = sign-matched +-1. (At
+    theta = (-2, 1, 0, -1, 0, 0) the logistic ratios are 0.2, 0.269 and
+    0.5, and rho_max = 0.8.) p_theta = 1 / rho_max and
     c_theta = 2 / (rho_max * (1 - rho_max)), 2 being the largest
-    feature norm on the covariate support.
+    feature norm on the covariate support. Since the guard bounds the
+    correction by p_theta * rho * (1 - rho) <= min(rho, 1 - rho), the
+    pre-clamp allocation probability stays inside [0, 1].
     """
     delta_max = abs(theta.alpha1 - theta.alpha0) + abs(theta.gamma1 - theta.gamma0)
     rho_max = _link(policy, delta_max)

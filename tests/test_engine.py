@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cbara.adapt import UpdateMechanism, perfect_squares
 from cbara.datagen import CovariateVector, Scenario, ScenarioId, true_ate
 from cbara.engine import Allocation, StepLog, TrialConfig, _step_log, run_lockstep, run_trial
-from cbara.estimator import Weighting, ipw_ate
+from cbara.estimator import FitAccumulator, FitStack, Weighting, ipw_ate
 from cbara.harness import split_seed
 from cbara.policy import (
     Family,
@@ -136,15 +136,40 @@ def test_delay_shifts_first_update():
     assert not moved_at.size or moved_at.min() >= 41
 
 
+@pytest.mark.parametrize("delay, burn", [(0, 20), (1, 20), (3, 5), (30, 5), (500, 20)])
+def test_each_refit_sees_the_responses_in_hand(monkeypatch, delay, burn):
+    # at step i >= burn_in, both engines' fit holds the responses of
+    # units 0..i - lag, lag = max(delay, 1): has_both_arms is read once
+    # per such step, after the release
+    seen = {FitAccumulator: [], FitStack: []}
+    for cls, counts in seen.items():
+        both = cls.has_both_arms.fget
+        monkeypatch.setattr(
+            cls, "has_both_arms", property(lambda acc, b=both, c=counts: c.append(acc.n) or b(acc))
+        )
+    cfg = _cfg(n_units=300, response_delay=delay, burn_in=burn)
+    run_trial(cfg)
+    run_lockstep([cfg, replace(cfg, seed=5)])
+    lag = max(delay, 1)
+    want = [max(i - lag + 1, 0) for i in range(burn, 300)]
+    assert seen[FitAccumulator] == want
+    assert seen[FitStack] == want
+
+
 def test_summary_fields_recompute_from_log():
-    result = run_trial(_cfg(n_units=140))
-    ys = result.log.y.tolist()
-    assert result.stats.mean_response == pytest.approx(sum(ys) / len(ys))
-    rhos = result.log.rho.tolist()
-    assert result.stats.target_sd == pytest.approx(statistics.pstdev(rhos), abs=1e-12)
-    log = result.log
-    # both sum left to right: exact
-    assert result.stats.ipw == ipw_ate(log.t, log.y, log.rho)
+    # N = 600 ends in a ragged third block of 88 steps; each engine's
+    # block sums equal left-to-right sums over its own log, exactly
+    cfg = _cfg(n_units=600)
+    for result in (run_trial(cfg), run_lockstep([cfg, replace(cfg, seed=7)])[0]):
+        log = result.log
+        n = len(log)
+        ys = log.y.tolist()
+        assert result.stats.mean_response == sum(ys) / n
+        rhos = log.rho.tolist()
+        rho_var = sum(r * r for r in rhos) / n - (sum(rhos) / n) ** 2
+        assert result.stats.target_sd == math.sqrt(rho_var)
+        assert result.stats.target_sd == pytest.approx(statistics.pstdev(rhos), abs=1e-12)
+        assert result.stats.ipw == ipw_ate(log.t, log.y, log.rho)
 
 
 def test_ipw_error_splits_into_effect_and_imbalance_terms():

@@ -232,20 +232,26 @@ def test_rank_certificate_decides_a_whole_stack_or_none_of_it(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     full = np.stack([_gram(_rows(n=60, seed=seed)) for seed in range(11, 15)])
-    # a stack of well-conditioned Grams is decided without eigvalsh
-    assert rank_deficient(full).tolist() == [False] * len(full)
-    assert calls == []
-    # one row the certificate cannot pass sends the whole stack to
-    # eigvalsh, which gives each row its own verdict: A-above is full
-    # rank inside the certificate's factor-2 margin
+    # a stack of well-conditioned Grams is decided without eigvalsh, and
+    # each gets a floor
+    floor = np.full(len(full), -np.inf)
+    assert _grown_rank_deficient(full, floor).tolist() == [False] * len(full)
+    assert calls == [] and (floor > 0).all()
+    # one stale row the certificate cannot pass sends every stale row to
+    # eigvalsh, which gives each its own verdict, and no floor is raised;
+    # rows with a floor are not tested again. A-above is full rank, but
+    # too close to the 1e-8 ratio for the wide certificate
     for name, deficient in (("singular", True), ("zero", True), ("A-below", True),
                             ("A-above", False)):
         stack = np.concatenate((full, _GRAMS[name][None]))
-        calls.clear()
-        got = rank_deficient(stack)
-        assert calls == [stack.shape]
-        assert got.tolist() == [False] * len(full) + [deficient]
-        assert got.tolist() == _eigvalsh_verdict(stack).tolist()
+        for fresh in (len(stack), 1):
+            floors = np.concatenate((floor[: len(stack) - fresh], np.full(fresh, -np.inf)))
+            calls.clear()
+            got = _grown_rank_deficient(stack, floors)
+            assert calls == [(fresh, 6, 6)]
+            assert (floors[-fresh:] == -np.inf).all()
+            assert got.tolist() == [False] * len(full) + [deficient]
+            assert got.tolist() == _eigvalsh_verdict(stack).tolist()
 
 
 def test_fit_stack_certifies_only_the_rows_it_fits(monkeypatch):

@@ -12,6 +12,7 @@ from cbara.policy import (
     PolicyRows,
     TargetPolicy,
     ZERO_COEFFS,
+    _allocation_prob_raw,
     allocation_prob,
     derive_constants,
     increment_scale,
@@ -117,6 +118,39 @@ def test_derive_constants_logistic():
     assert target_ratio_from_x1(pol, theta, 1.0) == 0.8
     assert p == pytest.approx(1.25)
     assert c == pytest.approx(2.0 / (0.8 * 0.2))
+
+
+def test_derive_constants_reads_the_widest_of_rho_and_one_minus_rho():
+    # a negative contrast: every ratio is at most 1/2, yet rho_max is
+    # the link of the widest contrast, 1 - 0.2 = 0.8, not the largest
+    # ratio 0.5
+    pol = TargetPolicy(family=Family.LOGISTIC)
+    theta = ModelCoefficients(-2.0, 1.0, 0.0, -1.0, 0.0, 0.0)
+    rhos = [target_ratio_from_x1(pol, theta, x1) for x1 in (-1.0, 0.0, 1.0)]
+    assert rhos == [0.2, pytest.approx(1.0 / (1.0 + math.e)), 0.5]
+    assert derive_constants(pol, theta) == (1.0 / 0.8, 2.0 / (0.8 * (1.0 - 0.8)))
+
+
+@given(
+    coeff_st,
+    st.sampled_from(list(Family)),
+    st.floats(0.02, 0.5),
+    st.floats(1e-3, 1e3),
+    st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.floats(-1, 1),
+    st.floats(-1, 1),
+)
+def test_pre_clamp_allocation_stays_in_the_unit_interval(
+    theta, family, clamp_lo, c_lambda, lam, x1, x2, x3
+):
+    # the guard bounds the correction by p_theta * rho * (1 - rho), and
+    # p_theta = 1 / max over the support of rho and 1 - rho
+    pol = TargetPolicy(family=family, clamp_lo=clamp_lo, c_lambda=c_lambda)
+    p_theta, c_theta = derive_constants(pol, theta)
+    rho = target_ratio_from_x1(pol, theta, x1)
+    raw = _allocation_prob_raw(rho, p_theta, c_theta, c_lambda, (1.0, x1, x2, x3), tuple(lam))
+    assert -1e-12 <= raw <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -25,19 +25,20 @@ def test_lockstep_cost_runs(tmp_path):
         "batch,rows,n_units,us_per_trial_step",
     )
     # the JSON holds the printed rows: two plans, one batch of both, then
-    # the adaptive-replicate shape in lockstep and its first trial alone
+    # the adaptive-replicate shape in lockstep, its first trial alone and
+    # a frozen logged chain through run_trial
     written = json.loads(out.read_text())
     assert written["machine"] == lines[-1]
     assert [row["batch"] for row in written["batches"]] == ["grid 1/1"]
     assert [row["batch"] for row in written["shapes"]] == [
-        "adaptive-replicate", "adaptive-replicate run_trial",
+        "adaptive-replicate", "adaptive-replicate run_trial", "frozen-chain run_trial",
     ]
     rows = written["plans"] + written["batches"] + written["shapes"]
     assert [
         f"{r['batch']},{r['rows']},{r['n_units']},{r['us_per_trial_step']:.2f}" for r in rows
     ] == lines[1:-1]
-    assert [r["rows"] for r in rows] == [2, 2, 4, 10, 1]
-    assert [r["n_units"] for r in written["shapes"]] == [800, 800]
+    assert [r["rows"] for r in rows] == [2, 2, 4, 10, 1, 1]
+    assert [r["n_units"] for r in written["shapes"]] == [800, 800, 20_000]
     assert all(r["us_per_trial_step"] > 0 for r in rows)
 
 

@@ -5,12 +5,14 @@ For each plan of a `cbara table1` config this prints the microseconds
 per trial-step (one unit of one trial) of run_lockstep on that plan's
 replications alone, then the same for every replication of the grid
 as one batch per step schedule, which is how the harness lines up a
-grid before it cuts the line into one shard per worker. Two fixed
+grid before it cuts the line into one shard per worker. Three fixed
 shapes follow, whatever the config: run_lockstep on the ten trials of
 the benchmark's adaptive-replicate workload (logistic, weighted,
-balance, clipped, N = 800), and run_trial on the first of them alone,
-the scalar path of a one-trial shard (780 of its 800 steps refit). The
-last line describes the machine. Each figure is the best of --repeats
+balance, clipped, N = 800); run_trial on the first of them alone, the
+scalar path of a one-trial shard (780 of its 800 steps refit); and
+run_trial on a chain of `cbara check`'s criterion 9 (logistic, balance,
+theta frozen at the tilted value, step log kept, N = 20,000), the
+scalar path's other use. The last line describes the machine. Each figure is the best of --repeats
 runs in this process, after one untimed warm-up run.
 
 Run from the repo root:
@@ -35,7 +37,7 @@ from cbara.datagen import Scenario, ScenarioId
 from cbara.engine import Allocation, TrialConfig, run_lockstep, run_trial, step_schedule
 from cbara.estimator import Weighting
 from cbara.harness import ReplicationPlan, replication_configs
-from cbara.policy import Family, TargetPolicy
+from cbara.policy import Family, ModelCoefficients, TargetPolicy
 from machine import machine_line
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -55,6 +57,19 @@ ADAPTIVE_REPLICATE = replication_configs(ReplicationPlan(
     n_reps=10,
     base_seed=0,
 ))
+
+
+# one of criterion 9's frozen chains, at a tenth of its horizon
+FROZEN_CHAIN = TrialConfig(
+    n_units=20_000,
+    scenario=Scenario(ScenarioId.A),
+    policy=TargetPolicy(family=Family.LOGISTIC),
+    weighting=Weighting.WEIGHTED,
+    mechanism=UpdateMechanism.direct(),
+    allocation=Allocation.BALANCE,
+    frozen_theta=ModelCoefficients(2.0, 1.0, 0.0, -1.0, 0.5, -0.5),
+    keep_log=True,
+)
 
 
 def us_per_step(configs, repeats: int) -> float:
@@ -109,6 +124,7 @@ def main() -> None:
         emit("batches", f"grid {k}/{len(batches)}", batch)
     emit("shapes", "adaptive-replicate", ADAPTIVE_REPLICATE)
     emit("shapes", "adaptive-replicate run_trial", ADAPTIVE_REPLICATE[:1])
+    emit("shapes", "frozen-chain run_trial", [FROZEN_CHAIN])
     machine = machine_line()
     print(machine)
     if args.json:
